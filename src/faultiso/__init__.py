@@ -36,7 +36,6 @@ from .diagnosis import (
     classify,
     detection_agent,
     estimate_after,
-    isolation_agent,
 )
 from .errors import (
     AssumptionError,
@@ -56,6 +55,7 @@ from .runtime import (
     build_closed_loop,
     engine_step,
     initial_engine_state,
+    isolation_agent,
     replay,
     simulate,
     verify_closed_loop,

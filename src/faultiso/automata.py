@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import AssumptionError, ModelError
+from .graph import find_cycle, reach, shortest_path
 
 
 @dataclass(frozen=True)
@@ -205,14 +206,7 @@ def unobservable_reach(aut: Automaton, x: Iterable[str],
 
 def accessible_part(aut: Automaton) -> Automaton:
     """Restrict to states reachable from the initial state."""
-    seen = {aut.initial}
-    queue = deque([aut.initial])
-    while queue:
-        q = queue.popleft()
-        for _, dst in aut.outgoing(q):
-            if dst not in seen:
-                seen.add(dst)
-                queue.append(dst)
+    seen = set(reach([aut.initial], aut.outgoing))
     trans = {(s, e): d for (s, e), d in aut.transitions.items() if s in seen}
     return Automaton(aut.table, frozenset(seen), aut.initial, trans)
 
@@ -301,82 +295,42 @@ class AssumptionReport:
         return "fail (" + "; ".join(parts) + ")"
 
 
-def _find_unobservable_cycle(aut: Automaton) -> Optional[tuple[str, ...]]:
-    # Iterative DFS over the unobservable-edge subgraph; returns the first
-    # cycle in deterministic order as [q0, e1, q1, ..., qk] with qk == q0.
-    unobs = aut.table.unobservable_events
-    color: dict[str, int] = {}  # 1 = on stack, 2 = done
-    for root in aut.sorted_states():
-        if color.get(root):
-            continue
-        stack = [(root, iter(aut.outgoing(root)))]
-        color[root] = 1
-        path: list[tuple[str, str]] = []  # (edge event, target)
-        while stack:
-            q, it = stack[-1]
-            advanced = False
-            for ev, dst in it:
-                if ev not in unobs:
-                    continue
-                if color.get(dst) == 1:
-                    # unwind the stack back to dst and close the loop
-                    tail = [q2 for q2, _ in stack]
-                    start = tail.index(dst)
-                    events = [e for e, _ in path][start:]
-                    out: list[str] = [dst]
-                    for e, s2 in zip(events, tail[start + 1:]):
-                        out.extend([e, s2])
-                    out.extend([ev, dst])
-                    return tuple(out)
-                if color.get(dst) is None:
-                    color[dst] = 1
-                    stack.append((dst, iter(aut.outgoing(dst))))
-                    path.append((ev, dst))
-                    advanced = True
-                    break
-            if not advanced:
-                color[q] = 2
-                stack.pop()
-                if path:
-                    path.pop()
-    return None
-
-
 def _find_multi_fault_path(aut: Automaton) -> Optional[tuple[str, ...]]:
-    # BFS over (state, fault type seen); a second distinct type yields the
-    # shortest witness string.
-    start = (aut.initial, None)
-    parents: dict[tuple, tuple] = {start: None}
-    queue = deque([start])
-    while queue:
-        q, seen_type = queue.popleft()
+    # shortest run over (state, fault type seen); an edge of a second type
+    # leads to the goal None
+    type_of = {e.name: e.fault_type for e in aut.table.events}
+
+    def succ(node):
+        q, seen_type = node
+        out = []
         for ev, dst in aut.outgoing(q):
-            t = aut.table.fault_type_of(ev)
-            if t is not None and seen_type is not None and t != seen_type:
-                events = [ev]
-                node = (q, seen_type)
-                while parents[node] is not None:
-                    pnode, pev = parents[node]
-                    events.append(pev)
-                    node = pnode
-                return tuple(reversed(events))
-            nxt = (dst, t if t is not None else seen_type)
-            if nxt not in parents:
-                parents[nxt] = ((q, seen_type), ev)
-                queue.append(nxt)
-    return None
+            t = type_of[ev]
+            if t is None or seen_type is None or t == seen_type:
+                out.append((ev, (dst, seen_type if t is None else t)))
+            else:
+                out.append((ev, None))
+        return out
+
+    path = shortest_path((aut.initial, None), succ, lambda node: node is None)
+    return None if path is None else tuple(ev for ev, _ in path)
 
 
 def check_assumptions(aut: Automaton) -> AssumptionReport:
     """Check liveness, absence of unobservable cycles, and single-fault-type
     behaviour; findings are reported, never raised."""
-    non_live = tuple(q for q in aut.sorted_states() if not aut.outgoing(q))
-    cycle = _find_unobservable_cycle(aut)
+    states = aut.sorted_states()
+    non_live = tuple(q for q in states if not aut.outgoing(q))
+    unobs = aut.table.unobservable_events
+    unobs_out: dict[str, list[tuple[str, str]]] = {q: [] for q in states}
+    for (q, ev), dst in aut.transitions.items():
+        if ev in unobs:
+            unobs_out[q].append((ev, dst))
+    cycle = find_cycle(states, unobs_out.__getitem__)
     multi = _find_multi_fault_path(aut)
     return AssumptionReport(
         live=not non_live,
         non_live_states=non_live,
-        unobservable_cycle=cycle,
+        unobservable_cycle=None if cycle is None else tuple(cycle),
         multi_fault_witness=multi,
     )
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .automata import (
     Automaton,
@@ -20,6 +20,7 @@ from .automata import (
     unobservable_reach,
 )
 from .errors import ModelError, NotDiagnosableError, ResourceLimitError
+from .graph import cyclic_nodes, find_cycle, longest_path, reach, shortest_path
 
 NORMAL = "N"
 
@@ -318,103 +319,47 @@ def check_diagnosability(plant: LabeledPlant) -> DiagnosabilityReport:
     obs_events = plant.table.observable_events
     init = (aut.initial, aut.initial)
 
-    succ: dict[tuple[str, str], list[tuple[str, str, tuple[str, str]]]] = {}
-    seen = {init}
-    queue = deque([init])
-    while queue:
-        q1, q2 = queue.popleft()
+    # product edges are labelled (event, side): the faulty run moves alone
+    # ("run"), the normal twin moves alone ("twin"), or both observe ("both")
+    succ: dict[tuple[str, str], list] = {}
+
+    def expand(pair):
+        q1, q2 = pair
         edges = []
         for ev, dst in aut.outgoing(q1):
             if ev in obs_events:
                 dst2 = aut.transitions.get((q2, ev))
                 if dst2 is not None and dst2 in normal:
-                    edges.append((ev, "both", (dst, dst2)))
+                    edges.append(((ev, "both"), (dst, dst2)))
             else:
-                edges.append((ev, "run", (dst, q2)))
+                edges.append(((ev, "run"), (dst, q2)))
         for ev, dst2 in aut.outgoing(q2):
             if ev not in obs_events and dst2 in normal:
-                edges.append((ev, "twin", (q1, dst2)))
-        succ[(q1, q2)] = edges
-        for _, _, nxt in edges:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
+                edges.append(((ev, "twin"), (q1, dst2)))
+        succ[pair] = edges
+        return edges
 
-    faulty = {p for p in seen if plant.label_of[p[0]] != NORMAL}
-
-    # cycle detection inside the label-faulty part of the product
-    color: dict[tuple[str, str], int] = {}
-    cycle_node = None
-    for root in sorted(faulty):
-        if color.get(root):
-            continue
-        stack = [(root, iter(succ[root]))]
-        color[root] = 1
-        while stack and cycle_node is None:
-            node, it = stack[-1]
-            advanced = False
-            for _, _, nxt in it:
-                if nxt not in faulty:
-                    continue
-                if color.get(nxt) == 1:
-                    cycle_node = nxt
-                    break
-                if color.get(nxt) is None:
-                    color[nxt] = 1
-                    stack.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-            if cycle_node is None and not advanced:
-                color[node] = 2
-                stack.pop()
-        if cycle_node is not None:
-            break
-
-    if cycle_node is None:
+    # labels never revert, so every edge out of a faulty pair stays faulty
+    faulty = sorted(p for p in reach([init], expand) if plant.label_of[p[0]] != NORMAL)
+    cycle = find_cycle(faulty, succ.__getitem__)
+    if cycle is None:
         return DiagnosabilityReport(True, None)
 
-    def bfs_path(start, goal, within_faulty):
-        # shortest edge path from start to goal, optionally confined to the
-        # label-faulty part of the product
-        if start == goal:
-            return []
-        parents = {start: None}
-        queue = deque([start])
-        while queue:
-            node = queue.popleft()
-            for ev, side, nxt in succ[node]:
-                if nxt in parents:
-                    continue
-                if within_faulty and nxt not in faulty:
-                    continue
-                parents[nxt] = (node, ev, side)
-                if nxt == goal:
-                    steps = []
-                    cur = nxt
-                    while parents[cur] is not None:
-                        prev, e, sd = parents[cur]
-                        steps.append((e, sd))
-                        cur = prev
-                    return list(reversed(steps))
-                queue.append(nxt)
-        return None
+    node = cycle[0]
 
-    stem = bfs_path(init, cycle_node, within_faulty=False)
-    # force at least one edge around the loop, staying in the faulty part
-    loop = None
-    for ev, side, nxt in succ[cycle_node]:
-        if nxt not in faulty:
-            continue
-        if nxt == cycle_node:
-            loop = [(ev, side)]
-            break
-        rest = bfs_path(nxt, cycle_node, within_faulty=True)
+    def is_node(pair):
+        return pair == node
+
+    stem = shortest_path(init, succ.__getitem__, is_node)
+    # the loop takes the first edge out of the node that leads back, then the
+    # shortest way back
+    for step in succ[node]:
+        rest = [] if step[1] == node else shortest_path(step[1], succ.__getitem__, is_node)
         if rest is not None:
-            loop = [(ev, side)] + rest
             break
-    steps = stem + (loop or [])
-    faulty_run = tuple(ev for ev, side in steps if side in ("run", "both"))
-    normal_run = tuple(ev for ev, side in steps if side in ("twin", "both"))
+    sides = [label for label, _ in stem + [step] + rest]
+    faulty_run = tuple(ev for ev, side in sides if side in ("run", "both"))
+    normal_run = tuple(ev for ev, side in sides if side in ("twin", "both"))
     return DiagnosabilityReport(False, (faulty_run, normal_run))
 
 
@@ -425,6 +370,9 @@ class IsolatabilityReport:
     isolatable: bool
     # alternating [estimate, event, ..., estimate] cycle through a mixed estimate
     witness_cycle: Optional[tuple] = None
+    # longest run of consecutive mixed estimates after certainty, in edges;
+    # None exactly when a mixed cycle exists
+    bound: Optional[int] = None
 
     def witness_text(self) -> str:
         if self.witness_cycle is None:
@@ -437,66 +385,15 @@ def fault_certain_frontier(diag: Diagnoser) -> frozenset[StateEstimate]:
     """Estimates first reached with fault certainty: breadth-first search that
     stops expanding as soon as certainty is reached."""
     frontier = set()
-    seen = {diag.initial}
-    queue = deque([diag.initial])
-    while queue:
-        est = queue.popleft()
+
+    def expand(est):
         if classify(est).detection == "F":
             frontier.add(est)
-            continue
-        for _, nxt in diag.successors(est):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
+            return ()
+        return diag.successors(est)
+
+    reach([diag.initial], expand)
     return frozenset(frontier)
-
-
-def _estimate_graph_from(diag: Diagnoser,
-                         roots: Iterable[StateEstimate]) -> dict[StateEstimate, tuple]:
-    graph = {}
-    queue = deque(sorted(roots, key=str))
-    seen = set(queue)
-    while queue:
-        est = queue.popleft()
-        edges = diag.successors(est)
-        graph[est] = edges
-        for _, nxt in edges:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return graph
-
-
-def _shortest_cycle(graph, node) -> Optional[tuple]:
-    # shortest alternating cycle node -> ... -> node (at least one edge)
-    parents = {}
-    queue = deque()
-    for obs, nxt in graph.get(node, ()):
-        if nxt == node:
-            return (node, obs, node)
-        if nxt in graph and nxt not in parents:
-            parents[nxt] = (node, obs)
-            queue.append(nxt)
-    while queue:
-        cur = queue.popleft()
-        for obs, nxt in graph.get(cur, ()):
-            if nxt == node:
-                steps = [(cur, obs)]
-                back = cur
-                while parents[back][0] != node:
-                    prev, e = parents[back]
-                    steps.append((prev, e))
-                    back = prev
-                steps.append((node, parents[back][1]))
-                out = []
-                for st, e in reversed(steps):
-                    out.extend([st, e])
-                out.append(node)
-                return tuple(out)
-            if nxt in graph and nxt not in parents:
-                parents[nxt] = (cur, obs)
-                queue.append(nxt)
-    return None
 
 
 def check_isolatability(plant: LabeledPlant) -> IsolatabilityReport:
@@ -508,6 +405,10 @@ def check_isolatability(plant: LabeledPlant) -> IsolatabilityReport:
     frontier contains a cycle through a mixed estimate.  The reported witness
     prefers a cycle among estimates that cannot reach purity at all (a trap,
     where no amount of luck isolates) over a merely revisitable ambiguity.
+
+    Fault labels never grow after certainty, so every such cycle is all
+    mixed: the plant is isolatable exactly when ``bound``, the longest run
+    of consecutive mixed estimates, is finite.
     """
     diag_report = check_diagnosability(plant)
     if not diag_report.diagnosable:
@@ -515,26 +416,36 @@ def check_isolatability(plant: LabeledPlant) -> IsolatabilityReport:
             "isolatability is only defined for diagnosable systems",
             witness=diag_report.witness)
     diag = build_diagnoser(plant)
-    frontier = fault_certain_frontier(diag)
-    graph = _estimate_graph_from(diag, frontier)
+    nodes = reach(sorted(fault_certain_frontier(diag), key=str), diag.successors)
+    mixed = [est.mixed for est in nodes]
+    if not any(mixed):
+        return IsolatabilityReport(True, None, 0)
+    # the queries run on positions in ``nodes``; hashing an estimate is slow
+    pos = {est: i for i, est in enumerate(nodes)}
+    edges = [[(obs, pos[nxt]) for obs, nxt in diag.successors(est)] for est in nodes]
 
-    on_cycle = [est for est in sorted(graph, key=str)
-                if est.mixed and _shortest_cycle(graph, est) is not None]
-    if not on_cycle:
-        return IsolatabilityReport(True, None)
+    def mixed_succ(i):
+        return [(obs, j) for obs, j in edges[i] if mixed[j]]
 
-    pure = {est for est in graph if not est.mixed}
-    reach_pure = set(pure)
-    changed = True
-    while changed:
-        changed = False
-        for est, edges in graph.items():
-            if est not in reach_pure and any(nxt in reach_pure for _, nxt in edges):
-                reach_pure.add(est)
-                changed = True
-    trapped = [est for est in on_cycle if est not in reach_pure]
+    ids = range(len(nodes))
+    mixed_ids = [i for i in ids if mixed[i]]
+    bound = longest_path(mixed_ids, mixed_succ)
+    if bound is not None:
+        return IsolatabilityReport(True, None, bound)
+
+    cyclic = cyclic_nodes(mixed_ids, mixed_succ)
+    on_cycle = [i for i in sorted(ids, key=lambda i: str(nodes[i])) if i in cyclic]
+    preds: list[list] = [[] for _ in ids]
+    for i, out in enumerate(edges):
+        for obs, j in out:
+            preds[j].append((obs, i))
+    reach_pure = set(reach([i for i in ids if not mixed[i]], preds.__getitem__))
+    trapped = [i for i in on_cycle if i not in reach_pure]
     chosen = (trapped or on_cycle)[0]
-    return IsolatabilityReport(False, _shortest_cycle(graph, chosen))
+    witness = [nodes[chosen]]
+    for obs, j in shortest_path(chosen, edges.__getitem__, lambda i: i == chosen):
+        witness += [obs, nodes[j]]
+    return IsolatabilityReport(False, tuple(witness))
 
 
 # -- observation agents --------------------------------------------------------
@@ -542,20 +453,3 @@ def check_isolatability(plant: LabeledPlant) -> IsolatabilityReport:
 def detection_agent(diag: Diagnoser, t: Sequence[str]) -> str:
     """N, F, or U after observing ``t`` without control."""
     return classify(diag.walk(t)).detection
-
-
-def isolation_agent(source: Union[Diagnoser, tuple], t: Sequence[str]) -> str:
-    """Fault class after observing ``t``: ``FU`` or a specific label.
-
-    ``source`` is either an uncontrolled diagnoser, or a ``(plant, policy)``
-    pair whose estimates follow the controlled recursion of the runtime
-    engine.
-    """
-    if isinstance(source, Diagnoser):
-        return classify(source.walk(t)).isolation
-    from .runtime import initial_engine_state, engine_step  # cycle-free at call time
-    plant, policy = source
-    state = initial_engine_state(plant)
-    for obs in t:
-        state = engine_step(plant, policy, state, obs)
-    return state.verdict.isolation

@@ -90,13 +90,3 @@ def export_supervisor_dot(policy: SupervisorPolicy,
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-def export_dot(obj, **kwargs) -> str:
-    """Single entry point: dispatch on diagnoser, bipartite graph, or policy."""
-    if isinstance(obj, Diagnoser):
-        return export_diagnoser_dot(obj)
-    if isinstance(obj, BTSGraph):
-        return export_bts_dot(obj, **kwargs)
-    if isinstance(obj, SupervisorPolicy):
-        return export_supervisor_dot(obj, **kwargs)
-    raise TypeError(f"cannot render {type(obj).__name__} as DOT")

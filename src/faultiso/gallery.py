@@ -12,7 +12,7 @@ be told apart by actively switching lamps off and watching the light level.
 from __future__ import annotations
 
 from .automata import Automaton, Event, EventTable, accessible_part, parallel_compose
-from .modelio import ModelDocument, serialize_model
+from .modelio import ModelDocument, serialize_model, to_system
 
 
 def twin_branch_document() -> ModelDocument:
@@ -46,7 +46,6 @@ def twin_branch_document() -> ModelDocument:
 
 
 def twin_branch() -> tuple[Automaton, EventTable]:
-    from .modelio import to_system
     return to_system(twin_branch_document())
 
 

@@ -23,7 +23,7 @@ from typing import Optional
 from .automata import Automaton, Event, EventTable
 from .diagnosis import LabeledPlant, LabeledState, StateEstimate
 from .errors import ModelError
-from .synthesis import ControlDecision, SupervisorPolicy, canonical_decision
+from .synthesis import ControlDecision, SupervisorPolicy, canonical_decision, policy_graph
 
 
 @dataclass(frozen=True)
@@ -270,8 +270,6 @@ def load_supervisor(text: str, plant: LabeledPlant,
     the frontier under the policy must carry an explicit decision and its
     decision must be feasible there.
     """
-    from .synthesis import policy_graph  # local to avoid an import cycle at startup
-
     doc = parse_supervisor(text)
     digest = model_digest(model_doc)
     if doc.model_hash != digest:

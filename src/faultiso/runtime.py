@@ -14,18 +14,17 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence, Union
 
 from .automata import Automaton
 from .diagnosis import (
+    Diagnoser,
     DiagnosisVerdict,
     LabeledPlant,
     StateEstimate,
     check_isolatability,
     classify,
     diagnoser_step_ids,
-    fault_certain_frontier,
-    build_diagnoser,
 )
 from .errors import (
     ProtocolError,
@@ -110,6 +109,18 @@ def replay(plant: LabeledPlant, policy: SupervisorPolicy,
     for obs in observations:
         states.append(engine_step(plant, policy, states[-1], obs))
     return states
+
+
+def isolation_agent(source: Union[Diagnoser, tuple], t: Sequence[str]) -> str:
+    """Fault class after observing ``t``: ``FU`` or a specific label.
+
+    ``source`` is either an uncontrolled diagnoser, or a ``(plant, policy)``
+    pair whose estimates follow the controlled recursion of the engine.
+    """
+    if isinstance(source, Diagnoser):
+        return classify(source.walk(t)).isolation
+    plant, policy = source
+    return replay(plant, policy, t)[-1].verdict.isolation
 
 
 # -- closed-loop automaton -----------------------------------------------------
@@ -245,58 +256,6 @@ class ClosedLoopReport:
     bound: Optional[int]
 
 
-def _mixed_path_bound(cl: ClosedLoopAutomaton) -> Optional[int]:
-    # longest chain of consecutive mixed estimates in the controlled
-    # observation graph; None when a mixed cycle makes it unbounded
-    lp = cl.as_labeled_plant()
-    diag = build_diagnoser(lp)
-    frontier = fault_certain_frontier(diag)
-    graph: dict[StateEstimate, list[StateEstimate]] = {}
-    queue = deque(sorted(frontier, key=str))
-    seen = set(queue)
-
-    def mixed(est: StateEstimate) -> bool:
-        return est.mixed
-
-    while queue:
-        est = queue.popleft()
-        graph[est] = [dst for _, dst in diag.successors(est)]
-        for dst in graph[est]:
-            if dst not in seen:
-                seen.add(dst)
-                queue.append(dst)
-    mixed_nodes = [e for e in graph if mixed(e)]
-    memo: dict[StateEstimate, Optional[int]] = {}
-    visiting = object()
-
-    def longest(est) -> Optional[int]:
-        got = memo.get(est, None)
-        if got is visiting:
-            return None  # cycle
-        if est in memo:
-            return got
-        memo[est] = visiting
-        best = 0
-        for nxt in graph[est]:
-            if not mixed(nxt):
-                continue
-            sub = longest(nxt)
-            if sub is None:
-                memo[est] = None
-                return None
-            best = max(best, 1 + sub)
-        memo[est] = best
-        return best
-
-    best = 0
-    for est in sorted(mixed_nodes, key=str):
-        got = longest(est)
-        if got is None:
-            return None
-        best = max(best, got)
-    return best
-
-
 def verify_closed_loop(cl: ClosedLoopAutomaton) -> ClosedLoopReport:
     """Model-check the controlled behaviour.
 
@@ -307,9 +266,8 @@ def verify_closed_loop(cl: ClosedLoopAutomaton) -> ClosedLoopReport:
     nonlive = tuple(q for q in cl.automaton.sorted_states()
                     if cl.certain_of[q] and not cl.automaton.outgoing(q))
     iso = check_isolatability(cl.as_labeled_plant())
-    bound = _mixed_path_bound(cl)
     return ClosedLoopReport(not nonlive, nonlive, iso.isolatable,
-                            iso.witness_cycle, bound)
+                            iso.witness_cycle, iso.bound)
 
 
 # -- simulation ----------------------------------------------------------------

@@ -20,7 +20,6 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .automata import unobservable_reach
 from .diagnosis import (
-    Diagnoser,
     LabeledPlant,
     StateEstimate,
     build_diagnoser,
@@ -29,6 +28,7 @@ from .diagnosis import (
     fault_certain_frontier,
 )
 from .errors import NotDiagnosableError, ResourceLimitError, SynthesisError
+from .graph import reach
 
 TIE_BREAK_MODES = ("default", "paper-example")
 
@@ -87,10 +87,6 @@ class ZState:
         return f"({self.estimate},{self.decision})"
 
 
-def _zstate_key(z: ZState):
-    return (str(z.estimate), z.decision.sort_key())
-
-
 @dataclass(frozen=True)
 class BTSGraph:
     """Bipartite transition system over Y-states and Z-states.
@@ -128,8 +124,7 @@ class BTSGraph:
         return self._z_adj[z]
 
 
-def fault_frontier(plant: LabeledPlant,
-                   diagnoser: Optional[Diagnoser] = None) -> frozenset[StateEstimate]:
+def fault_frontier(plant: LabeledPlant) -> frozenset[StateEstimate]:
     """Estimates first reached with fault certainty, where supervision starts.
 
     Computed by breadth-first search on the diagnoser, stopping at the first
@@ -139,8 +134,7 @@ def fault_frontier(plant: LabeledPlant,
     if not report.diagnosable:
         raise NotDiagnosableError("plant is not diagnosable; no isolation "
                                   "supervisor can exist", witness=report.witness)
-    diag = diagnoser or build_diagnoser(plant)
-    return fault_certain_frontier(diag)
+    return fault_certain_frontier(build_diagnoser(plant))
 
 
 def feasible_decisions(plant: LabeledPlant, est: StateEstimate) -> tuple[ControlDecision, ...]:
@@ -306,35 +300,33 @@ def prune_live(bts: BTSGraph, deadlocks: frozenset[ZState]) -> BTSGraph:
     """Drop deadlock Z-states and keep the part accessible from the frontier.
 
     Doing nothing and disabling nothing never deadlocks in a live plant, so
-    no surviving Y-state is left without a decision.
+    no surviving Y-state is left without a decision; ValueError otherwise.
     """
     unknown = [z for z in deadlocks if (z.estimate, z.decision) not in bts.yz_edges]
     if unknown:
         raise ValueError(f"deadlocks not in graph: {unknown[0]}")
-    live_y = set()
-    live_z = []
-    queue = deque(sorted(bts.initial, key=str))
-    live_y.update(bts.initial)
     yz: dict[tuple[StateEstimate, ControlDecision], ZState] = {}
     zy: dict[tuple[ZState, str], StateEstimate] = {}
-    while queue:
-        y = queue.popleft()
-        kept = 0
+
+    def live_successors(y):
+        before = len(yz)
+        steps = []
         for dec in bts.decisions_of(y):
             z = bts.yz_edges[(y, dec)]
             if z in deadlocks:
                 continue
-            kept += 1
             yz[(y, dec)] = z
-            live_z.append(z)
-            for obs, nxt in bts.observations_of(z):
+            edges = bts.observations_of(z)
+            for obs, nxt in edges:
                 zy[(z, obs)] = nxt
-                if nxt not in live_y:
-                    live_y.add(nxt)
-                    queue.append(nxt)
-        assert kept > 0, f"estimate {y} lost all decisions; plant is not live"
+            steps += edges
+        if len(yz) == before:
+            raise ValueError(f"estimate {y} lost all decisions; plant is not live")
+        return steps
+
+    live_y = set(reach(sorted(bts.initial, key=str), live_successors))
     y_order = tuple(y for y in bts.y_states if y in live_y)
-    return BTSGraph(y_order, tuple(live_z), yz, zy, bts.initial,
+    return BTSGraph(y_order, tuple(yz.values()), yz, zy, bts.initial,
                     frozenset(m for m in bts.marked if m in live_y))
 
 
@@ -396,7 +388,6 @@ def good_fixpoint(bts_liv: BTSGraph, deadlocks: frozenset[ZState] = frozenset(),
     while changed:
         changed = False
         r += 1
-        assert r <= len(bts_liv.y_states) + len(bts_liv.z_states) + 1
         for z in bts_liv.z_states:
             if z in good_z:
                 continue
@@ -466,26 +457,19 @@ def policy_graph(plant: LabeledPlant, policy: SupervisorPolicy
     reachable estimate, the observations the active decision admits and the
     estimates they lead to."""
     graph: dict[StateEstimate, tuple[tuple[str, StateEstimate], ...]] = {}
-    queue = deque(sorted(policy.initial_frontier, key=str))
-    seen = set(queue)
     obs_sorted = sorted(plant.table.observable_events)
-    while queue:
-        y = queue.popleft()
+
+    def admitted(y):
         dec = policy.decision_for(y)
         if dec.enforce is not None and dec.enforce in plant.table.observable_events:
             candidates = [dec.enforce]
         else:
             candidates = [o for o in obs_sorted if o not in dec.disable]
-        edges = []
-        for obs in candidates:
-            nxt = observable_reach(plant, y, dec, obs)
-            if nxt is None:
-                continue
-            edges.append((obs, nxt))
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-        graph[y] = tuple(edges)
+        graph[y] = tuple((obs, nxt) for obs in candidates
+                         if (nxt := observable_reach(plant, y, dec, obs)) is not None)
+        return graph[y]
+
+    reach(sorted(policy.initial_frontier, key=str), admitted)
     return graph
 
 

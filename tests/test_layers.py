@@ -1,0 +1,57 @@
+"""Module layering: each module imports only modules below it, at the top.
+
+A function-level import hides a dependency cycle from the reader and from
+this check, so none is allowed.  ``__init__`` only re-exports and is exempt.
+"""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import faultiso
+
+LAYERS = ("errors", "graph", "automata", "diagnosis", "synthesis", "runtime",
+          "modelio", "dotexport", "gallery", "cli")
+SRC = Path(faultiso.__file__).parent
+
+
+def package_imports(node):
+    """Modules of this package that an import statement names."""
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[1] if "." in alias.name else "__init__"
+                for alias in node.names if alias.name.split(".")[0] == "faultiso"]
+    if isinstance(node, ast.ImportFrom):
+        if node.level == 0:
+            parts = (node.module or "").split(".")
+            if parts[0] != "faultiso":
+                return []
+            parts = parts[1:]
+        else:
+            parts = node.module.split(".") if node.module else []
+        return [parts[0]] if parts else [alias.name for alias in node.names]
+    return []
+
+
+def test_every_module_has_a_layer():
+    assert {p.stem for p in SRC.glob("*.py")} - {"__init__"} == set(LAYERS)
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_imports_point_down(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        for target in package_imports(node):
+            assert target in LAYERS[:LAYERS.index(module)], \
+                f"{module} imports {target} at line {node.lineno}"
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_no_function_level_imports(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                assert not package_imports(node), \
+                    f"{module}.{fn.name} imports the package at line {node.lineno}"

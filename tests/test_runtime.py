@@ -5,6 +5,7 @@ import pytest
 
 import faultiso as fi
 from faultiso.errors import ProtocolError, SchedulerError, SupervisorIntegrityError
+from faultiso.modelio import parse_model
 
 from oracles import closed_loop_estimates, closed_loop_language
 
@@ -218,3 +219,21 @@ def test_bts_walk_matches_engine(twin_plant, twin_bts, twin_pipeline):
             z = bts_liv.yz_edges[(y, policy.decision_for(y))]
             y = bts_liv.zy_edges[(z, obs)]
             assert y == st.estimate
+
+
+def test_verify_closed_loop_deep_mixed_chain():
+    # two fault classes stay confusable along 1,500 observations; the mixed
+    # chain is far deeper than the interpreter's recursion limit
+    n = 1500
+    lines = ["event sf1 fault=1", "event sf2 fault=2",
+             "event o obs", "event p obs", "event q obs", "init s",
+             "trans s sf1 a00000", "trans s sf2 b00000"]
+    for side in "ab":
+        lines += [f"trans {side}{i:05d} o {side}{i + 1:05d}" for i in range(n)]
+    lines += [f"trans a{n:05d} p a{n:05d}", f"trans b{n:05d} q b{n:05d}"]
+    aut, _ = parse_model("\n".join(lines))
+    plant = fi.build_labeled_plant(aut)
+    policy = fi.SupervisorPolicy(fi.fault_frontier(plant), {})
+    report = fi.verify_closed_loop(fi.build_closed_loop(plant, policy))
+    assert report.live and report.isolatable
+    assert report.bound == n - 1

@@ -197,6 +197,11 @@ def test_prune_live(twin_plant, twin_bts):
     assert fi.prune_live(twin_bts, frozenset()).z_states == twin_bts.z_states
 
 
+def test_prune_live_rejects_losing_every_decision(twin_bts):
+    with pytest.raises(ValueError, match="lost all decisions"):
+        fi.prune_live(twin_bts, frozenset(twin_bts.z_states))
+
+
 def test_prune_removes_unreachable():
     # {3F1} arises only by disabling c, and that same decision strands the
     # plant at state 5, so the estimate disappears with the deadlock Z-state
