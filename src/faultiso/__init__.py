@@ -36,6 +36,7 @@ from .diagnosis import (
     classify,
     detection_agent,
     estimate_after,
+    fault_frontier,
 )
 from .errors import (
     AssumptionError,
@@ -69,7 +70,6 @@ from .synthesis import (
     ZState,
     build_bts,
     extract_supervisor,
-    fault_frontier,
     feasible_decisions,
     find_deadlocks,
     good_fixpoint,

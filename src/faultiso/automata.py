@@ -2,13 +2,14 @@
 
 A plant is a deterministic finite automaton over an alphabet whose events
 carry observability, controllability, forcibility and fault-type attributes.
-Everything here is immutable after construction and all operations are pure
-functions, so values can be shared freely between threads.
+Everything here is immutable after construction, except that an automaton
+caches its assumption report on first use.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import AssumptionError, ModelError
@@ -85,12 +86,6 @@ class EventTable:
     def names(self) -> tuple[str, ...]:
         return tuple(e.name for e in self.events)
 
-    def fault_type_of(self, name: str) -> Optional[int]:
-        return self[name].fault_type
-
-    def fault_events_of_type(self, i: int) -> frozenset[str]:
-        return frozenset(e.name for e in self.events if e.fault_type == i)
-
     def require(self, name: str) -> str:
         """Return ``name`` if it is in the alphabet, else raise ValueError."""
         if name not in self:
@@ -137,17 +132,14 @@ class Automaton:
             outgoing[src].append((ev, dst))
         object.__setattr__(self, "_outgoing", {q: tuple(v) for q, v in outgoing.items()})
 
-    def step(self, q: str, event: str) -> Optional[str]:
-        """One transition; ``None`` when undefined (partiality is semantic)."""
-        self.table.require(event)
-        return self.transitions.get((q, event))
-
     def outgoing(self, q: str) -> tuple[tuple[str, str], ...]:
         """Sorted ``(event, target)`` pairs leaving ``q``."""
         return self._outgoing[q]
 
-    def sorted_states(self) -> list[str]:
-        return sorted(self.states)
+    @cached_property
+    def assumptions(self) -> "AssumptionReport":
+        """The standing-assumption checks, run once per automaton."""
+        return _assumption_report(self)
 
 
 def active_events(aut: Automaton, q: str) -> frozenset[str]:
@@ -216,7 +208,8 @@ def compose_with_map(a: Automaton, b: Automaton) -> tuple[Automaton, dict[str, t
     from composite state name back to its ``(a_state, b_state)`` pair.
 
     Shared events synchronise, private events interleave.  Composite names
-    render as ``(a,b)`` in canonical component order.
+    render as ``(a,b)`` in canonical component order; ModelError when two
+    pairs render to the same name.
     """
     table = a.table.merged_with(b.table)
     a_events = frozenset(a.table.names)
@@ -252,9 +245,11 @@ def compose_with_map(a: Automaton, b: Automaton) -> tuple[Automaton, dict[str, t
             if dst not in pairs:
                 pairs.add(dst)
                 queue.append(dst)
-    states = frozenset(name(p) for p in pairs)
-    aut = Automaton(table, states, name(init), trans)
-    return aut, {name(p): p for p in pairs}
+    pair_of = {name(p): p for p in pairs}
+    if len(pair_of) < len(pairs):
+        clash = min(p for p in pairs if pair_of[name(p)] != p)
+        raise ModelError(f"composite state name {name(clash)} stands for two state pairs")
+    return Automaton(table, frozenset(pair_of), name(init), trans), pair_of
 
 
 def parallel_compose(a: Automaton, b: Automaton) -> Automaton:
@@ -317,8 +312,12 @@ def _find_multi_fault_path(aut: Automaton) -> Optional[tuple[str, ...]]:
 
 def check_assumptions(aut: Automaton) -> AssumptionReport:
     """Check liveness, absence of unobservable cycles, and single-fault-type
-    behaviour; findings are reported, never raised."""
-    states = aut.sorted_states()
+    behaviour; findings are reported, never raised, and cached on ``aut``."""
+    return aut.assumptions
+
+
+def _assumption_report(aut: Automaton) -> AssumptionReport:
+    states = sorted(aut.states)
     non_live = tuple(q for q in states if not aut.outgoing(q))
     unobs = aut.table.unobservable_events
     unobs_out: dict[str, list[tuple[str, str]]] = {q: [] for q in states}
@@ -337,7 +336,7 @@ def check_assumptions(aut: Automaton) -> AssumptionReport:
 
 def require_assumptions(aut: Automaton) -> AssumptionReport:
     """Raise AssumptionError unless all standing assumptions hold."""
-    report = check_assumptions(aut)
+    report = aut.assumptions
     if not report.passing:
         raise AssumptionError(f"assumption check failed: {report.explain()}", report)
     return report

@@ -37,15 +37,11 @@ EXIT_PROTOCOL = 6
 def _load_model(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelError(f"cannot read model {path}: {exc}") from None
     doc = modelio.parse_model_document(text)
     aut, table = modelio.to_system(doc)
     return doc, aut, table
-
-
-def _labeled(aut):
-    return diagnosis.build_labeled_plant(aut)
 
 
 def _cmd_check(args) -> int:
@@ -56,7 +52,7 @@ def _cmd_check(args) -> int:
     print(f"assumptions: {report.explain()}")
     if not report.passing:
         return EXIT_ASSUMPTIONS
-    plant = _labeled(aut)
+    plant = diagnosis.build_labeled_plant(aut)
     diag_report = diagnosis.check_diagnosability(plant)
     print(f"diagnosable: {'yes' if diag_report.diagnosable else 'no'}")
     if not diag_report.diagnosable:
@@ -73,7 +69,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_diagnoser(args) -> int:
     doc, aut, table = _load_model(args.model)
-    plant = _labeled(aut)
+    plant = diagnosis.build_labeled_plant(aut)
     diag = diagnosis.build_diagnoser(plant)
     print(f"diagnoser: {len(diag.states)} states, {len(diag.alphabet)} events, "
           f"{len(diag.transitions)} transitions")
@@ -86,7 +82,7 @@ def _cmd_diagnoser(args) -> int:
 
 def _cmd_synth(args) -> int:
     doc, aut, table = _load_model(args.model)
-    plant = _labeled(aut)
+    plant = diagnosis.build_labeled_plant(aut)
     bts = synthesis.build_bts(plant)
     deadlocks = synthesis.find_deadlocks(plant, bts)
     bts_liv = synthesis.prune_live(bts, deadlocks)
@@ -102,17 +98,15 @@ def _cmd_synth(args) -> int:
             dotexport.export_bts_dot(bts_liv, deadlocks=deadlocks, result=result),
             encoding="utf-8")
         print(f"dot written to {args.dot}")
-    if not result.solvable:
-        for y in sorted(bts.initial - result.good_y, key=str):
+    try:
+        policy = synthesis.extract_supervisor(result, bts_liv)
+    except SynthesisError as exc:
+        for y, reasons in exc.bad_initials.items():
             print(f"not good: {y}")
-            for dec in bts_liv.decisions_of(y):
-                z = bts_liv.yz_edges[(y, dec)]
-                misses = [str(dst) for _, dst in bts_liv.observations_of(z)
-                          if dst not in result.good_y]
+            for dec, misses in reasons.items():
                 if misses:
-                    print(f"  {dec} can reach non-good: {' '.join(misses)}")
+                    print(f"  {dec} can reach non-good: {' '.join(map(str, misses))}")
         return EXIT_NOT_SOLVABLE
-    policy = synthesis.extract_supervisor(result, bts_liv)
     for y in sorted(policy.decisions, key=str):
         print(f"decision {y}: {policy.decisions[y]}")
     if args.out:
@@ -125,10 +119,10 @@ def _cmd_synth(args) -> int:
 
 def _load_closed_loop(model_path: str, supervisor_path: str):
     doc, aut, table = _load_model(model_path)
-    plant = _labeled(aut)
+    plant = diagnosis.build_labeled_plant(aut)
     try:
         text = Path(supervisor_path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelError(f"cannot read supervisor {supervisor_path}: {exc}") from None
     policy = modelio.load_supervisor(text, plant, doc)
     return plant, policy
@@ -154,6 +148,12 @@ def _cmd_explain(args) -> int:
               f"{dec_text} verdict={st.verdict}")
     print(f"final verdict: {states[-1].verdict.isolation}")
     return EXIT_OK
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--script", help="comma-separated plant events to execute")
     group.add_argument("--seed", type=int, help="seed for the random scheduler")
-    p.add_argument("--steps", type=int, default=20)
+    p.add_argument("--steps", type=_positive_int, default=20)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("explain", help="replay observations through the engine")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .automata import (
@@ -176,6 +177,16 @@ class LabeledPlant:
     def initial_estimate(self) -> StateEstimate:
         return self.estimate_of([self.automaton.initial])
 
+    @cached_property
+    def diagnosability(self) -> "DiagnosabilityReport":
+        """The twin construction, run once per plant."""
+        return _twin_construction(self)
+
+    @cached_property
+    def diagnoser(self) -> "Diagnoser":
+        """The uncapped diagnoser, built once per plant."""
+        return build_diagnoser(self)
+
 
 def build_labeled_plant(g: Automaton) -> LabeledPlant:
     """Compose the plant with the label automaton.
@@ -189,7 +200,6 @@ def build_labeled_plant(g: Automaton) -> LabeledPlant:
     labeller = build_label_automaton(g.table)
     composed, pair_of = compose_with_map(g, labeller)
 
-    renames = {}
     compact = {cid: f"{pair[0]}{pair[1]}" for cid, pair in pair_of.items()}
     if len(set(compact.values())) == len(compact):
         renames = compact
@@ -250,13 +260,10 @@ class Diagnoser:
             edges.sort()
         object.__setattr__(self, "_adj", {e: tuple(v) for e, v in adj.items()})
 
-    def step(self, est: StateEstimate, obs: str) -> Optional[StateEstimate]:
-        return self.transitions.get((est, obs))
-
     def walk(self, t: Sequence[str]) -> StateEstimate:
         est = self.initial
         for obs in t:
-            nxt = self.step(est, obs)
+            nxt = self.transitions.get((est, obs))
             if nxt is None:
                 raise ValueError(f"observation infeasible: {' '.join(t)} (at {obs})")
             est = nxt
@@ -304,18 +311,19 @@ class DiagnosabilityReport:
     witness: Optional[tuple[tuple[str, ...], tuple[str, ...]]]
 
 
-def _normal_region(plant: LabeledPlant) -> frozenset[str]:
-    return frozenset(q for q in plant.automaton.states if plant.label_of[q] == NORMAL)
-
-
 def check_diagnosability(plant: LabeledPlant) -> DiagnosabilityReport:
     """Twin construction: pair every run with a label-normal run carrying the
     same observation.  The plant is not diagnosable exactly when the pairing
     can cycle while the first component is label-faulty; with no unobservable
     cycles, every such product cycle extends both runs indefinitely.
+    Returns the report cached on ``plant``.
     """
+    return plant.diagnosability
+
+
+def _twin_construction(plant: LabeledPlant) -> DiagnosabilityReport:
     aut = plant.automaton
-    normal = _normal_region(plant)
+    normal = frozenset(q for q in aut.states if plant.label_of[q] == NORMAL)
     obs_events = plant.table.observable_events
     init = (aut.initial, aut.initial)
 
@@ -381,18 +389,23 @@ class IsolatabilityReport:
                            for x in self.witness_cycle)
 
 
-def fault_certain_frontier(diag: Diagnoser) -> frozenset[StateEstimate]:
-    """Estimates first reached with fault certainty: breadth-first search that
-    stops expanding as soon as certainty is reached."""
+def fault_frontier(plant: LabeledPlant) -> frozenset[StateEstimate]:
+    """Estimates first reached with fault certainty, where supervision starts:
+    breadth-first search on the diagnoser that stops at the first
+    fault-certain estimate on each path.  Requires a diagnosable plant."""
+    report = plant.diagnosability
+    if not report.diagnosable:
+        raise NotDiagnosableError("plant is not diagnosable; no isolation "
+                                  "supervisor can exist", witness=report.witness)
     frontier = set()
 
     def expand(est):
         if classify(est).detection == "F":
             frontier.add(est)
             return ()
-        return diag.successors(est)
+        return plant.diagnoser.successors(est)
 
-    reach([diag.initial], expand)
+    reach([plant.diagnoser.initial], expand)
     return frozenset(frontier)
 
 
@@ -410,13 +423,13 @@ def check_isolatability(plant: LabeledPlant) -> IsolatabilityReport:
     mixed: the plant is isolatable exactly when ``bound``, the longest run
     of consecutive mixed estimates, is finite.
     """
-    diag_report = check_diagnosability(plant)
+    diag_report = plant.diagnosability
     if not diag_report.diagnosable:
         raise NotDiagnosableError(
             "isolatability is only defined for diagnosable systems",
             witness=diag_report.witness)
-    diag = build_diagnoser(plant)
-    nodes = reach(sorted(fault_certain_frontier(diag), key=str), diag.successors)
+    diag = plant.diagnoser
+    nodes = reach(sorted(fault_frontier(plant), key=str), diag.successors)
     mixed = [est.mixed for est in nodes]
     if not any(mixed):
         return IsolatabilityReport(True, None, 0)

@@ -207,6 +207,13 @@ def _estimate_from_json(data) -> StateEstimate:
     return StateEstimate.of(LabeledState(base, label) for base, label in data)
 
 
+def _decision_from_json(data) -> ControlDecision:
+    # a string is iterable too, and would silently disable its characters
+    if not isinstance(data["disable"], list):
+        raise ModelError(f"supervisor disable set is not a list: {data['disable']!r}")
+    return ControlDecision(data["enforce"], frozenset(data["disable"]))
+
+
 def serialize_supervisor(doc: SupervisorDocument) -> str:
     payload = {
         "format": "faultiso-supervisor-v1",
@@ -237,8 +244,7 @@ def parse_supervisor(text: str) -> SupervisorDocument:
         frontier = tuple(sorted((_estimate_from_json(e) for e in payload["frontier"]),
                                 key=str))
         decisions = tuple(sorted(
-            ((_estimate_from_json(d["estimate"]),
-              ControlDecision(d["enforce"], frozenset(d["disable"])))
+            ((_estimate_from_json(d["estimate"]), _decision_from_json(d))
              for d in payload["decisions"]), key=lambda p: str(p[0])))
         return SupervisorDocument(
             model_hash=payload["model_hash"],
@@ -247,7 +253,7 @@ def parse_supervisor(text: str) -> SupervisorDocument:
             frontier=frontier,
             decisions=decisions,
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"supervisor document is malformed: {exc!r}") from None
 
 
@@ -275,12 +281,16 @@ def load_supervisor(text: str, plant: LabeledPlant,
     if doc.model_hash != digest:
         raise ModelError("supervisor was synthesised for a different model "
                          f"(hash {doc.model_hash[:12]}.. != {digest[:12]}..)")
-    decisions = {}
-    for est, dec in doc.decisions:
+    for est in doc.frontier + tuple(est for est, _ in doc.decisions):
         for m in est:
             if (m.base, m.label) not in plant.id_of:
                 raise ModelError(f"supervisor references unknown labelled state {m}")
-        decisions[est] = canonical_decision(plant, dec.enforce, dec.disable)
+    decisions = {}
+    for est, dec in doc.decisions:
+        try:
+            decisions[est] = canonical_decision(plant, dec.enforce, dec.disable)
+        except (TypeError, ValueError) as exc:
+            raise ModelError(f"supervisor decision at {est}: {exc}") from None
     policy = SupervisorPolicy(frozenset(doc.frontier), decisions)
     reachable = policy_graph(plant, policy)
     missing = sorted((str(e) for e in reachable if e not in decisions))

@@ -68,9 +68,9 @@ def engine_step(plant: LabeledPlant, policy: SupervisorPolicy,
     phase the estimate follows the observable reach under the decision in
     force, and the next decision is emitted.
     """
-    plant.table.require(obs)
     if obs not in plant.table.observable_events:
-        raise ProtocolError(f"event {obs} is not observable")
+        raise ProtocolError(f"event {obs} is not observable" if obs in plant.table
+                            else f"unknown event: {obs}")
     if state.phase == DETECTION:
         ids = diagnoser_step_ids(plant, plant.ids_of(state.estimate), obs)
         if not ids:
@@ -174,11 +174,8 @@ def build_closed_loop(plant: LabeledPlant, policy: SupervisorPolicy,
     aut = plant.automaton
     obs_events = plant.table.observable_events
 
-    def decision_at(est: StateEstimate) -> ControlDecision:
-        return policy.decision_for(est)
-
     def enter(est: StateEstimate, pid: str, certain: bool) -> _LoopState:
-        pending = certain and decision_at(est).enforce is not None
+        pending = certain and policy.decision_for(est).enforce is not None
         return _LoopState(pid, est, certain, pending)
 
     init = _LoopState(aut.initial, plant.initial_estimate, False, False)
@@ -211,7 +208,7 @@ def build_closed_loop(plant: LabeledPlant, policy: SupervisorPolicy,
                 else:
                     push(st, ev, _LoopState(dst, st.estimate, False, False))
             continue
-        dec = decision_at(st.estimate)
+        dec = policy.decision_for(st.estimate)
         if st.pending:
             ev = dec.enforce
             dst = aut.transitions.get((pid, ev))
@@ -263,7 +260,7 @@ def verify_closed_loop(cl: ClosedLoopAutomaton) -> ClosedLoopReport:
     Isolatability: the diagnosis check, run on the closed loop itself.
     ``bound``: longest run of consecutive mixed estimates after certainty.
     """
-    nonlive = tuple(q for q in cl.automaton.sorted_states()
+    nonlive = tuple(q for q in sorted(cl.automaton.states)
                     if cl.certain_of[q] and not cl.automaton.outgoing(q))
     iso = check_isolatability(cl.as_labeled_plant())
     return ClosedLoopReport(not nonlive, nonlive, iso.isolatable,

@@ -6,7 +6,7 @@ with the decision in force, awaiting the next observation).  A decision is a
 pair <enforce, disable>: at most one forcible event commanded to occur next,
 plus a set of controllable events withheld until the next observation.
 
-Pipeline: ``fault_frontier`` finds where supervision switches on,
+Pipeline: ``diagnosis.fault_frontier`` finds where supervision switches on,
 ``build_bts`` expands all feasible decisions, ``find_deadlocks`` +
 ``prune_live`` remove decisions that could block the plant, ``good_fixpoint``
 computes the states from which some decision policy forces a fault-class-pure
@@ -18,16 +18,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .automata import unobservable_reach
-from .diagnosis import (
-    LabeledPlant,
-    StateEstimate,
-    build_diagnoser,
-    check_diagnosability,
-    classify,
-    fault_certain_frontier,
-)
-from .errors import NotDiagnosableError, ResourceLimitError, SynthesisError
+from .automata import EventTable, unobservable_reach
+from .diagnosis import LabeledPlant, StateEstimate, classify, fault_frontier
+from .errors import ResourceLimitError, SynthesisError
 from .graph import reach
 
 TIE_BREAK_MODES = ("default", "paper-example")
@@ -124,19 +117,6 @@ class BTSGraph:
         return self._z_adj[z]
 
 
-def fault_frontier(plant: LabeledPlant) -> frozenset[StateEstimate]:
-    """Estimates first reached with fault certainty, where supervision starts.
-
-    Computed by breadth-first search on the diagnoser, stopping at the first
-    fault-certain estimate along each path; requires a diagnosable plant.
-    """
-    report = check_diagnosability(plant)
-    if not report.diagnosable:
-        raise NotDiagnosableError("plant is not diagnosable; no isolation "
-                                  "supervisor can exist", witness=report.witness)
-    return fault_certain_frontier(build_diagnoser(plant))
-
-
 def feasible_decisions(plant: LabeledPlant, est: StateEstimate) -> tuple[ControlDecision, ...]:
     """All decisions whose enforced event (if any) is defined at every member
     of the estimate, in canonical form and deterministic order."""
@@ -167,6 +147,30 @@ def _all_subsets(items: Sequence[str]) -> list[frozenset[str]]:
     return subs
 
 
+def _admitted(table: EventTable, dec: ControlDecision, obs_sorted: Sequence[str]) -> list[str]:
+    """Observations ``dec`` admits, in ``obs_sorted`` order."""
+    if dec.enforce in table.observable_events:
+        return [dec.enforce]
+    return [o for o in obs_sorted if o not in dec.disable]
+
+
+def _released(plant: LabeledPlant, ids: frozenset[str],
+              dec: ControlDecision) -> Optional[frozenset[str]]:
+    """States the plant can be in under ``dec`` before the next observation:
+    an unobservable enforced event fires, then undisabled unobservable events
+    run.  An observable enforced event is that observation, so nothing moves
+    first.  ``None`` when the enforced event is not defined at every member."""
+    aut = plant.automaton
+    if dec.enforce is not None:
+        after = frozenset(aut.transitions.get((q, dec.enforce)) for q in ids)
+        if None in after:
+            return None
+        if dec.enforce in plant.table.observable_events:
+            return ids
+        ids = after
+    return unobservable_reach(aut, ids, dec.disable)
+
+
 def observable_reach(plant: LabeledPlant, est: StateEstimate,
                      dec: ControlDecision, obs: str) -> Optional[StateEstimate]:
     """Estimate after the next observation under a decision, or ``None`` when
@@ -180,24 +184,19 @@ def observable_reach(plant: LabeledPlant, est: StateEstimate,
     """
     aut = plant.automaton
     table = plant.table
-    table.require(obs)
     if obs not in table.observable_events:
+        table.require(obs)
         raise ValueError(f"event {obs} is not observable")
-    ids = plant.ids_of(est)
-    if dec.enforce is not None:
-        if any(aut.transitions.get((q, dec.enforce)) is None for q in ids):
-            raise ValueError(f"decision {dec} is infeasible at {est}: "
-                             f"{dec.enforce} is not defined at every member")
-        if dec.enforce in table.observable_events:
-            if obs != dec.enforce:
-                return None
-            after = frozenset(aut.transitions[(q, obs)] for q in ids)
-            return plant.estimate_of(after) if after else None
-        ids = frozenset(aut.transitions[(q, dec.enforce)] for q in ids)
-    if obs in dec.disable:
+    released = _released(plant, plant.ids_of(est), dec)
+    if released is None:
+        raise ValueError(f"decision {dec} is infeasible at {est}: "
+                         f"{dec.enforce} is not defined at every member")
+    if dec.enforce in table.observable_events:
+        if obs != dec.enforce:
+            return None
+    elif obs in dec.disable:
         raise ValueError(f"observation {obs} is disabled by {dec}")
-    closure = unobservable_reach(aut, ids, dec.disable)
-    after = frozenset(dst for q in closure
+    after = frozenset(dst for q in released
                       if (dst := aut.transitions.get((q, obs))) is not None)
     return plant.estimate_of(after) if after else None
 
@@ -219,10 +218,7 @@ def build_bts(plant: LabeledPlant, max_states: int = 1_000_000) -> BTSGraph:
     memo: dict[tuple, Optional[StateEstimate]] = {}
 
     def cached_reach(y, dec, obs):
-        if dec.enforce is not None and dec.enforce in table.observable_events:
-            key = (y, dec.enforce, frozenset(), obs)
-        else:
-            key = (y, dec.enforce, dec.disable & unobs_ctrl, obs)
+        key = (y, dec.enforce, dec.disable & unobs_ctrl, obs)
         if key not in memo:
             memo[key] = observable_reach(plant, y, ControlDecision(key[1], key[2]), obs)
         return memo[key]
@@ -239,11 +235,7 @@ def build_bts(plant: LabeledPlant, max_states: int = 1_000_000) -> BTSGraph:
             z = ZState(y, dec)
             yz[(y, dec)] = z
             z_order.append(z)
-            if dec.enforce is not None and dec.enforce in table.observable_events:
-                candidates = [dec.enforce]
-            else:
-                candidates = [o for o in obs_sorted if o not in dec.disable]
-            for obs in candidates:
+            for obs in _admitted(table, dec, obs_sorted):
                 nxt = cached_reach(y, dec, obs)
                 if nxt is None:
                     continue
@@ -272,27 +264,21 @@ def find_deadlocks(plant: LabeledPlant, bts: BTSGraph) -> frozenset[ZState]:
     observation to eventually occur on every branch.
     """
     aut = plant.automaton
+    active = {q: frozenset(ev for ev, _ in aut.outgoing(q)) for q in aut.states}
     table = plant.table
     unobs_ctrl = table.unobservable_events & table.controllable_events
-    closures: dict[tuple, frozenset[str]] = {}
+    closures: dict[tuple, Optional[frozenset[str]]] = {}
     out = []
     for z in bts.z_states:
         ids = plant.ids_of(z.estimate)
         dec = z.decision
-        if dec.enforce is not None:
-            if any(aut.transitions.get((q, dec.enforce)) is None for q in ids):
-                out.append(z)  # commanded event not physically possible
-                continue
-            if dec.enforce in table.observable_events:
-                continue
-            ids = frozenset(aut.transitions[(q, dec.enforce)] for q in ids)
-        key = (ids, dec.disable & unobs_ctrl)
+        key = (ids, dec.enforce, dec.disable & unobs_ctrl)
         if key not in closures:
-            closures[key] = unobservable_reach(aut, ids, key[1])
-        for q in sorted(closures[key]):
-            if all(ev in dec.disable for ev, _ in aut.outgoing(q)):
-                out.append(z)
-                break
+            closures[key] = _released(plant, ids, dec)
+        released = closures[key]
+        if released is None or (dec.enforce not in table.observable_events
+                                and any(active[q] <= dec.disable for q in released)):
+            out.append(z)
     return frozenset(out)
 
 
@@ -459,17 +445,13 @@ def policy_graph(plant: LabeledPlant, policy: SupervisorPolicy
     graph: dict[StateEstimate, tuple[tuple[str, StateEstimate], ...]] = {}
     obs_sorted = sorted(plant.table.observable_events)
 
-    def admitted(y):
+    def successors(y):
         dec = policy.decision_for(y)
-        if dec.enforce is not None and dec.enforce in plant.table.observable_events:
-            candidates = [dec.enforce]
-        else:
-            candidates = [o for o in obs_sorted if o not in dec.disable]
-        graph[y] = tuple((obs, nxt) for obs in candidates
+        graph[y] = tuple((obs, nxt) for obs in _admitted(plant.table, dec, obs_sorted)
                          if (nxt := observable_reach(plant, y, dec, obs)) is not None)
         return graph[y]
 
-    reach(sorted(policy.initial_frontier, key=str), admitted)
+    reach(sorted(policy.initial_frontier, key=str), successors)
     return graph
 
 

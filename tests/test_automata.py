@@ -104,6 +104,16 @@ def test_parallel_compose_attribute_conflict():
         fi.parallel_compose(a, b)
 
 
+def test_compose_rejects_colliding_names():
+    # pairs (x,y | z) and (x | y,z) both render as (x,y,z)
+    a = fi.Automaton(fi.EventTable((fi.Event("p"),)), frozenset({"x,y", "x"}), "x,y",
+                     {("x,y", "p"): "x"})
+    b = fi.Automaton(fi.EventTable((fi.Event("q"),)), frozenset({"z", "y,z"}), "z",
+                     {("z", "q"): "y,z"})
+    with pytest.raises(ModelError, match=r"\(x,y,z\)"):
+        fi.parallel_compose(a, b)
+
+
 def test_compose_labels(twin):
     labeller = fi.build_label_automaton(twin.table)
     prod = fi.parallel_compose(twin, labeller)

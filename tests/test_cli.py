@@ -1,6 +1,9 @@
 """CLI surface: subcommands, exit codes, DOT artifacts, reproducibility."""
 from __future__ import annotations
 
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -191,3 +194,36 @@ def test_supervisor_file_is_canonical(supervisor_file, capsys, tmp_path):
     assert out2.read_text(encoding="utf-8") == first
     doc = modelio.parse_supervisor(first)
     assert doc.tie_break == "default"
+
+
+def _edited(change):
+    def corrupt(text):
+        doc = json.loads(text)
+        change(doc)
+        return json.dumps(doc).encode("utf-8")
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt, command, code", [
+    (None, ["explain", "--obs", "zz"], cli.EXIT_PROTOCOL),
+    (None, ["simulate", "--seed", "1", "--steps", "0"], cli.EXIT_MODEL),
+    (_edited(lambda doc: doc["decisions"][0].update(enforce="o4")),
+     ["explain", "--obs", "o2"], cli.EXIT_MODEL),
+    (_edited(lambda doc: doc["decisions"][0].update(disable="o3")),
+     ["explain", "--obs", "o2"], cli.EXIT_MODEL),
+    (_edited(lambda doc: doc["decisions"][0]["estimate"][0].pop()),
+     ["explain", "--obs", "o2"], cli.EXIT_MODEL),
+    (_edited(lambda doc: doc["frontier"].append([["zz", "F1"]])),
+     ["explain", "--obs", "o2"], cli.EXIT_MODEL),
+    (lambda text: b"\xd0\x00", ["explain", "--obs", "o2"], cli.EXIT_MODEL),
+], ids=["unknown-observation", "zero-steps", "non-forcible-enforce", "string-disable",
+        "one-element-pair", "unknown-frontier-state", "not-utf8"])
+def test_hostile_input_exit_code(supervisor_file, tmp_path, corrupt, command, code):
+    sup = supervisor_file
+    if corrupt is not None:
+        sup = tmp_path / "bad.sup.json"
+        sup.write_bytes(corrupt(Path(supervisor_file).read_text(encoding="utf-8")))
+    proc = subprocess.run([sys.executable, "-m", "faultiso.cli", command[0], TWIN,
+                           str(sup), *command[1:]], capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr

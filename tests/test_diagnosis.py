@@ -4,7 +4,9 @@ from __future__ import annotations
 import pytest
 
 import faultiso as fi
+from faultiso import diagnosis, synthesis
 from faultiso.diagnosis import NORMAL
+from faultiso.gallery import twin_branch
 from faultiso.errors import AssumptionError, ModelError, NotDiagnosableError
 
 from conftest import estimate, names
@@ -229,3 +231,23 @@ def test_isolation_agent_closed_loop(twin_plant, twin_pipeline):
     assert fi.isolation_agent((twin_plant, policy), ["o2", "o3", "o1"]) == "F1"
     assert fi.isolation_agent((twin_plant, policy), ["o2", "o3", "o2"]) == "F2"
     assert fi.isolation_agent((twin_plant, policy), ["o2"]) == "FU"
+
+
+def test_analyses_run_once_per_plant(monkeypatch):
+    aut, _ = twin_branch()  # fresh objects: the session fixtures are shared
+    assert fi.check_assumptions(aut) is fi.check_assumptions(aut)
+    plant = fi.build_labeled_plant(aut)
+    assert fi.require_assumptions(aut) is fi.check_assumptions(aut)
+    assert fi.check_diagnosability(plant) is fi.check_diagnosability(plant)
+    built = []
+
+    def spy(p, *args, **kwargs):
+        built.append(p)
+        return real(p, *args, **kwargs)
+
+    real = diagnosis.build_diagnoser
+    monkeypatch.setattr(diagnosis, "build_diagnoser", spy)
+    monkeypatch.setattr(synthesis, "build_diagnoser", spy, raising=False)
+    fi.check_isolatability(plant)
+    fi.build_bts(plant)
+    assert built == [plant]
