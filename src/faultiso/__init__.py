@@ -41,6 +41,7 @@ from .diagnosis import (
 from .errors import (
     AssumptionError,
     FaultIsoError,
+    InvalidArgumentError,
     ModelError,
     NotDiagnosableError,
     ProtocolError,

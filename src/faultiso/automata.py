@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import AssumptionError, ModelError
+from .errors import AssumptionError, InvalidArgumentError, ModelError
 from .graph import find_cycle, reach, shortest_path
 
 
@@ -87,9 +87,10 @@ class EventTable:
         return tuple(e.name for e in self.events)
 
     def require(self, name: str) -> str:
-        """Return ``name`` if it is in the alphabet, else raise ValueError."""
+        """Return ``name`` if it is in the alphabet, else raise
+        ``InvalidArgumentError``."""
         if name not in self:
-            raise ValueError(f"unknown event: {name}")
+            raise InvalidArgumentError(f"unknown event: {name}")
         return name
 
     def merged_with(self, other: "EventTable") -> "EventTable":

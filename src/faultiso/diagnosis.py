@@ -20,7 +20,7 @@ from .automata import (
     require_assumptions,
     unobservable_reach,
 )
-from .errors import ModelError, NotDiagnosableError, ResourceLimitError
+from .errors import InvalidArgumentError, ModelError, NotDiagnosableError, ResourceLimitError
 from .graph import cyclic_nodes, find_cycle, longest_path, reach, shortest_path
 
 NORMAL = "N"
@@ -44,7 +44,8 @@ class LabeledState:
 @dataclass(frozen=True)
 class StateEstimate:
     """Canonically ordered set of labelled states; the currency of all
-    estimation.  Equality and hashing are structural."""
+    estimation.  Equality and hashing are structural; the hash is computed
+    once, at construction, because estimates key every synthesis table."""
 
     members: tuple[LabeledState, ...]
 
@@ -55,6 +56,10 @@ class StateEstimate:
     def __post_init__(self):
         if list(self.members) != sorted(set(self.members)):
             raise ValueError("estimate members must be sorted and unique; use StateEstimate.of")
+        object.__setattr__(self, "_hash", hash((self.members,)))
+
+    def __hash__(self):
+        return self._hash
 
     def __str__(self):
         return "{" + ",".join(str(m) for m in self.members) + "}"
@@ -265,7 +270,8 @@ class Diagnoser:
         for obs in t:
             nxt = self.transitions.get((est, obs))
             if nxt is None:
-                raise ValueError(f"observation infeasible: {' '.join(t)} (at {obs})")
+                raise InvalidArgumentError(
+                    f"observation infeasible: {' '.join(t)} (at {obs})")
             est = nxt
         return est
 

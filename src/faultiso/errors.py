@@ -5,6 +5,12 @@ class FaultIsoError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidArgumentError(FaultIsoError, ValueError):
+    """A call was given an argument outside its domain: an unknown event, an
+    infeasible observation, decision or deadlock set, or an unknown mode.
+    Also a ``ValueError``, which callers caught before this type existed."""
+
+
 class ModelError(FaultIsoError):
     """Malformed model text, inconsistent alphabets, or broken documents."""
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional, Sequence, Union
 
 from .automata import Automaton
@@ -157,6 +158,12 @@ class ClosedLoopAutomaton:
     policy: SupervisorPolicy
 
     def as_labeled_plant(self) -> LabeledPlant:
+        """The closed loop as a labelled plant, built once, so its cached
+        analyses serve every ``verify_closed_loop`` call."""
+        return self._labeled_plant
+
+    @cached_property
+    def _labeled_plant(self) -> LabeledPlant:
         base_of = {q: q for q in self.automaton.states}
         id_of = {(q, self.label_of[q]): q for q in self.automaton.states}
         return LabeledPlant(self.automaton, base_of, dict(self.label_of), id_of)

@@ -14,13 +14,12 @@ estimate, and ``extract_supervisor`` packages the winning policy.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .automata import EventTable, unobservable_reach
 from .diagnosis import LabeledPlant, StateEstimate, classify, fault_frontier
-from .errors import ResourceLimitError, SynthesisError
+from .errors import InvalidArgumentError, ResourceLimitError, SynthesisError
 from .graph import reach
 
 TIE_BREAK_MODES = ("default", "paper-example")
@@ -38,6 +37,12 @@ class ControlDecision:
 
     enforce: Optional[str] = None
     disable: frozenset[str] = frozenset()
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.enforce, self.disable)))
+
+    def __hash__(self):
+        return self._hash
 
     def __str__(self):
         dis = "{" + ",".join(sorted(self.disable)) + "}"
@@ -59,11 +64,11 @@ def canonical_decision(plant: LabeledPlant, enforce: Optional[str],
     for ev in disable:
         table.require(ev)
         if ev not in table.controllable_events:
-            raise ValueError(f"cannot disable uncontrollable event {ev}")
+            raise InvalidArgumentError(f"cannot disable uncontrollable event {ev}")
     if enforce is not None:
         table.require(enforce)
         if enforce not in table.enforceable_events:
-            raise ValueError(f"cannot enforce non-forcible event {enforce}")
+            raise InvalidArgumentError(f"cannot enforce non-forcible event {enforce}")
         if enforce in table.observable_events:
             disable = frozenset()
     return ControlDecision(enforce, disable)
@@ -76,6 +81,12 @@ class ZState:
     estimate: StateEstimate
     decision: ControlDecision
 
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.estimate, self.decision)))
+
+    def __hash__(self):
+        return self._hash
+
     def __str__(self):
         return f"({self.estimate},{self.decision})"
 
@@ -87,6 +98,11 @@ class BTSGraph:
     Only the part accessible from the initial frontier is stored.  Every
     ``yz_edges[(y, c)]`` is structurally ``ZState(y, c)``; every
     ``zy_edges[(z, obs)]`` is the observable reach of ``z`` under ``obs``.
+
+    Construction numbers the states by their position in ``y_states`` and
+    ``z_states``.  The synthesis stages work on those ids: per Y-state its
+    Z ids in decision ``sort_key`` order, per Z-state its owner's Y id and
+    its ``(obs, Y id)`` pairs sorted by observation.
     """
 
     y_states: tuple[StateEstimate, ...]
@@ -97,46 +113,60 @@ class BTSGraph:
     marked: frozenset[StateEstimate]
 
     def __post_init__(self):
-        y_adj: dict[StateEstimate, list[ControlDecision]] = {y: [] for y in self.y_states}
-        for (y, dec) in self.yz_edges:
-            y_adj[y].append(dec)
-        for decs in y_adj.values():
-            decs.sort(key=ControlDecision.sort_key)
-        z_adj: dict[ZState, list[tuple[str, StateEstimate]]] = {z: [] for z in self.z_states}
+        y_id = {y: i for i, y in enumerate(self.y_states)}
+        z_id = {z: j for j, z in enumerate(self.z_states)}
+        y_zs: list[list[int]] = [[] for _ in self.y_states]
+        for (y, _), z in self.yz_edges.items():
+            y_zs[y_id[y]].append(z_id[z])
+        # decisions are few and shared, so rank each once
+        decisions = sorted({z.decision for z in self.z_states}, key=ControlDecision.sort_key)
+        rank_of = {dec: k for k, dec in enumerate(decisions)}
+        z_rank = [rank_of[z.decision] for z in self.z_states]
+        for zs in y_zs:
+            zs.sort(key=z_rank.__getitem__)
+        z_obs: list[list[tuple[str, int]]] = [[] for _ in self.z_states]
         for (z, obs), dst in self.zy_edges.items():
-            z_adj[z].append((obs, dst))
-        for edges in z_adj.values():
+            z_obs[z_id[z]].append((obs, y_id[dst]))
+        for edges in z_obs:
             edges.sort()
-        object.__setattr__(self, "_y_adj", {y: tuple(v) for y, v in y_adj.items()})
-        object.__setattr__(self, "_z_adj", {z: tuple(v) for z, v in z_adj.items()})
+        object.__setattr__(self, "_y_id", y_id)
+        object.__setattr__(self, "_z_id", z_id)
+        object.__setattr__(self, "_y_zs", y_zs)
+        object.__setattr__(self, "_z_owner", [y_id[z.estimate] for z in self.z_states])
+        object.__setattr__(self, "_z_obs", z_obs)
 
     def decisions_of(self, y: StateEstimate) -> tuple[ControlDecision, ...]:
-        return self._y_adj[y]
+        return tuple(self.z_states[j].decision for j in self._y_zs[self._y_id[y]])
 
     def observations_of(self, z: ZState) -> tuple[tuple[str, StateEstimate], ...]:
-        return self._z_adj[z]
+        return tuple((obs, self.y_states[i]) for obs, i in self._z_obs[self._z_id[z]])
 
 
 def feasible_decisions(plant: LabeledPlant, est: StateEstimate) -> tuple[ControlDecision, ...]:
     """All decisions whose enforced event (if any) is defined at every member
     of the estimate, in canonical form and deterministic order."""
     if est.empty:
-        raise ValueError("empty estimate has no feasible decisions")
-    table = plant.table
-    aut = plant.automaton
-    ids = plant.ids_of(est)
-    enforceable = [None]
-    for ev in sorted(table.enforceable_events):
-        if all(aut.transitions.get((q, ev)) is not None for q in ids):
-            enforceable.append(ev)
+        raise InvalidArgumentError("empty estimate has no feasible decisions")
+    return _menu(plant.table, _enforceable(plant, plant.ids_of(est)))
+
+
+def _enforceable(plant: LabeledPlant, ids: frozenset[str]) -> tuple[Optional[str], ...]:
+    """``None`` (enforce nothing), then every forcible event defined at all
+    of ``ids``, sorted."""
+    trans = plant.automaton.transitions
+    return (None,) + tuple(ev for ev in sorted(plant.table.enforceable_events)
+                           if all((q, ev) in trans for q in ids))
+
+
+def _menu(table: EventTable, enforceable: Sequence[Optional[str]]) -> tuple[ControlDecision, ...]:
+    """Every canonical decision enforcing one of ``enforceable``, sorted."""
     subsets = _all_subsets(sorted(table.controllable_events))
-    out = set()
+    out = []
     for ev in enforceable:
         if ev is not None and ev in table.observable_events:
-            out.add(ControlDecision(ev, frozenset()))
+            out.append(ControlDecision(ev, frozenset()))
         else:
-            for sub in subsets:
-                out.add(ControlDecision(ev, sub))
+            out += [ControlDecision(ev, sub) for sub in subsets]
     return tuple(sorted(out, key=ControlDecision.sort_key))
 
 
@@ -186,16 +216,16 @@ def observable_reach(plant: LabeledPlant, est: StateEstimate,
     table = plant.table
     if obs not in table.observable_events:
         table.require(obs)
-        raise ValueError(f"event {obs} is not observable")
+        raise InvalidArgumentError(f"event {obs} is not observable")
     released = _released(plant, plant.ids_of(est), dec)
     if released is None:
-        raise ValueError(f"decision {dec} is infeasible at {est}: "
-                         f"{dec.enforce} is not defined at every member")
+        raise InvalidArgumentError(f"decision {dec} is infeasible at {est}: "
+                                   f"{dec.enforce} is not defined at every member")
     if dec.enforce in table.observable_events:
         if obs != dec.enforce:
             return None
     elif obs in dec.disable:
-        raise ValueError(f"observation {obs} is disabled by {dec}")
+        raise InvalidArgumentError(f"observation {obs} is disabled by {dec}")
     after = frozenset(dst for q in released
                       if (dst := aut.transitions.get((q, obs))) is not None)
     return plant.estimate_of(after) if after else None
@@ -207,47 +237,49 @@ def build_bts(plant: LabeledPlant, max_states: int = 1_000_000) -> BTSGraph:
     Each reachable estimate gets one Z-state per feasible decision; each
     Z-state gets one outgoing edge per undisabled observation with a
     non-empty observable reach.  Marked Y-states are fault-class-pure.
+    Every edge into a known estimate points at its first-built object, and
+    Y-states that can enforce the same events share one decision menu.
     """
     y0 = fault_frontier(plant)
     table = plant.table
     obs_sorted = sorted(table.observable_events)
     unobs_ctrl = table.unobservable_events & table.controllable_events
-
-    # disabling events only changes the unobservable closure through
-    # unobservable controllable events, so most disable sets share one reach
-    memo: dict[tuple, Optional[StateEstimate]] = {}
-
-    def cached_reach(y, dec, obs):
-        key = (y, dec.enforce, dec.disable & unobs_ctrl, obs)
-        if key not in memo:
-            memo[key] = observable_reach(plant, y, ControlDecision(key[1], key[2]), obs)
-        return memo[key]
+    # per enforceable set: each decision with its effect on the unobservable
+    # closure and the observations it admits
+    menus: dict[tuple[Optional[str], ...], list[tuple]] = {}
 
     y_order: list[StateEstimate] = sorted(y0, key=str)
-    queue = deque(y_order)
+    y_id = {y: i for i, y in enumerate(y_order)}
     yz: dict[tuple[StateEstimate, ControlDecision], ZState] = {}
     zy: dict[tuple[ZState, str], StateEstimate] = {}
     z_order: list[ZState] = []
-    known = set(y_order)
-    while queue:
-        y = queue.popleft()
-        for dec in feasible_decisions(plant, y):
+    for y in y_order:  # grows as estimates are discovered: breadth-first
+        enforceable = _enforceable(plant, plant.ids_of(y))
+        if enforceable not in menus:
+            # disabling events only changes the unobservable closure through
+            # unobservable controllable events, so most disable sets share one reach
+            menus[enforceable] = [(dec, (dec.enforce, dec.disable & unobs_ctrl),
+                                   _admitted(table, dec, obs_sorted))
+                                  for dec in _menu(table, enforceable)]
+        reached: dict[tuple, Optional[StateEstimate]] = {}
+        for dec, effect, admitted in menus[enforceable]:
             z = ZState(y, dec)
             yz[(y, dec)] = z
             z_order.append(z)
-            for obs in _admitted(table, dec, obs_sorted):
-                nxt = cached_reach(y, dec, obs)
-                if nxt is None:
-                    continue
-                zy[(z, obs)] = nxt
-                if nxt not in known:
-                    if len(known) + len(z_order) >= max_states:
-                        raise ResourceLimitError(
-                            f"bipartite system exceeded {max_states} states",
-                            stats={"y_states": len(known), "z_states": len(z_order)})
-                    known.add(nxt)
-                    y_order.append(nxt)
-                    queue.append(nxt)
+            for obs in admitted:
+                key = effect + (obs,)
+                if key not in reached:
+                    nxt = observable_reach(plant, y, ControlDecision(*effect), obs)
+                    if nxt is not None and nxt not in y_id:
+                        if len(y_order) + len(z_order) >= max_states:
+                            raise ResourceLimitError(
+                                f"bipartite system exceeded {max_states} states",
+                                stats={"y_states": len(y_order), "z_states": len(z_order)})
+                        y_id[nxt] = len(y_order)
+                        y_order.append(nxt)
+                    reached[key] = None if nxt is None else y_order[y_id[nxt]]
+                if reached[key] is not None:
+                    zy[(z, obs)] = reached[key]
     marked = frozenset(y for y in y_order if classify(y).isolation != "FU")
     return BTSGraph(tuple(y_order), tuple(z_order), yz, zy,
                     frozenset(y0), marked)
@@ -269,12 +301,11 @@ def find_deadlocks(plant: LabeledPlant, bts: BTSGraph) -> frozenset[ZState]:
     unobs_ctrl = table.unobservable_events & table.controllable_events
     closures: dict[tuple, Optional[frozenset[str]]] = {}
     out = []
-    for z in bts.z_states:
-        ids = plant.ids_of(z.estimate)
+    for z, owner in zip(bts.z_states, bts._z_owner):
         dec = z.decision
-        key = (ids, dec.enforce, dec.disable & unobs_ctrl)
+        key = (owner, dec.enforce, dec.disable & unobs_ctrl)
         if key not in closures:
-            closures[key] = _released(plant, ids, dec)
+            closures[key] = _released(plant, plant.ids_of(z.estimate), dec)
         released = closures[key]
         if released is None or (dec.enforce not in table.observable_events
                                 and any(active[q] <= dec.disable for q in released)):
@@ -286,34 +317,35 @@ def prune_live(bts: BTSGraph, deadlocks: frozenset[ZState]) -> BTSGraph:
     """Drop deadlock Z-states and keep the part accessible from the frontier.
 
     Doing nothing and disabling nothing never deadlocks in a live plant, so
-    no surviving Y-state is left without a decision; ValueError otherwise.
+    no surviving Y-state is left without a decision; InvalidArgumentError
+    otherwise.
     """
-    unknown = [z for z in deadlocks if (z.estimate, z.decision) not in bts.yz_edges]
+    unknown = [z for z in deadlocks if z not in bts._z_id]
     if unknown:
-        raise ValueError(f"deadlocks not in graph: {unknown[0]}")
-    yz: dict[tuple[StateEstimate, ControlDecision], ZState] = {}
-    zy: dict[tuple[ZState, str], StateEstimate] = {}
+        raise InvalidArgumentError(f"deadlocks not in graph: {unknown[0]}")
+    dead = {bts._z_id[z] for z in deadlocks}
+    ys, zs = bts.y_states, bts.z_states
+    kept: list[int] = []
 
-    def live_successors(y):
-        before = len(yz)
+    def live_successors(i):
+        before = len(kept)
         steps = []
-        for dec in bts.decisions_of(y):
-            z = bts.yz_edges[(y, dec)]
-            if z in deadlocks:
-                continue
-            yz[(y, dec)] = z
-            edges = bts.observations_of(z)
-            for obs, nxt in edges:
-                zy[(z, obs)] = nxt
-            steps += edges
-        if len(yz) == before:
-            raise ValueError(f"estimate {y} lost all decisions; plant is not live")
+        for j in bts._y_zs[i]:
+            if j not in dead:
+                kept.append(j)
+                steps += bts._z_obs[j]
+        if len(kept) == before:
+            raise InvalidArgumentError(f"estimate {ys[i]} lost all decisions; "
+                                       "plant is not live")
         return steps
 
-    live_y = set(reach(sorted(bts.initial, key=str), live_successors))
-    y_order = tuple(y for y in bts.y_states if y in live_y)
-    return BTSGraph(y_order, tuple(yz.values()), yz, zy, bts.initial,
-                    frozenset(m for m in bts.marked if m in live_y))
+    roots = sorted((bts._y_id[y] for y in bts.initial), key=lambda i: str(ys[i]))
+    live_y = set(reach(roots, live_successors))
+    yz = {(zs[j].estimate, zs[j].decision): zs[j] for j in kept}
+    zy = {(zs[j], obs): ys[i] for j in kept for obs, i in bts._z_obs[j]}
+    return BTSGraph(tuple(ys[i] for i in sorted(live_y)), tuple(zs[j] for j in kept),
+                    yz, zy, bts.initial,
+                    frozenset(m for m in bts.marked if bts._y_id[m] in live_y))
 
 
 @dataclass(frozen=True)
@@ -334,66 +366,73 @@ class SynthesisResult:
     rounds: Mapping[StateEstimate, int]
 
 
-def _tie_break_key(mode, dec, z_targets, rounds):
-    # fast isolation first, then small disable sets; default prefers not
-    # enforcing, the alternate mode prefers enforcing
-    worst = max((rounds.get(t, 10 ** 9) for t in z_targets), default=0)
-    prefer_none = dec.enforce is not None
-    if mode == "paper-example":
-        prefer_none = dec.enforce is None
-    return (worst, len(dec.disable), prefer_none,
-            dec.enforce or "", tuple(sorted(dec.disable)))
-
-
 def good_fixpoint(bts_liv: BTSGraph, deadlocks: frozenset[ZState] = frozenset(),
                   tie_break: str = "default") -> SynthesisResult:
-    """Backward fixpoint of the forcing relation.
+    """Backward attractor of the forcing relation, one layer per round.
 
     A Z-state is good when every observation it admits leads to a good
     Y-state; a Y-state is good when some decision leads to a good Z-state.
-    Marked states seed the fixpoint.  Each newly good Y-state records the
-    decision that made it good, with the documented tie-break.
+    Marked states are round 0.  Each Z-state counts its edges into states
+    not yet good; the layer of round ``r - 1`` brings counters to zero, and
+    those Z-states make their owners good in round ``r``.  Every edge is
+    counted down once, so the cost is linear in the graph.
+
+    Each newly good Y-state records the decision that made it good: fewest
+    disabled events, then not enforcing (``default``) or enforcing
+    (``paper-example``), then by name.  A marked state first prefers
+    decisions whose observations all stay among marked states.
     """
     if tie_break not in TIE_BREAK_MODES:
-        raise ValueError(f"unknown tie-break mode: {tie_break}")
-    good_y: set[StateEstimate] = set(bts_liv.marked)
-    good_z: set[ZState] = set()
-    rounds: dict[StateEstimate, int] = {y: 0 for y in good_y}
+        raise InvalidArgumentError(f"unknown tie-break mode: {tie_break}")
+    enforce_first = tie_break == "paper-example"
+    ys, zs, z_obs = bts_liv.y_states, bts_liv.z_states, bts_liv._z_obs
+
+    def preference(j):
+        dec = zs[j].decision
+        return (len(dec.disable), (dec.enforce is None) == enforce_first,
+                dec.enforce or "", tuple(sorted(dec.disable)))
+
+    round_of: list[Optional[int]] = [None] * len(ys)
+    layer = sorted(bts_liv._y_id[y] for y in bts_liv.marked)
+    for i in layer:
+        round_of[i] = 0
+    rounds: dict[StateEstimate, int] = {ys[i]: 0 for i in layer}
     policy: dict[StateEstimate, ControlDecision] = {}
+    for i in sorted(layer, key=lambda i: str(ys[i])):
+        best = min(bts_liv._y_zs[i], key=lambda j: (
+            any(round_of[t] is None for _, t in z_obs[j]), preference(j)))
+        policy[ys[i]] = zs[best].decision
 
-    targets_of = {z: tuple(dst for _, dst in bts_liv.observations_of(z))
-                  for z in bts_liv.z_states}
-
-    for y in sorted(bts_liv.marked, key=str):
-        decs = bts_liv.decisions_of(y)
-        policy[y] = min(decs, key=lambda d: _tie_break_key(
-            tie_break, d, targets_of[bts_liv.yz_edges[(y, d)]], rounds))
-
+    preds: list[list[int]] = [[] for _ in ys]
+    for j, edges in enumerate(z_obs):
+        for _, i in edges:
+            preds[i].append(j)
+    pending = [len(edges) for edges in z_obs]
+    good_z: list[int] = []
     r = 0
-    changed = True
-    while changed:
-        changed = False
+    while layer:
         r += 1
-        for z in bts_liv.z_states:
-            if z in good_z:
-                continue
-            targets = targets_of[z]
-            if targets and all(t in good_y for t in targets):
-                good_z.add(z)
-        for y in bts_liv.y_states:
-            if y in good_y:
-                continue
-            candidates = [d for d in bts_liv.decisions_of(y)
-                          if bts_liv.yz_edges[(y, d)] in good_z]
-            if candidates:
-                good_y.add(y)
-                rounds[y] = r
-                policy[y] = min(candidates, key=lambda d: _tie_break_key(
-                    tie_break, d, targets_of[bts_liv.yz_edges[(y, d)]], rounds))
-                changed = True
+        ready = []
+        for i in layer:
+            for j in preds[i]:
+                pending[j] -= 1
+                if not pending[j]:
+                    ready.append(j)
+        good_z += ready
+        candidates: dict[int, list[int]] = {}
+        for j in ready:
+            owner = bts_liv._z_owner[j]
+            if round_of[owner] is None:
+                candidates.setdefault(owner, []).append(j)
+        layer = sorted(candidates)
+        for i in layer:
+            round_of[i] = r
+            rounds[ys[i]] = r
+            policy[ys[i]] = zs[min(candidates[i], key=preference)].decision
+    good_y = frozenset(rounds)
     solvable = bts_liv.initial <= good_y
     bound = max((rounds[y] for y in bts_liv.initial), default=0) if solvable else None
-    return SynthesisResult(frozenset(good_y), frozenset(good_z), policy,
+    return SynthesisResult(good_y, frozenset(zs[j] for j in good_z), policy,
                            solvable, deadlocks, bound, rounds)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 from itertools import product
 
 from faultiso.diagnosis import LabeledPlant, StateEstimate
-from faultiso.synthesis import BTSGraph, ControlDecision, SupervisorPolicy
+from faultiso.synthesis import BTSGraph, ControlDecision, SupervisorPolicy, SynthesisResult
 
 
 def enumerate_bounded_strings(aut, max_len):
@@ -254,3 +254,61 @@ def oracle_solvable(bts_liv: BTSGraph, cap: int = 20000):
         return None
     return any(all(policy_forces(bts_liv, pi, y0) for y0 in bts_liv.initial)
                for pi in policies)
+
+
+def _tie_break_key(mode, dec, z_targets, rounds):
+    # fast isolation first, then small disable sets; default prefers not
+    # enforcing, the alternate mode prefers enforcing
+    worst = max((rounds.get(t, 10 ** 9) for t in z_targets), default=0)
+    prefer_none = dec.enforce is not None
+    if mode == "paper-example":
+        prefer_none = dec.enforce is None
+    return (worst, len(dec.disable), prefer_none,
+            dec.enforce or "", tuple(sorted(dec.disable)))
+
+
+def round_scan_fixpoint(bts_liv: BTSGraph, deadlocks=frozenset(),
+                        tie_break: str = "default") -> SynthesisResult:
+    """The good-state fixpoint by literal round scans: each round first marks
+    every Z-state whose observations all lead to good Y-states, then makes
+    good every Y-state with a good Z-state.  O(rounds * |Z|); the referee
+    for ``good_fixpoint``'s layered attractor, policy order included."""
+    good_y = set(bts_liv.marked)
+    good_z = set()
+    rounds = {y: 0 for y in good_y}
+    policy = {}
+
+    targets_of = {z: tuple(dst for _, dst in bts_liv.observations_of(z))
+                  for z in bts_liv.z_states}
+
+    for y in sorted(bts_liv.marked, key=str):
+        decs = bts_liv.decisions_of(y)
+        policy[y] = min(decs, key=lambda d: _tie_break_key(
+            tie_break, d, targets_of[bts_liv.yz_edges[(y, d)]], rounds))
+
+    r = 0
+    changed = True
+    while changed:
+        changed = False
+        r += 1
+        for z in bts_liv.z_states:
+            if z in good_z:
+                continue
+            targets = targets_of[z]
+            if targets and all(t in good_y for t in targets):
+                good_z.add(z)
+        for y in bts_liv.y_states:
+            if y in good_y:
+                continue
+            candidates = [d for d in bts_liv.decisions_of(y)
+                          if bts_liv.yz_edges[(y, d)] in good_z]
+            if candidates:
+                good_y.add(y)
+                rounds[y] = r
+                policy[y] = min(candidates, key=lambda d: _tie_break_key(
+                    tie_break, d, targets_of[bts_liv.yz_edges[(y, d)]], rounds))
+                changed = True
+    solvable = bts_liv.initial <= good_y
+    bound = max((rounds[y] for y in bts_liv.initial), default=0) if solvable else None
+    return SynthesisResult(frozenset(good_y), frozenset(good_z), policy,
+                           solvable, deadlocks, bound, rounds)

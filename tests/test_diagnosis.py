@@ -251,3 +251,8 @@ def test_analyses_run_once_per_plant(monkeypatch):
     fi.check_isolatability(plant)
     fi.build_bts(plant)
     assert built == [plant]
+
+
+def test_detection_agent_raises_typed_error(twin_diagnoser):
+    with pytest.raises(fi.FaultIsoError, match="observation infeasible"):
+        fi.detection_agent(twin_diagnoser, ["o3"])

@@ -4,6 +4,7 @@ from __future__ import annotations
 import pytest
 
 import faultiso as fi
+from faultiso import diagnosis
 from faultiso.errors import ProtocolError, SchedulerError, SupervisorIntegrityError
 from faultiso.modelio import parse_model
 
@@ -237,3 +238,19 @@ def test_verify_closed_loop_deep_mixed_chain():
     report = fi.verify_closed_loop(fi.build_closed_loop(plant, policy))
     assert report.live and report.isolatable
     assert report.bound == n - 1
+
+
+def test_closed_loop_keeps_its_labeled_plant(twin_plant, twin_pipeline, monkeypatch):
+    _, _, _, policy = twin_pipeline
+    cl = fi.build_closed_loop(twin_plant, policy)  # fresh: `closed` is shared
+    assert cl.as_labeled_plant() is cl.as_labeled_plant()
+    runs = []
+    real = diagnosis._twin_construction
+
+    def spy(plant):
+        runs.append(plant)
+        return real(plant)
+
+    monkeypatch.setattr(diagnosis, "_twin_construction", spy)
+    assert fi.verify_closed_loop(cl) == fi.verify_closed_loop(cl)
+    assert len(runs) == 1 and runs[0] is cl.as_labeled_plant()

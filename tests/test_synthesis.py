@@ -2,14 +2,25 @@
 supervisor extraction."""
 from __future__ import annotations
 
+import random
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import faultiso as fi
-from faultiso.errors import NotDiagnosableError, SynthesisError
-from faultiso.synthesis import ZState
+from faultiso.errors import InvalidArgumentError, NotDiagnosableError, SynthesisError
+from faultiso.gallery import three_lamps
+from faultiso.synthesis import TIE_BREAK_MODES, ZState
 
 from conftest import estimate, names
-from oracles import brute_zstate_deadlock, oracle_good_states, oracle_solvable
+from oracles import (
+    brute_zstate_deadlock,
+    oracle_good_states,
+    oracle_solvable,
+    round_scan_fixpoint,
+)
+from plantgen import random_plant
 
 
 def variant_without_enforceable_o3(twin):
@@ -374,3 +385,80 @@ def test_split_trace():
     assert observations == ("o3", "o1")
     assert fi.split_trace([]) == ((), ())
     assert fi.split_trace(["o1", "o2"]) == ((), ("o1", "o2"))
+
+
+def test_bts_index_sorts_edges_given_out_of_order(twin_bts):
+    # the index orders decisions by sort_key and observations by name,
+    # whatever order the states and edges were given in
+    rng = random.Random(7)
+    ys, zs = list(twin_bts.y_states), list(twin_bts.z_states)
+    rng.shuffle(ys)
+    rng.shuffle(zs)
+    yz = dict(reversed(list(twin_bts.yz_edges.items())))
+    zy = dict(reversed(list(twin_bts.zy_edges.items())))
+    bts = fi.BTSGraph(tuple(ys), tuple(zs), yz, zy, twin_bts.initial, twin_bts.marked)
+    given_order = {y: [d for (y2, d) in yz if y2 == y] for y in ys}
+    assert any(decs != sorted(decs, key=fi.ControlDecision.sort_key)
+               for decs in given_order.values())
+    for y in ys:
+        assert bts.decisions_of(y) == tuple(
+            sorted(given_order[y], key=fi.ControlDecision.sort_key))
+        assert bts.decisions_of(y) == twin_bts.decisions_of(y)
+    for z in zs:
+        assert bts.observations_of(z) == tuple(
+            sorted((obs, dst) for (z2, obs), dst in zy.items() if z2 == z))
+        assert bts.observations_of(z) == twin_bts.observations_of(z)
+
+
+def _live_graph(plant):
+    bts = fi.build_bts(plant)
+    deadlocks = fi.find_deadlocks(plant, bts)
+    return fi.prune_live(bts, deadlocks), deadlocks
+
+
+def assert_matches_round_scan(bts_liv, deadlocks):
+    for mode in TIE_BREAK_MODES:
+        got = fi.good_fixpoint(bts_liv, deadlocks, tie_break=mode)
+        want = round_scan_fixpoint(bts_liv, deadlocks, tie_break=mode)
+        assert got.good_y == want.good_y
+        assert got.good_z == want.good_z
+        assert got.rounds == want.rounds
+        assert list(got.policy.items()) == list(want.policy.items())
+        assert got.solvable == want.solvable
+        assert got.isolation_bound == want.isolation_bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_good_fixpoint_matches_round_scan(seed):
+    rng = random.Random(seed)
+    while True:
+        plant = fi.build_labeled_plant(random_plant(rng, max_states=8))
+        if plant.diagnosability.diagnosable:
+            break
+    bts_liv, deadlocks = _live_graph(plant)
+    assert_matches_round_scan(bts_liv, deadlocks)
+    # the game is defined for any target set; an arbitrary one also reaches
+    # marked states whose decisions leave the marked set
+    marked = frozenset(y for y in bts_liv.y_states if rng.random() < 0.3)
+    assert_matches_round_scan(replace(bts_liv, marked=marked), deadlocks)
+
+
+def test_good_fixpoint_matches_round_scan_three_lamps():
+    aut, _ = three_lamps()
+    assert_matches_round_scan(*_live_graph(fi.build_labeled_plant(aut)))
+
+
+def test_boundary_errors_are_typed(twin_plant, twin_bts, twin_pipeline):
+    _, bts_liv, _, _ = twin_pipeline
+    est = estimate(twin_plant, "1:F1", "6:F2")
+    calls = [
+        lambda: fi.good_fixpoint(bts_liv, tie_break="nonsense"),
+        lambda: fi.observable_reach(twin_plant, est,
+                                    fi.ControlDecision("o3", frozenset()), "o3"),
+        lambda: fi.prune_live(twin_bts, frozenset(twin_bts.z_states)),
+        lambda: twin_plant.table.require("zz"),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidArgumentError):
+            call()
