@@ -77,7 +77,6 @@ from .synthesis import (
     observable_reach,
     policy_graph,
     prune_live,
-    split_trace,
 )
 
 __version__ = "0.1.0"

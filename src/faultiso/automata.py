@@ -80,7 +80,7 @@ class EventTable:
         try:
             return self._by_name[name]
         except KeyError:
-            raise ValueError(f"unknown event: {name}") from None
+            raise InvalidArgumentError(f"unknown event: {name}") from None
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -146,7 +146,7 @@ class Automaton:
 def active_events(aut: Automaton, q: str) -> frozenset[str]:
     """Events with a transition defined at ``q``."""
     if q not in aut.states:
-        raise ValueError(f"unknown state: {q}")
+        raise InvalidArgumentError(f"unknown state: {q}")
     return frozenset(ev for ev, _ in aut.outgoing(q))
 
 
@@ -184,7 +184,7 @@ def unobservable_reach(aut: Automaton, x: Iterable[str],
     frontier = []
     for q in x:
         if q not in aut.states:
-            raise ValueError(f"unknown state: {q}")
+            raise InvalidArgumentError(f"unknown state: {q}")
         frontier.append(q)
     seen = set(frontier)
     unobs = aut.table.unobservable_events

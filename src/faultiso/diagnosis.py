@@ -55,7 +55,8 @@ class StateEstimate:
 
     def __post_init__(self):
         if list(self.members) != sorted(set(self.members)):
-            raise ValueError("estimate members must be sorted and unique; use StateEstimate.of")
+            raise InvalidArgumentError(
+                "estimate members must be sorted and unique; use StateEstimate.of")
         object.__setattr__(self, "_hash", hash((self.members,)))
 
     def __hash__(self):
@@ -100,9 +101,9 @@ class DiagnosisVerdict:
 
     def __post_init__(self):
         if self.detection not in ("N", "F", "U"):
-            raise ValueError(f"bad detection verdict: {self.detection}")
+            raise InvalidArgumentError(f"bad detection verdict: {self.detection}")
         if self.isolation != "FU" and self.detection != "F":
-            raise ValueError("a specific fault class implies detection F")
+            raise InvalidArgumentError("a specific fault class implies detection F")
 
     def __str__(self):
         return f"{self.detection}/{self.isolation}"
@@ -111,7 +112,7 @@ class DiagnosisVerdict:
 def classify(est: StateEstimate) -> DiagnosisVerdict:
     """Classify an estimate: N/F/U detection and FU/F_i isolation."""
     if est.empty:
-        raise ValueError("cannot classify an empty estimate")
+        raise InvalidArgumentError("cannot classify an empty estimate")
     labels = est.labels()
     if labels == {NORMAL}:
         detection = "N"
@@ -231,7 +232,7 @@ def diagnoser_step_ids(plant: LabeledPlant, ids: frozenset[str], obs: str) -> fr
     """Uncontrolled estimate update: unobservable closure, then one step."""
     plant.table.require(obs)
     if obs not in plant.table.observable_events:
-        raise ValueError(f"event {obs} is not observable")
+        raise InvalidArgumentError(f"event {obs} is not observable")
     closure = unobservable_reach(plant.automaton, ids)
     return _observable_step(plant.automaton, closure, obs)
 

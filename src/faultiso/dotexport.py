@@ -56,7 +56,7 @@ def export_bts_dot(bts: BTSGraph,
         lines.append(f"  {_quote(str(z))} [{', '.join(attrs)}];")
     for y in sorted(bts.y_states, key=str):
         for dec in bts.decisions_of(y):
-            z = bts.yz_edges[(y, dec)]
+            z = ZState(y, dec)
             attrs = [f"label={_quote(str(dec))}"]
             if policy.get(y) == dec:
                 attrs.append("color=red, penwidth=2")

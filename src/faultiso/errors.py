@@ -6,8 +6,8 @@ class FaultIsoError(Exception):
 
 
 class InvalidArgumentError(FaultIsoError, ValueError):
-    """A call was given an argument outside its domain: an unknown event, an
-    infeasible observation, decision or deadlock set, or an unknown mode.
+    """A call was given an argument outside its domain: an unknown event, state
+    or mode, or an infeasible observation, estimate, decision or deadlock set.
     Also a ``ValueError``, which callers caught before this type existed."""
 
 

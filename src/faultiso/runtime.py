@@ -28,6 +28,7 @@ from .diagnosis import (
     diagnoser_step_ids,
 )
 from .errors import (
+    InvalidArgumentError,
     ProtocolError,
     ResourceLimitError,
     SchedulerError,
@@ -287,9 +288,9 @@ def simulate(cl: ClosedLoopAutomaton, max_steps: int,
     ``DEC enforce=<e|~> disable={...}``, ``VERDICT det=<N|F|U> iso=<...>``.
     """
     if max_steps < 1:
-        raise ValueError("max_steps must be at least 1")
+        raise InvalidArgumentError("max_steps must be at least 1")
     if (script is None) == (seed is None):
-        raise ValueError("exactly one of script or seed is required")
+        raise InvalidArgumentError("exactly one of script or seed is required")
     rng = random.Random(seed) if seed is not None else None
     lines: list[str] = []
     if seed is not None:

@@ -15,7 +15,8 @@ estimate, and ``extract_supervisor`` packages the winning policy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from functools import cached_property
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .automata import EventTable, unobservable_reach
 from .diagnosis import LabeledPlant, StateEstimate, classify, fault_frontier
@@ -91,6 +92,26 @@ class ZState:
         return f"({self.estimate},{self.decision})"
 
 
+class _EdgeMap(Mapping):
+    """Read-only edge map whose length is known up front and whose dict is built on first read."""
+
+    def __init__(self, size: int, build):
+        self._size, self._build = size, build
+
+    @cached_property
+    def _map(self) -> dict:
+        return self._build()
+
+    def __getitem__(self, key):
+        return self._map[key]
+
+    def __iter__(self):
+        return iter(self._map)
+
+    def __len__(self):
+        return self._size
+
+
 @dataclass(frozen=True)
 class BTSGraph:
     """Bipartite transition system over Y-states and Z-states.
@@ -99,10 +120,12 @@ class BTSGraph:
     ``yz_edges[(y, c)]`` is structurally ``ZState(y, c)``; every
     ``zy_edges[(z, obs)]`` is the observable reach of ``z`` under ``obs``.
 
-    Construction numbers the states by their position in ``y_states`` and
-    ``z_states``.  The synthesis stages work on those ids: per Y-state its
-    Z ids in decision ``sort_key`` order, per Z-state its owner's Y id and
-    its ``(obs, Y id)`` pairs sorted by observation.
+    States are numbered by their position in ``y_states`` and ``z_states``.
+    The synthesis stages work on those ids: per Y-state its Z ids in
+    decision ``sort_key`` order, per Z-state its owner's Y id and its
+    ``(obs, Y id)`` pairs sorted by observation.  ``build_bts`` and
+    ``prune_live`` emit the ids directly and derive the edge maps on first
+    read; the constructor indexes the edge maps it is given.
     """
 
     y_states: tuple[StateEstimate, ...]
@@ -113,27 +136,40 @@ class BTSGraph:
     marked: frozenset[StateEstimate]
 
     def __post_init__(self):
-        y_id = {y: i for i, y in enumerate(self.y_states)}
-        z_id = {z: j for j, z in enumerate(self.z_states)}
+        y_id, z_id = self._y_id, self._z_id
         y_zs: list[list[int]] = [[] for _ in self.y_states]
         for (y, _), z in self.yz_edges.items():
             y_zs[y_id[y]].append(z_id[z])
-        # decisions are few and shared, so rank each once
-        decisions = sorted({z.decision for z in self.z_states}, key=ControlDecision.sort_key)
-        rank_of = {dec: k for k, dec in enumerate(decisions)}
-        z_rank = [rank_of[z.decision] for z in self.z_states]
         for zs in y_zs:
-            zs.sort(key=z_rank.__getitem__)
+            zs.sort(key=lambda j: self.z_states[j].decision.sort_key())
         z_obs: list[list[tuple[str, int]]] = [[] for _ in self.z_states]
         for (z, obs), dst in self.zy_edges.items():
             z_obs[z_id[z]].append((obs, y_id[dst]))
-        for edges in z_obs:
-            edges.sort()
-        object.__setattr__(self, "_y_id", y_id)
-        object.__setattr__(self, "_z_id", z_id)
         object.__setattr__(self, "_y_zs", y_zs)
         object.__setattr__(self, "_z_owner", [y_id[z.estimate] for z in self.z_states])
-        object.__setattr__(self, "_z_obs", z_obs)
+        object.__setattr__(self, "_z_obs", [tuple(sorted(edges)) for edges in z_obs])
+
+    @classmethod
+    def _of_ids(cls, y_states, z_states, initial, marked, y_zs, z_owner, z_obs) -> BTSGraph:
+        """A graph from its id lists, already in index order."""
+        g = object.__new__(cls)
+        g.__dict__.update(
+            y_states=y_states, z_states=z_states, initial=initial, marked=marked,
+            yz_edges=_EdgeMap(len(z_states), lambda: {
+                (z.estimate, z.decision): z for z in z_states}),
+            zy_edges=_EdgeMap(sum(map(len, z_obs)), lambda: {
+                (z_states[j], obs): y_states[i]
+                for j, edges in enumerate(z_obs) for obs, i in edges}),
+            _y_zs=y_zs, _z_owner=z_owner, _z_obs=z_obs)
+        return g
+
+    @cached_property
+    def _y_id(self) -> dict[StateEstimate, int]:
+        return {y: i for i, y in enumerate(self.y_states)}
+
+    @cached_property
+    def _z_id(self) -> dict[ZState, int]:
+        return {z: j for j, z in enumerate(self.z_states)}
 
     def decisions_of(self, y: StateEstimate) -> tuple[ControlDecision, ...]:
         return tuple(self.z_states[j].decision for j in self._y_zs[self._y_id[y]])
@@ -244,45 +280,53 @@ def build_bts(plant: LabeledPlant, max_states: int = 1_000_000) -> BTSGraph:
     table = plant.table
     obs_sorted = sorted(table.observable_events)
     unobs_ctrl = table.unobservable_events & table.controllable_events
-    # per enforceable set: each decision with its effect on the unobservable
-    # closure and the observations it admits
-    menus: dict[tuple[Optional[str], ...], list[tuple]] = {}
+    # per enforceable set: each decision with the id of its effect on the
+    # unobservable closure and the observations it admits; and the effects
+    menus: dict[tuple[Optional[str], ...], tuple[list, list]] = {}
 
     y_order: list[StateEstimate] = sorted(y0, key=str)
     y_id = {y: i for i, y in enumerate(y_order)}
-    yz: dict[tuple[StateEstimate, ControlDecision], ZState] = {}
-    zy: dict[tuple[ZState, str], StateEstimate] = {}
     z_order: list[ZState] = []
-    for y in y_order:  # grows as estimates are discovered: breadth-first
+    y_zs: list[list[int]] = []
+    z_owner: list[int] = []
+    z_obs: list[tuple[tuple[str, int], ...]] = []
+
+    def edges_under(y, effect, admitted, reached):
+        for obs in admitted:
+            if obs not in reached:
+                nxt = observable_reach(plant, y, effect, obs)
+                if nxt is not None and nxt not in y_id:
+                    if len(y_order) + len(z_order) >= max_states:
+                        raise ResourceLimitError(
+                            f"bipartite system exceeded {max_states} states",
+                            stats={"y_states": len(y_order), "z_states": len(z_order)})
+                    y_id[nxt] = len(y_order)
+                    y_order.append(nxt)
+                reached[obs] = None if nxt is None else (obs, y_id[nxt])
+        return tuple(edge for obs in admitted if (edge := reached[obs]) is not None)
+
+    for i, y in enumerate(y_order):  # grows as estimates are discovered: breadth-first
         enforceable = _enforceable(plant, plant.ids_of(y))
         if enforceable not in menus:
-            # disabling events only changes the unobservable closure through
-            # unobservable controllable events, so most disable sets share one reach
-            menus[enforceable] = [(dec, (dec.enforce, dec.disable & unobs_ctrl),
-                                   _admitted(table, dec, obs_sorted))
-                                  for dec in _menu(table, enforceable)]
-        reached: dict[tuple, Optional[StateEstimate]] = {}
-        for dec, effect, admitted in menus[enforceable]:
-            z = ZState(y, dec)
-            yz[(y, dec)] = z
-            z_order.append(z)
-            for obs in admitted:
-                key = effect + (obs,)
-                if key not in reached:
-                    nxt = observable_reach(plant, y, ControlDecision(*effect), obs)
-                    if nxt is not None and nxt not in y_id:
-                        if len(y_order) + len(z_order) >= max_states:
-                            raise ResourceLimitError(
-                                f"bipartite system exceeded {max_states} states",
-                                stats={"y_states": len(y_order), "z_states": len(z_order)})
-                        y_id[nxt] = len(y_order)
-                        y_order.append(nxt)
-                    reached[key] = None if nxt is None else y_order[y_id[nxt]]
-                if reached[key] is not None:
-                    zy[(z, obs)] = reached[key]
+            # disabling events only changes the closure through unobservable
+            # controllable events, so most disable sets share one effect
+            effects: dict[tuple, int] = {}
+            entries = [(dec, effects.setdefault((dec.enforce, dec.disable & unobs_ctrl),
+                                                len(effects)),
+                        _admitted(table, dec, obs_sorted))
+                       for dec in _menu(table, enforceable)]
+            menus[enforceable] = (entries, [ControlDecision(*e) for e in effects])
+        entries, effects = menus[enforceable]
+        # per effect: observation -> its (obs, Y id) edge, or None when it cannot occur
+        reached: list[dict[str, Optional[tuple[str, int]]]] = [{} for _ in effects]
+        y_zs.append(list(range(len(z_order), len(z_order) + len(entries))))
+        z_owner += [i] * len(entries)
+        for dec, e, admitted in entries:  # in sort_key order, as the index wants
+            z_order.append(ZState(y, dec))
+            z_obs.append(edges_under(y, effects[e], admitted, reached[e]))
     marked = frozenset(y for y in y_order if classify(y).isolation != "FU")
-    return BTSGraph(tuple(y_order), tuple(z_order), yz, zy,
-                    frozenset(y0), marked)
+    return BTSGraph._of_ids(tuple(y_order), tuple(z_order), frozenset(y0), marked,
+                            y_zs, z_owner, z_obs)
 
 
 def find_deadlocks(plant: LabeledPlant, bts: BTSGraph) -> frozenset[ZState]:
@@ -320,18 +364,18 @@ def prune_live(bts: BTSGraph, deadlocks: frozenset[ZState]) -> BTSGraph:
     no surviving Y-state is left without a decision; InvalidArgumentError
     otherwise.
     """
-    unknown = [z for z in deadlocks if z not in bts._z_id]
-    if unknown:
-        raise InvalidArgumentError(f"deadlocks not in graph: {unknown[0]}")
-    dead = {bts._z_id[z] for z in deadlocks}
     ys, zs = bts.y_states, bts.z_states
+    dead = [z in deadlocks for z in zs]
+    if sum(dead) != len(deadlocks):
+        unknown = min(deadlocks - set(zs), key=str)
+        raise InvalidArgumentError(f"deadlocks not in graph: {unknown}")
     kept: list[int] = []
 
     def live_successors(i):
         before = len(kept)
         steps = []
         for j in bts._y_zs[i]:
-            if j not in dead:
+            if not dead[j]:
                 kept.append(j)
                 steps += bts._z_obs[j]
         if len(kept) == before:
@@ -340,12 +384,17 @@ def prune_live(bts: BTSGraph, deadlocks: frozenset[ZState]) -> BTSGraph:
         return steps
 
     roots = sorted((bts._y_id[y] for y in bts.initial), key=lambda i: str(ys[i]))
-    live_y = set(reach(roots, live_successors))
-    yz = {(zs[j].estimate, zs[j].decision): zs[j] for j in kept}
-    zy = {(zs[j], obs): ys[i] for j in kept for obs, i in bts._z_obs[j]}
-    return BTSGraph(tuple(ys[i] for i in sorted(live_y)), tuple(zs[j] for j in kept),
-                    yz, zy, bts.initial,
-                    frozenset(m for m in bts.marked if bts._y_id[m] in live_y))
+    live_y = sorted(reach(roots, live_successors))
+    y_new = {old: new for new, old in enumerate(live_y)}
+    same = len(live_y) == len(ys)  # then every Y id, and so every edge, is unchanged
+    z_new = {old: new for new, old in enumerate(kept)}
+    return BTSGraph._of_ids(
+        tuple(ys[i] for i in live_y), tuple(zs[j] for j in kept), bts.initial,
+        frozenset(m for m in bts.marked if bts._y_id[m] in y_new),
+        [[z_new[j] for j in bts._y_zs[i] if not dead[j]] for i in live_y],
+        [y_new[bts._z_owner[j]] for j in kept],
+        [bts._z_obs[j] if same else tuple((obs, y_new[i]) for obs, i in bts._z_obs[j])
+         for j in kept])
 
 
 @dataclass(frozen=True)
@@ -460,15 +509,12 @@ def extract_supervisor(result: SynthesisResult, bts_liv: BTSGraph) -> Supervisor
     non-good successors of each of its decisions.
     """
     if not result.solvable:
+        ys, zs = bts_liv.y_states, bts_liv.z_states
         bad = {}
         for y in sorted(bts_liv.initial - result.good_y, key=str):
-            reasons = {}
-            for dec in bts_liv.decisions_of(y):
-                z = bts_liv.yz_edges[(y, dec)]
-                misses = tuple(dst for _, dst in bts_liv.observations_of(z)
-                               if dst not in result.good_y)
-                reasons[dec] = misses
-            bad[y] = reasons
+            bad[y] = {zs[j].decision: tuple(ys[i] for _, i in bts_liv._z_obs[j]
+                                            if ys[i] not in result.good_y)
+                      for j in bts_liv._y_zs[bts_liv._y_id[y]]}
         names = ", ".join(str(y) for y in sorted(bad, key=str))
         raise SynthesisError(
             f"no valid isolation supervisor: initial estimates not good: {names}",
@@ -493,10 +539,3 @@ def policy_graph(plant: LabeledPlant, policy: SupervisorPolicy
     reach(sorted(policy.initial_frontier, key=str), successors)
     return graph
 
-
-def split_trace(trace: Sequence[Union[ControlDecision, str]]
-                ) -> tuple[tuple[ControlDecision, ...], tuple[str, ...]]:
-    """Split an interleaved decision/observation trace, preserving order."""
-    decisions = tuple(x for x in trace if isinstance(x, ControlDecision))
-    observations = tuple(x for x in trace if isinstance(x, str))
-    return decisions, observations

@@ -7,6 +7,7 @@ test, so a disagreement means a real bug on one side.
 from __future__ import annotations
 
 from itertools import product
+from typing import Sequence, Union
 
 from faultiso.diagnosis import LabeledPlant, StateEstimate
 from faultiso.synthesis import BTSGraph, ControlDecision, SupervisorPolicy, SynthesisResult
@@ -312,3 +313,11 @@ def round_scan_fixpoint(bts_liv: BTSGraph, deadlocks=frozenset(),
     bound = max((rounds[y] for y in bts_liv.initial), default=0) if solvable else None
     return SynthesisResult(frozenset(good_y), frozenset(good_z), policy,
                            solvable, deadlocks, bound, rounds)
+
+
+def split_trace(trace: Sequence[Union[ControlDecision, str]]
+                ) -> tuple[tuple[ControlDecision, ...], tuple[str, ...]]:
+    """Split an interleaved decision/observation trace, preserving order."""
+    decisions = tuple(x for x in trace if isinstance(x, ControlDecision))
+    observations = tuple(x for x in trace if isinstance(x, str))
+    return decisions, observations

@@ -10,7 +10,12 @@ import faultiso as fi
 from faultiso.diagnosis import NORMAL, LabeledState
 from faultiso.synthesis import ControlDecision
 
-from oracles import closed_loop_estimates, closed_loop_language, exact_uncontrolled_estimates
+from oracles import (
+    closed_loop_estimates,
+    closed_loop_language,
+    exact_uncontrolled_estimates,
+    split_trace,
+)
 from plantgen import random_plant
 
 SEED = 424242
@@ -157,7 +162,7 @@ def test_verdicts_never_revert(synthesised):
 def test_split_trace_partition(tokens):
     trace = [ControlDecision("o1" if t == "x" else None) if t in ("x", "y") else t
              for t in tokens]
-    decisions, observations = fi.split_trace(trace)
+    decisions, observations = split_trace(trace)
     assert list(observations) == [t for t in trace if isinstance(t, str)]
     assert list(decisions) == [t for t in trace if isinstance(t, ControlDecision)]
 

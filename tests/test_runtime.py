@@ -254,3 +254,20 @@ def test_closed_loop_keeps_its_labeled_plant(twin_plant, twin_pipeline, monkeypa
     monkeypatch.setattr(diagnosis, "_twin_construction", spy)
     assert fi.verify_closed_loop(cl) == fi.verify_closed_loop(cl)
     assert len(runs) == 1 and runs[0] is cl.as_labeled_plant()
+
+
+def test_library_argument_errors_are_typed(twin, twin_plant, closed):
+    calls = [
+        lambda: twin.table["zz"],
+        lambda: fi.estimate_after(twin_plant, ["a"]),
+        lambda: fi.classify(fi.StateEstimate(())),
+        lambda: fi.unobservable_reach(twin, ["nowhere"]),
+        lambda: fi.active_events(twin, "nowhere"),
+        lambda: fi.StateEstimate((fi.LabeledState("2", "N"), fi.LabeledState("1", "N"))),
+        lambda: fi.DiagnosisVerdict("X", "FU"),
+        lambda: fi.simulate(closed, 0, seed=1),
+        lambda: fi.simulate(closed, 5),
+    ]
+    for call in calls:
+        with pytest.raises(fi.InvalidArgumentError):
+            call()

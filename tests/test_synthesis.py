@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import faultiso as fi
 from faultiso.errors import InvalidArgumentError, NotDiagnosableError, SynthesisError
+from faultiso import synthesis
+from faultiso.dotexport import export_bts_dot
 from faultiso.gallery import three_lamps
 from faultiso.synthesis import TIE_BREAK_MODES, ZState
 
@@ -19,6 +21,7 @@ from oracles import (
     oracle_good_states,
     oracle_solvable,
     round_scan_fixpoint,
+    split_trace,
 )
 from plantgen import random_plant
 
@@ -380,11 +383,11 @@ def test_marked_frontier_zero_step():
 def test_split_trace():
     d1 = fi.ControlDecision("o3", frozenset())
     d2 = fi.NO_CONTROL
-    decisions, observations = fi.split_trace([d1, "o3", d2, "o1"])
+    decisions, observations = split_trace([d1, "o3", d2, "o1"])
     assert decisions == (d1, d2)
     assert observations == ("o3", "o1")
-    assert fi.split_trace([]) == ((), ())
-    assert fi.split_trace(["o1", "o2"]) == ((), ("o1", "o2"))
+    assert split_trace([]) == ((), ())
+    assert split_trace(["o1", "o2"]) == ((), ("o1", "o2"))
 
 
 def test_bts_index_sorts_edges_given_out_of_order(twin_bts):
@@ -409,6 +412,71 @@ def test_bts_index_sorts_edges_given_out_of_order(twin_bts):
             sorted((obs, dst) for (z2, obs), dst in zy.items() if z2 == z))
         assert bts.observations_of(z) == twin_bts.observations_of(z)
 
+
+
+def assert_index_matches_edge_maps(g):
+    n_edges = len(g.zy_edges)
+    yz, zy = dict(g.yz_edges), dict(g.zy_edges)
+    assert (len(g.yz_edges), n_edges) == (len(yz), len(zy))
+    rebuilt = fi.BTSGraph(g.y_states, g.z_states, yz, zy, g.initial, g.marked)
+    ids = (g._y_zs, g._z_owner, g._z_obs)
+    assert (rebuilt._y_zs, rebuilt._z_owner, rebuilt._z_obs) == ids
+    marked = replace(g, marked=frozenset(g.y_states[::2]))
+    assert (marked._y_zs, marked._z_owner, marked._z_obs) == ids
+
+
+def assert_built_and_pruned_index_match(plant, rng):
+    """Returns how many Y-states an arbitrary pruning dropped."""
+    bts = fi.build_bts(plant)
+    assert_index_matches_edge_maps(bts)
+    assert_index_matches_edge_maps(fi.prune_live(bts, fi.find_deadlocks(plant, bts)))
+    # keeping one random decision per Y-state also drops the Y-states that
+    # only the others reach, so the ids get renumbered
+    keep = {y: rng.choice(bts.decisions_of(y)) for y in bts.y_states}
+    dropped = frozenset(z for z in bts.z_states if keep[z.estimate] != z.decision)
+    pruned = fi.prune_live(bts, dropped)
+    assert_index_matches_edge_maps(pruned)
+    return len(bts.y_states) - len(pruned.y_states)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_id_index_matches_edge_maps(seed):
+    rng = random.Random(seed)
+    while True:
+        plant = fi.build_labeled_plant(random_plant(rng, max_states=8))
+        if plant.diagnosability.diagnosable:
+            break
+    assert_built_and_pruned_index_match(plant, rng)
+
+
+def test_id_index_matches_edge_maps_three_lamps():
+    aut, _ = three_lamps()
+    assert assert_built_and_pruned_index_match(fi.build_labeled_plant(aut), random.Random(5)) > 0
+
+
+def test_synthesis_never_materialises_edge_maps(monkeypatch, twin):
+    def refuse(self, *args):
+        raise AssertionError("edge maps read on the synthesis path")
+
+    monkeypatch.setattr(fi.BTSGraph, "__post_init__", refuse)
+    monkeypatch.setattr(synthesis._EdgeMap, "_map", property(refuse))
+    solved = []
+    for aut in (twin, variant_without_enforceable_o3(twin)):
+        plant = fi.build_labeled_plant(aut)
+        bts = fi.build_bts(plant)
+        deadlocks = fi.find_deadlocks(plant, bts)
+        liv = fi.prune_live(bts, deadlocks)
+        result = fi.good_fixpoint(liv, deadlocks)
+        assert len(bts.zy_edges) == sum(map(len, bts._z_obs))
+        export_bts_dot(liv, deadlocks, result)
+        try:
+            fi.extract_supervisor(result, liv)
+            solved.append(True)
+        except SynthesisError as exc:
+            assert exc.bad_initials
+            solved.append(False)
+    assert solved == [True, False]
 
 def _live_graph(plant):
     bts = fi.build_bts(plant)
