@@ -7,7 +7,7 @@ deterministic so output can be used in golden tests.
 """
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import AbstractSet, Mapping, Optional
 
 from .diagnosis import Diagnoser, StateEstimate
 from .synthesis import BTSGraph, SupervisorPolicy, SynthesisResult, ZState
@@ -32,13 +32,18 @@ def export_diagnoser_dot(diag: Diagnoser) -> str:
 
 
 def export_bts_dot(bts: BTSGraph,
-                   deadlocks: frozenset[ZState] = frozenset(),
+                   deadlocks: AbstractSet[ZState] = frozenset(),
                    result: Optional[SynthesisResult] = None) -> str:
     good_y = result.good_y if result else frozenset()
     good_z = result.good_z if result else frozenset()
     policy = dict(result.policy) if result else {}
+    ys = sorted(bts.y_states, key=str)
+    name = {y: _quote(str(y)) for y in ys}
+    # per Y-state by name, its Z-states in decision order: each built and named once
+    rows = [(y, [(dec, z, _quote(str(z))) for dec in bts.decisions_of(y)
+                 for z in (ZState(y, dec),)]) for y in ys]
     lines = ["digraph bts {", "  rankdir=LR;"]
-    for y in sorted(bts.y_states, key=str):
+    for y in ys:
         attrs = ["shape=ellipse"]
         if y in bts.initial:
             attrs.append("color=blue")
@@ -46,24 +51,25 @@ def export_bts_dot(bts: BTSGraph,
             attrs.append("color=green")
         if y in good_y:
             attrs.append('style=filled, fillcolor=lightblue')
-        lines.append(f"  {_quote(str(y))} [{', '.join(attrs)}];")
-    for z in sorted(bts.z_states, key=lambda z: (str(z.estimate), z.decision.sort_key())):
-        attrs = ["shape=box"]
-        if z in deadlocks:
-            attrs.append("color=red")
-        if z in good_z:
-            attrs.append('style=filled, fillcolor=lightblue')
-        lines.append(f"  {_quote(str(z))} [{', '.join(attrs)}];")
-    for y in sorted(bts.y_states, key=str):
-        for dec in bts.decisions_of(y):
-            z = ZState(y, dec)
+        lines.append(f"  {name[y]} [{', '.join(attrs)}];")
+    for _, row in rows:
+        for _, z, z_name in row:
+            attrs = ["shape=box"]
+            if z in deadlocks:
+                attrs.append("color=red")
+            if z in good_z:
+                attrs.append('style=filled, fillcolor=lightblue')
+            lines.append(f"  {z_name} [{', '.join(attrs)}];")
+    for y, row in rows:
+        for dec, _, z_name in row:
             attrs = [f"label={_quote(str(dec))}"]
             if policy.get(y) == dec:
                 attrs.append("color=red, penwidth=2")
-            lines.append(f"  {_quote(str(y))} -> {_quote(str(z))} [{', '.join(attrs)}];")
-    for z in sorted(bts.z_states, key=lambda z: (str(z.estimate), z.decision.sort_key())):
-        for obs, dst in bts.observations_of(z):
-            lines.append(f"  {_quote(str(z))} -> {_quote(str(dst))} [label={_quote(obs)}];")
+            lines.append(f"  {name[y]} -> {z_name} [{', '.join(attrs)}];")
+    for _, row in rows:
+        for _, z, z_name in row:
+            for obs, dst in bts.observations_of(z):
+                lines.append(f"  {z_name} -> {name[dst]} [label={_quote(obs)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

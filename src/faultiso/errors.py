@@ -7,7 +7,8 @@ class FaultIsoError(Exception):
 
 class InvalidArgumentError(FaultIsoError, ValueError):
     """A call was given an argument outside its domain: an unknown event, state
-    or mode, or an infeasible observation, estimate, decision or deadlock set.
+    or mode, an infeasible observation, estimate, decision or deadlock set, or
+    a bipartite graph that names an estimate or Z-state it does not hold.
     Also a ``ValueError``, which callers caught before this type existed."""
 
 

@@ -14,9 +14,10 @@ estimate, and ``extract_supervisor`` packages the winning policy.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence, Set
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import AbstractSet, Optional
 
 from .automata import EventTable, unobservable_reach
 from .diagnosis import LabeledPlant, StateEstimate, classify, fault_frontier
@@ -92,21 +93,117 @@ class ZState:
         return f"({self.estimate},{self.decision})"
 
 
-class _EdgeMap(Mapping):
-    """Read-only edge map whose length is known up front and whose dict is built on first read."""
+class _ZSet(Set):
+    """Read-only set of the Z-states of some classes of a graph (all of them
+    for ``classes=None``).
 
-    def __init__(self, size: int, build):
-        self._size, self._build = size, build
+    Its length comes from the class multiplicities and membership is one
+    class lookup; members are built only when a caller iterates, in
+    ``z_states`` order.
+    """
+
+    def __init__(self, graph: BTSGraph, classes: Optional[frozenset[int]] = None):
+        self._graph, self._classes = graph, classes
+
+    @classmethod
+    def _from_iterable(cls, items):
+        return frozenset(items)
 
     @cached_property
-    def _map(self) -> dict:
-        return self._build()
+    def _size(self) -> int:
+        free = self._graph._z_free
+        return sum(1 << len(free[c]) for c in (
+            range(len(free)) if self._classes is None else self._classes))
 
-    def __getitem__(self, key):
-        return self._map[key]
+    def __len__(self):
+        return self._size
+
+    def __contains__(self, z):
+        c = self._graph._class_of(z)
+        return c is not None and (self._classes is None or c in self._classes)
 
     def __iter__(self):
-        return iter(self._map)
+        return (z for z, _ in self._graph._expand(self._classes))
+
+    __hash__ = Set._hash
+
+
+class _ZStates(Sequence):
+    """``z_states`` of a graph built by ``build_bts`` or ``prune_live``: the
+    Z-states per Y-state in decision order, expanded from the classes on
+    read.  Compares equal to the tuple of its members."""
+
+    def __init__(self, graph: BTSGraph):
+        self._graph, self._all = graph, _ZSet(graph)
+
+    @cached_property
+    def _tuple(self) -> tuple[ZState, ...]:
+        return tuple(self._all)
+
+    def __len__(self):
+        return len(self._all)
+
+    def __contains__(self, z):
+        return z in self._all
+
+    def __iter__(self):
+        return iter(self._all)
+
+    def __getitem__(self, k):
+        return self._tuple[k]
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _ZStates)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __add__(self, other):
+        return tuple(self) + tuple(other)
+
+
+class _YZEdges(Mapping):
+    """``yz_edges`` as a view: ``(y, decision) -> ZState(y, decision)``."""
+
+    def __init__(self, graph: BTSGraph):
+        self._graph = graph
+
+    def __getitem__(self, key):
+        z = ZState(*key) if isinstance(key, tuple) and len(key) == 2 else None
+        if z is None or z not in self._graph.z_states:
+            raise KeyError(key)
+        return z
+
+    def __iter__(self):
+        return ((z.estimate, z.decision) for z, _ in self._graph._expand())
+
+    def __len__(self):
+        return len(self._graph.z_states)
+
+
+class _ZYEdges(Mapping):
+    """``zy_edges`` as a view: ``(z, obs) -> `` the Y-state ``obs`` leads to."""
+
+    def __init__(self, graph: BTSGraph):
+        self._graph = graph
+
+    def __getitem__(self, key):
+        g = self._graph
+        c = g._class_of(key[0]) if isinstance(key, tuple) and len(key) == 2 else None
+        for obs, i in () if c is None else g._z_obs[c]:
+            if obs == key[1]:
+                return g.y_states[i]
+        raise KeyError(key)
+
+    def __iter__(self):
+        z_obs = self._graph._z_obs
+        return ((z, obs) for z, c in self._graph._expand() for obs, _ in z_obs[c])
+
+    @cached_property
+    def _size(self) -> int:
+        g = self._graph
+        return sum(len(edges) << len(free) for edges, free in zip(g._z_obs, g._z_free))
 
     def __len__(self):
         return self._size
@@ -120,62 +217,143 @@ class BTSGraph:
     ``yz_edges[(y, c)]`` is structurally ``ZState(y, c)``; every
     ``zy_edges[(z, obs)]`` is the observable reach of ``z`` under ``obs``.
 
-    States are numbered by their position in ``y_states`` and ``z_states``.
-    The synthesis stages work on those ids: per Y-state its Z ids in
-    decision ``sort_key`` order, per Z-state its owner's Y id and its
-    ``(obs, Y id)`` pairs sorted by observation.  ``build_bts`` and
-    ``prune_live`` emit the ids directly and derive the edge maps on first
-    read; the constructor indexes the edge maps it is given.
+    Z-states are stored by *class*: a minimal decision plus a set of free
+    events, standing for the ``2 ** len(free)`` Z-states that add any subset
+    of the free events to the disable set; all of them have the class's
+    successors and deadlock status.  Y-states and classes are numbered by
+    position, and the synthesis stages work on those ids (``_CLASS_LISTS``).
+    ``build_bts`` and ``prune_live`` emit the class lists directly, and
+    ``z_states``, ``yz_edges`` and ``zy_edges`` are read-only views over
+    them: lengths come from the multiplicities, membership is a class
+    lookup, and members are expanded only when iterated.
+
+    The public six-field constructor keeps the states and edge maps it is
+    given and makes each Z-state a class of one; ``dataclasses.replace`` on
+    a built graph reuses its classes.  It raises ``InvalidArgumentError``
+    when an initial or marked estimate or an edge endpoint is not in the
+    graph.
     """
 
     y_states: tuple[StateEstimate, ...]
-    z_states: tuple[ZState, ...]
+    z_states: Sequence[ZState]
     yz_edges: Mapping[tuple[StateEstimate, ControlDecision], ZState]
     zy_edges: Mapping[tuple[ZState, str], StateEstimate]
     initial: frozenset[StateEstimate]
     marked: frozenset[StateEstimate]
 
     def __post_init__(self):
-        y_id, z_id = self._y_id, self._z_id
-        y_zs: list[list[int]] = [[] for _ in self.y_states]
+        if len(self._y_id) != len(self.y_states):
+            raise InvalidArgumentError("duplicate Y-states")
+        src = getattr(self.z_states, "_graph", None)
+        if (isinstance(self.z_states, _ZStates) and self.yz_edges is src.yz_edges
+                and self.zy_edges is src.zy_edges and self.y_states == src.y_states):
+            self.__dict__.update((k, src.__dict__[k]) for k in _CLASS_LISTS)
+        else:
+            self.__dict__.update(zip(_CLASS_LISTS, self._index_given()))
+        for y in sorted(self.initial | self.marked, key=str):
+            self._require_y(y)
+
+    def _index_given(self):
+        """Class lists with one class per given Z-state."""
+        y_id = self._y_id
+        z_id = {z: j for j, z in enumerate(self.z_states)}
+        if len(z_id) != len(self.z_states):
+            raise InvalidArgumentError("duplicate Z-states")
+        z_owner = [self._require_y(z.estimate) for z in self.z_states]
         for (y, _), z in self.yz_edges.items():
-            y_zs[y_id[y]].append(z_id[z])
-        for zs in y_zs:
-            zs.sort(key=lambda j: self.z_states[j].decision.sort_key())
+            if y not in y_id or z not in z_id:
+                raise InvalidArgumentError(f"edge endpoint not in graph: {y} -> {z}")
         z_obs: list[list[tuple[str, int]]] = [[] for _ in self.z_states]
         for (z, obs), dst in self.zy_edges.items():
+            if z not in z_id or dst not in y_id:
+                raise InvalidArgumentError(f"edge endpoint not in graph: {z} -{obs}-> {dst}")
             z_obs[z_id[z]].append((obs, y_id[dst]))
-        object.__setattr__(self, "_y_zs", y_zs)
-        object.__setattr__(self, "_z_owner", [y_id[z.estimate] for z in self.z_states])
-        object.__setattr__(self, "_z_obs", [tuple(sorted(edges)) for edges in z_obs])
+        y_zs: list[list[int]] = [[] for _ in self.y_states]
+        for j, i in enumerate(z_owner):
+            y_zs[i].append(j)
+        return (y_zs, z_owner, [z.decision for z in self.z_states],
+                [frozenset()] * len(z_owner), [tuple(sorted(edges)) for edges in z_obs])
 
     @classmethod
-    def _of_ids(cls, y_states, z_states, initial, marked, y_zs, z_owner, z_obs) -> BTSGraph:
-        """A graph from its id lists, already in index order."""
+    def _of_classes(cls, y_states, initial, marked, *class_lists) -> BTSGraph:
+        """A graph from its class lists (see ``_CLASS_LISTS``), the classes
+        of each Y-state numbered consecutively."""
         g = object.__new__(cls)
-        g.__dict__.update(
-            y_states=y_states, z_states=z_states, initial=initial, marked=marked,
-            yz_edges=_EdgeMap(len(z_states), lambda: {
-                (z.estimate, z.decision): z for z in z_states}),
-            zy_edges=_EdgeMap(sum(map(len, z_obs)), lambda: {
-                (z_states[j], obs): y_states[i]
-                for j, edges in enumerate(z_obs) for obs, i in edges}),
-            _y_zs=y_zs, _z_owner=z_owner, _z_obs=z_obs)
+        g.__dict__.update(zip(_CLASS_LISTS, class_lists), y_states=y_states,
+                          initial=initial, marked=marked)
+        g.__dict__.update(z_states=_ZStates(g), yz_edges=_YZEdges(g), zy_edges=_ZYEdges(g))
         return g
 
     @cached_property
     def _y_id(self) -> dict[StateEstimate, int]:
         return {y: i for i, y in enumerate(self.y_states)}
 
+    def _require_y(self, y) -> int:
+        i = self._y_id.get(y)
+        if i is None:
+            raise InvalidArgumentError(f"estimate not in graph: {y}")
+        return i
+
     @cached_property
-    def _z_id(self) -> dict[ZState, int]:
-        return {z: j for j, z in enumerate(self.z_states)}
+    def _class_index(self) -> tuple[dict, list[set[frozenset[str]]]]:
+        """``(Y id, enforced event, minimal disable set) -> class id``, and the
+        distinct free-event sets per Y id."""
+        index, frees = {}, [set() for _ in self.y_states]
+        for c, (i, dec, free) in enumerate(zip(self._z_owner, self._z_dec, self._z_free)):
+            index[(i, dec.enforce, dec.disable)] = c
+            frees[i].add(free)
+        return index, frees
+
+    def _class_of(self, z) -> Optional[int]:
+        """The id of the class holding ``z``, or ``None`` when ``z`` is not a
+        Z-state of the graph."""
+        i = self._y_id.get(z.estimate) if isinstance(z, ZState) else None
+        if i is None:
+            return None
+        index, frees = self._class_index
+        dec = z.decision
+        for free in frees[i]:  # classes are disjoint, so at most one matches
+            c = index.get((i, dec.enforce, dec.disable - free))
+            if c is not None and self._z_free[c] == free:
+                return c
+        return None
+
+    def _members_of(self, i: int) -> list[tuple[ControlDecision, int]]:
+        """``(decision, class id)`` for every Z-state of Y id ``i``, in
+        decision ``sort_key`` order."""
+        out = []
+        for c in self._y_zs[i]:
+            dec = self._z_dec[c]
+            out.append((dec, c))
+            out += [(ControlDecision(dec.enforce, dec.disable | extra), c)
+                    for extra in _all_subsets(sorted(self._z_free[c]))[1:]]
+        out.sort(key=lambda m: m[0].sort_key())
+        return out
+
+    def _expand(self, classes: Optional[frozenset[int]] = None):
+        """``(Z-state, class id)`` for every member of ``classes`` (default
+        all), Y-states in the order of their first class id."""
+        owners = self._z_owner if classes is None else map(self._z_owner.__getitem__,
+                                                           sorted(classes))
+        for i in dict.fromkeys(owners):
+            y = self.y_states[i]
+            for dec, c in self._members_of(i):
+                if classes is None or c in classes:
+                    yield ZState(y, dec), c
 
     def decisions_of(self, y: StateEstimate) -> tuple[ControlDecision, ...]:
-        return tuple(self.z_states[j].decision for j in self._y_zs[self._y_id[y]])
+        return tuple(dec for dec, _ in self._members_of(self._require_y(y)))
 
     def observations_of(self, z: ZState) -> tuple[tuple[str, StateEstimate], ...]:
-        return tuple((obs, self.y_states[i]) for obs, i in self._z_obs[self._z_id[z]])
+        c = self._class_of(z)
+        if c is None:
+            raise InvalidArgumentError(f"Z-state not in graph: {z}")
+        return tuple((obs, self.y_states[i]) for obs, i in self._z_obs[c])
+
+
+# per Y-state its class ids; per class its owner's Y id, minimal decision,
+# free events and (obs, Y id) edges sorted by observation
+_CLASS_LISTS = ("_y_zs", "_z_owner", "_z_dec", "_z_free", "_z_obs")
 
 
 def feasible_decisions(plant: LabeledPlant, est: StateEstimate) -> tuple[ControlDecision, ...]:
@@ -273,63 +451,100 @@ def build_bts(plant: LabeledPlant, max_states: int = 1_000_000) -> BTSGraph:
     Each reachable estimate gets one Z-state per feasible decision; each
     Z-state gets one outgoing edge per undisabled observation with a
     non-empty observable reach.  Marked Y-states are fault-class-pure.
-    Every edge into a known estimate points at its first-built object, and
-    Y-states that can enforce the same events share one decision menu.
+
+    Z-states are stored one per effect class.  The unobservable part of a
+    disable set fixes the closure the decision releases; the controllable
+    events active somewhere in that closure are its relevant events.  Two
+    decisions with the same enforced event that disable the same relevant
+    events have the same successors and the same deadlock status, so the
+    class keyed by ``(enforce, disable & relevant)`` is stored once, as its
+    minimal member, with the other controllable events free: it stands for
+    ``2 ** len(free)`` Z-states.  An observable enforced event is a class of
+    one.  Y-states and classes are numbered in the order the per-decision
+    expansion would discover them.  ``max_states`` caps the stored states:
+    Y-states plus classes.
     """
     y0 = fault_frontier(plant)
-    table = plant.table
-    obs_sorted = sorted(table.observable_events)
-    unobs_ctrl = table.unobservable_events & table.controllable_events
-    # per enforceable set: each decision with the id of its effect on the
-    # unobservable closure and the observations it admits; and the effects
-    menus: dict[tuple[Optional[str], ...], tuple[list, list]] = {}
+    table, trans = plant.table, plant.automaton.transitions
+    ctrl = table.controllable_events
+    unobs_ctrl = table.unobservable_events & ctrl
+    unobs_parts = _all_subsets(sorted(unobs_ctrl))
+    active_at = {q: frozenset(ev for ev, _ in plant.automaton.outgoing(q))
+                 for q in plant.automaton.states}
+    # per (enforced event, unobservable disable part, relevant events): each
+    # class's sort key, minimal decision and free events
+    menus: dict[tuple, list] = {}
+
+    def menu(ev, part, relevant):
+        """``relevant`` is None for an observable enforced event."""
+        key = (ev, part, relevant)
+        if key not in menus:
+            if relevant is None:
+                classes = [(ControlDecision(ev), frozenset())]
+            else:
+                free = ctrl - relevant
+                classes = [(ControlDecision(ev, part | extra), free)
+                           for extra in _all_subsets(sorted(relevant - unobs_ctrl))]
+            menus[key] = [(dec.sort_key(), dec, free) for dec, free in classes]
+        return menus[key]
 
     y_order: list[StateEstimate] = sorted(y0, key=str)
     y_id = {y: i for i, y in enumerate(y_order)}
-    z_order: list[ZState] = []
     y_zs: list[list[int]] = []
     z_owner: list[int] = []
+    z_dec: list[ControlDecision] = []
+    z_free: list[frozenset[str]] = []
     z_obs: list[tuple[tuple[str, int], ...]] = []
 
-    def edges_under(y, effect, admitted, reached):
+    def edges_under(released, admitted, reached):
         for obs in admitted:
             if obs not in reached:
-                nxt = observable_reach(plant, y, effect, obs)
+                after = frozenset(dst for q in released
+                                  if (dst := trans.get((q, obs))) is not None)
+                nxt = plant.estimate_of(after) if after else None
                 if nxt is not None and nxt not in y_id:
-                    if len(y_order) + len(z_order) >= max_states:
+                    if len(y_order) + len(z_owner) >= max_states:
                         raise ResourceLimitError(
                             f"bipartite system exceeded {max_states} states",
-                            stats={"y_states": len(y_order), "z_states": len(z_order)})
+                            stats={"y_states": len(y_order), "z_classes": len(z_owner)})
                     y_id[nxt] = len(y_order)
                     y_order.append(nxt)
                 reached[obs] = None if nxt is None else (obs, y_id[nxt])
         return tuple(edge for obs in admitted if (edge := reached[obs]) is not None)
 
     for i, y in enumerate(y_order):  # grows as estimates are discovered: breadth-first
-        enforceable = _enforceable(plant, plant.ids_of(y))
-        if enforceable not in menus:
-            # disabling events only changes the closure through unobservable
-            # controllable events, so most disable sets share one effect
-            effects: dict[tuple, int] = {}
-            entries = [(dec, effects.setdefault((dec.enforce, dec.disable & unobs_ctrl),
-                                                len(effects)),
-                        _admitted(table, dec, obs_sorted))
-                       for dec in _menu(table, enforceable)]
-            menus[enforceable] = (entries, [ControlDecision(*e) for e in effects])
-        entries, effects = menus[enforceable]
+        ids = plant.ids_of(y)
+        # per closure effect: the released states, the observations that can
+        # occur from them in name order, and the effect's classes
+        effects = []
+        for ev in _enforceable(plant, ids):
+            if ev in table.observable_events:
+                effects.append((ids, [ev], menu(ev, frozenset(), None)))
+                continue
+            for part in unobs_parts:
+                released = _released(plant, ids, ControlDecision(ev, part))
+                active = frozenset().union(*map(active_at.__getitem__, released))
+                if part <= active:  # else its classes are listed under part & active
+                    effects.append((released, sorted(active & table.observable_events),
+                                    menu(ev, part, active & ctrl)))
+        classes = sorted(((entry, e) for e, (_, _, entries) in enumerate(effects)
+                          for entry in entries), key=lambda m: m[0][0])
         # per effect: observation -> its (obs, Y id) edge, or None when it cannot occur
         reached: list[dict[str, Optional[tuple[str, int]]]] = [{} for _ in effects]
-        y_zs.append(list(range(len(z_order), len(z_order) + len(entries))))
-        z_owner += [i] * len(entries)
-        for dec, e, admitted in entries:  # in sort_key order, as the index wants
-            z_order.append(ZState(y, dec))
-            z_obs.append(edges_under(y, effects[e], admitted, reached[e]))
+        y_zs.append(list(range(len(z_owner), len(z_owner) + len(classes))))
+        for (_, dec, free), e in classes:  # minimal members in sort_key order
+            released, possible, _ = effects[e]
+            z_owner.append(i)
+            z_dec.append(dec)
+            z_free.append(free)
+            z_obs.append(edges_under(released, [o for o in possible if o not in dec.disable],
+                                     reached[e]))
     marked = frozenset(y for y in y_order if classify(y).isolation != "FU")
-    return BTSGraph._of_ids(tuple(y_order), tuple(z_order), frozenset(y0), marked,
-                            y_zs, z_owner, z_obs)
+    return BTSGraph._of_classes(tuple(y_order), frozenset(y0), marked,
+                                y_zs, z_owner, z_dec, z_free, z_obs)
 
 
-def find_deadlocks(plant: LabeledPlant, bts: BTSGraph) -> frozenset[ZState]:
+def find_deadlocks(plant: LabeledPlant, bts: BTSGraph) -> AbstractSet[ZState]:
     """Z-states that can strand the plant before the next observation.
 
     An observable enforced event must be defined at every estimate member.
@@ -337,47 +552,90 @@ def find_deadlocks(plant: LabeledPlant, bts: BTSGraph) -> frozenset[ZState]:
     enforced event (if any) fires, every state reachable through undisabled
     unobservable events must still have some undisabled event available --
     with no unobservable cycles this is exactly the condition for an
-    observation to eventually occur on every branch.
+    observation to eventually occur on every branch.  The status is decided
+    once per class, on its minimal decision, and returned as a read-only
+    view of the deadlocked classes.
     """
     aut = plant.automaton
     active = {q: frozenset(ev for ev, _ in aut.outgoing(q)) for q in aut.states}
     table = plant.table
     unobs_ctrl = table.unobservable_events & table.controllable_events
     closures: dict[tuple, Optional[frozenset[str]]] = {}
-    out = []
-    for z, owner in zip(bts.z_states, bts._z_owner):
-        dec = z.decision
+    dead = []
+    for c, (owner, dec) in enumerate(zip(bts._z_owner, bts._z_dec)):
         key = (owner, dec.enforce, dec.disable & unobs_ctrl)
         if key not in closures:
-            closures[key] = _released(plant, plant.ids_of(z.estimate), dec)
+            closures[key] = _released(plant, plant.ids_of(bts.y_states[owner]), dec)
         released = closures[key]
         if released is None or (dec.enforce not in table.observable_events
                                 and any(active[q] <= dec.disable for q in released)):
-            out.append(z)
-    return frozenset(out)
+            dead.append(c)
+    return _ZSet(bts, frozenset(dead))
 
 
-def prune_live(bts: BTSGraph, deadlocks: frozenset[ZState]) -> BTSGraph:
+def _split(dec: ControlDecision, free: frozenset[str], removed
+           ) -> list[tuple[ControlDecision, frozenset[str]]]:
+    """The classes ``(minimal decision, free events)`` left of the class
+    ``(dec, free)`` once the members whose disable sets are in ``removed``
+    are dropped; ``removed=None`` drops them all."""
+    if removed is None or len(removed) == 1 << len(free):
+        return []
+    if not removed:
+        return [(dec, free)]
+    ev = min(free)
+    rest = free - {ev}
+    return (_split(dec, rest, {d for d in removed if ev not in d})
+            + _split(ControlDecision(dec.enforce, dec.disable | {ev}), rest,
+                     {d for d in removed if ev in d}))
+
+
+def prune_live(bts: BTSGraph, deadlocks: AbstractSet[ZState]) -> BTSGraph:
     """Drop deadlock Z-states and keep the part accessible from the frontier.
 
-    Doing nothing and disabling nothing never deadlocks in a live plant, so
-    no surviving Y-state is left without a decision; InvalidArgumentError
-    otherwise.
+    ``deadlocks`` may be any set of the graph's Z-states.  A class it holds
+    whole is dropped, a class it cuts is split into classes it holds whole
+    or not at all, and the other classes are kept; the deadlock view of
+    ``find_deadlocks`` never cuts a class.  Doing nothing and disabling
+    nothing never deadlocks in a live plant, so no surviving Y-state is left
+    without a decision; InvalidArgumentError otherwise.
     """
-    ys, zs = bts.y_states, bts.z_states
-    dead = [z in deadlocks for z in zs]
-    if sum(dead) != len(deadlocks):
-        unknown = min(deadlocks - set(zs), key=str)
-        raise InvalidArgumentError(f"deadlocks not in graph: {unknown}")
-    kept: list[int] = []
+    ys = bts.y_states
+    # class id -> disable sets of its dropped members, None when all are dropped
+    gone: dict[int, Optional[set[frozenset[str]]]] = {}
+    if isinstance(deadlocks, _ZSet) and deadlocks._graph._z_dec is bts._z_dec:
+        gone = dict.fromkeys(range(len(bts._z_dec)) if deadlocks._classes is None
+                             else deadlocks._classes)
+    else:
+        unknown = []
+        for z in deadlocks:
+            c = bts._class_of(z)
+            if c is None:
+                unknown.append(z)
+            else:
+                gone.setdefault(c, set()).add(z.decision.disable)
+        if unknown:
+            raise InvalidArgumentError(f"deadlocks not in graph: {min(unknown, key=str)}")
+    kept: list[int] = []  # per kept class, the id of the class it comes from
+    z_dec: list[ControlDecision] = []
+    z_free: list[frozenset[str]] = []
 
     def live_successors(i):
         before = len(kept)
         steps = []
-        for j in bts._y_zs[i]:
-            if not dead[j]:
-                kept.append(j)
-                steps += bts._z_obs[j]
+        for c in bts._y_zs[i]:
+            if c not in gone:
+                kept.append(c)
+                z_dec.append(bts._z_dec[c])
+                z_free.append(bts._z_free[c])
+            else:
+                parts = _split(bts._z_dec[c], bts._z_free[c], gone[c])
+                if not parts:
+                    continue
+                for dec, free in parts:
+                    kept.append(c)
+                    z_dec.append(dec)
+                    z_free.append(free)
+            steps += bts._z_obs[c]
         if len(kept) == before:
             raise InvalidArgumentError(f"estimate {ys[i]} lost all decisions; "
                                        "plant is not live")
@@ -387,14 +645,16 @@ def prune_live(bts: BTSGraph, deadlocks: frozenset[ZState]) -> BTSGraph:
     live_y = sorted(reach(roots, live_successors))
     y_new = {old: new for new, old in enumerate(live_y)}
     same = len(live_y) == len(ys)  # then every Y id, and so every edge, is unchanged
-    z_new = {old: new for new, old in enumerate(kept)}
-    return BTSGraph._of_ids(
-        tuple(ys[i] for i in live_y), tuple(zs[j] for j in kept), bts.initial,
+    y_zs: list[list[int]] = [[] for _ in live_y]
+    z_owner = [y_new[bts._z_owner[c]] for c in kept]
+    for new, i in enumerate(z_owner):
+        y_zs[i].append(new)
+    return BTSGraph._of_classes(
+        tuple(ys[i] for i in live_y), bts.initial,
         frozenset(m for m in bts.marked if bts._y_id[m] in y_new),
-        [[z_new[j] for j in bts._y_zs[i] if not dead[j]] for i in live_y],
-        [y_new[bts._z_owner[j]] for j in kept],
-        [bts._z_obs[j] if same else tuple((obs, y_new[i]) for obs, i in bts._z_obs[j])
-         for j in kept])
+        y_zs, z_owner, z_dec, z_free,
+        [bts._z_obs[c] if same else tuple((obs, y_new[i]) for obs, i in bts._z_obs[c])
+         for c in kept])
 
 
 @dataclass(frozen=True)
@@ -407,15 +667,15 @@ class SynthesisResult:
     """
 
     good_y: frozenset[StateEstimate]
-    good_z: frozenset[ZState]
+    good_z: AbstractSet[ZState]
     policy: Mapping[StateEstimate, ControlDecision]
     solvable: bool
-    deadlocks: frozenset[ZState]
+    deadlocks: AbstractSet[ZState]
     isolation_bound: Optional[int]
     rounds: Mapping[StateEstimate, int]
 
 
-def good_fixpoint(bts_liv: BTSGraph, deadlocks: frozenset[ZState] = frozenset(),
+def good_fixpoint(bts_liv: BTSGraph, deadlocks: AbstractSet[ZState] = frozenset(),
                   tie_break: str = "default") -> SynthesisResult:
     """Backward attractor of the forcing relation, one layer per round.
 
@@ -424,20 +684,24 @@ def good_fixpoint(bts_liv: BTSGraph, deadlocks: frozenset[ZState] = frozenset(),
     Marked states are round 0.  Each Z-state counts its edges into states
     not yet good; the layer of round ``r - 1`` brings counters to zero, and
     those Z-states make their owners good in round ``r``.  Every edge is
-    counted down once, so the cost is linear in the graph.
+    counted down once, so the cost is linear in the graph.  It runs on the
+    classes: the members of a class share its successors, so they turn good
+    together, and ``good_z`` is a read-only view of the good classes.
 
     Each newly good Y-state records the decision that made it good: fewest
     disabled events, then not enforcing (``default``) or enforcing
     (``paper-example``), then by name.  A marked state first prefers
-    decisions whose observations all stay among marked states.
+    decisions whose observations all stay among marked states.  Every
+    ranking puts fewer disabled events first, so the choice within a class
+    is always its minimal decision.
     """
     if tie_break not in TIE_BREAK_MODES:
         raise InvalidArgumentError(f"unknown tie-break mode: {tie_break}")
     enforce_first = tie_break == "paper-example"
-    ys, zs, z_obs = bts_liv.y_states, bts_liv.z_states, bts_liv._z_obs
+    ys, z_dec, z_obs = bts_liv.y_states, bts_liv._z_dec, bts_liv._z_obs
 
-    def preference(j):
-        dec = zs[j].decision
+    def preference(j):  # called at most once per class
+        dec = z_dec[j]
         return (len(dec.disable), (dec.enforce is None) == enforce_first,
                 dec.enforce or "", tuple(sorted(dec.disable)))
 
@@ -450,7 +714,7 @@ def good_fixpoint(bts_liv: BTSGraph, deadlocks: frozenset[ZState] = frozenset(),
     for i in sorted(layer, key=lambda i: str(ys[i])):
         best = min(bts_liv._y_zs[i], key=lambda j: (
             any(round_of[t] is None for _, t in z_obs[j]), preference(j)))
-        policy[ys[i]] = zs[best].decision
+        policy[ys[i]] = z_dec[best]
 
     preds: list[list[int]] = [[] for _ in ys]
     for j, edges in enumerate(z_obs):
@@ -477,11 +741,11 @@ def good_fixpoint(bts_liv: BTSGraph, deadlocks: frozenset[ZState] = frozenset(),
         for i in layer:
             round_of[i] = r
             rounds[ys[i]] = r
-            policy[ys[i]] = zs[min(candidates[i], key=preference)].decision
+            policy[ys[i]] = z_dec[min(candidates[i], key=preference)]
     good_y = frozenset(rounds)
     solvable = bts_liv.initial <= good_y
     bound = max((rounds[y] for y in bts_liv.initial), default=0) if solvable else None
-    return SynthesisResult(good_y, frozenset(zs[j] for j in good_z), policy,
+    return SynthesisResult(good_y, _ZSet(bts_liv, frozenset(good_z)), policy,
                            solvable, deadlocks, bound, rounds)
 
 
@@ -506,15 +770,16 @@ def extract_supervisor(result: SynthesisResult, bts_liv: BTSGraph) -> Supervisor
     """Package the winning policy, or explain why none exists.
 
     On failure the error carries, per non-good initial estimate, the
-    non-good successors of each of its decisions.
+    non-good successors of each of its decisions (the members of a class
+    share them).
     """
     if not result.solvable:
-        ys, zs = bts_liv.y_states, bts_liv.z_states
+        ys = bts_liv.y_states
         bad = {}
         for y in sorted(bts_liv.initial - result.good_y, key=str):
-            bad[y] = {zs[j].decision: tuple(ys[i] for _, i in bts_liv._z_obs[j]
-                                            if ys[i] not in result.good_y)
-                      for j in bts_liv._y_zs[bts_liv._y_id[y]]}
+            bad[y] = {dec: tuple(ys[i] for _, i in bts_liv._z_obs[c]
+                                 if ys[i] not in result.good_y)
+                      for dec, c in bts_liv._members_of(bts_liv._y_id[y])}
         names = ", ".join(str(y) for y in sorted(bad, key=str))
         raise SynthesisError(
             f"no valid isolation supervisor: initial estimates not good: {names}",

@@ -6,11 +6,24 @@ test, so a disagreement means a real bug on one side.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Sequence, Union
 
-from faultiso.diagnosis import LabeledPlant, StateEstimate
-from faultiso.synthesis import BTSGraph, ControlDecision, SupervisorPolicy, SynthesisResult
+from faultiso.automata import active_events, unobservable_reach
+from faultiso.diagnosis import LabeledPlant, StateEstimate, classify, fault_frontier
+from faultiso.errors import InvalidArgumentError
+from faultiso.graph import reach
+from faultiso.synthesis import (
+    BTSGraph,
+    ControlDecision,
+    SupervisorPolicy,
+    SynthesisResult,
+    ZState,
+    feasible_decisions,
+    observable_reach,
+)
 
 
 def enumerate_bounded_strings(aut, max_len):
@@ -313,6 +326,118 @@ def round_scan_fixpoint(bts_liv: BTSGraph, deadlocks=frozenset(),
     bound = max((rounds[y] for y in bts_liv.initial), default=0) if solvable else None
     return SynthesisResult(frozenset(good_y), frozenset(good_z), policy,
                            solvable, deadlocks, bound, rounds)
+
+
+@dataclass(frozen=True)
+class PerDecisionBTS:
+    """A bipartite system stored one Z-state per decision, in plain tuples
+    and dicts: the referee for ``BTSGraph``'s effect classes.  It has the
+    attributes ``round_scan_fixpoint`` and the policy oracles read."""
+
+    y_states: tuple[StateEstimate, ...]
+    z_states: tuple[ZState, ...]
+    yz_edges: dict
+    zy_edges: dict
+    initial: frozenset[StateEstimate]
+    marked: frozenset[StateEstimate]
+
+    @cached_property
+    def _index(self):
+        decisions, observations = {}, {}
+        for y, dec in self.yz_edges:
+            decisions.setdefault(y, []).append(dec)
+        for (z, obs), dst in self.zy_edges.items():
+            observations.setdefault(z, []).append((obs, dst))
+        return decisions, observations
+
+    def decisions_of(self, y):
+        return tuple(self._index[0].get(y, ()))
+
+    def observations_of(self, z):
+        return tuple(self._index[1].get(z, ()))
+
+
+def per_decision_bts(plant: LabeledPlant) -> PerDecisionBTS:
+    """``build_bts`` one Z-state per feasible decision, as it was built
+    before effect classes: Y-states in breadth-first discovery order from
+    the frontier sorted by name, each Y-state's Z-states in decision
+    ``sort_key`` order, each Z-state's edges in observation order."""
+    y0 = fault_frontier(plant)
+    observable = plant.table.observable_events
+    y_order = sorted(y0, key=str)
+    y_id = {y: i for i, y in enumerate(y_order)}
+    z_order, yz, zy = [], {}, {}
+    for y in y_order:  # grows as estimates are discovered
+        for dec in feasible_decisions(plant, y):
+            z = ZState(y, dec)
+            z_order.append(z)
+            yz[(y, dec)] = z
+            admitted = ([dec.enforce] if dec.enforce in observable
+                        else sorted(observable - dec.disable))
+            for obs in admitted:
+                nxt = observable_reach(plant, y, dec, obs)
+                if nxt is None:
+                    continue
+                if nxt not in y_id:
+                    y_id[nxt] = len(y_order)
+                    y_order.append(nxt)
+                zy[(z, obs)] = y_order[y_id[nxt]]
+    marked = frozenset(y for y in y_order if classify(y).isolation != "FU")
+    return PerDecisionBTS(tuple(y_order), tuple(z_order), yz, zy, frozenset(y0), marked)
+
+
+def per_decision_deadlocks(plant: LabeledPlant, bts) -> frozenset[ZState]:
+    """``find_deadlocks`` one Z-state at a time: an observable enforced
+    event must be defined at every member; otherwise, after the enforced
+    event fires, every state of the undisabled unobservable closure needs an
+    undisabled event."""
+    aut, observable = plant.automaton, plant.table.observable_events
+    out = set()
+    for z in bts.z_states:
+        dec, ids = z.decision, plant.ids_of(z.estimate)
+        if dec.enforce is not None:
+            after = [aut.transitions.get((q, dec.enforce)) for q in ids]
+            if None in after:
+                out.add(z)
+                continue
+            if dec.enforce in observable:
+                continue
+            ids = after
+        if any(active_events(aut, q) <= dec.disable
+               for q in unobservable_reach(aut, ids, dec.disable)):
+            out.add(z)
+    return frozenset(out)
+
+
+def per_decision_prune(bts, dropped) -> PerDecisionBTS:
+    """``prune_live`` one Z-state at a time: drop ``dropped`` and keep what
+    the initial estimates still reach, Y-states in their old order and
+    Z-states in breadth-first visiting order."""
+    kept = []
+
+    def successors(y):
+        live = [bts.yz_edges[(y, dec)] for dec in bts.decisions_of(y)
+                if bts.yz_edges[(y, dec)] not in dropped]
+        if not live:
+            raise InvalidArgumentError(f"estimate {y} lost all decisions")
+        kept.extend(live)
+        return [edge for z in live for edge in bts.observations_of(z)]
+
+    live_y = set(reach(sorted(bts.initial, key=str), successors))
+    return PerDecisionBTS(
+        tuple(y for y in bts.y_states if y in live_y), tuple(kept),
+        {(z.estimate, z.decision): z for z in kept},
+        {(z, obs): dst for z in kept for obs, dst in bts.observations_of(z)},
+        bts.initial, frozenset(bts.marked & live_y))
+
+
+def per_decision_bad_initials(bts, good_y) -> dict:
+    """``SynthesisError.bad_initials`` for a graph and its good Y-states: per
+    non-good initial estimate, by name, each decision's non-good successors."""
+    return {y: {dec: tuple(dst for _, dst in bts.observations_of(bts.yz_edges[(y, dec)])
+                           if dst not in good_y)
+                for dec in bts.decisions_of(y)}
+            for y in sorted(bts.initial - good_y, key=str)}
 
 
 def split_trace(trace: Sequence[Union[ControlDecision, str]]

@@ -20,6 +20,10 @@ from oracles import (
     brute_zstate_deadlock,
     oracle_good_states,
     oracle_solvable,
+    per_decision_bad_initials,
+    per_decision_bts,
+    per_decision_deadlocks,
+    per_decision_prune,
     round_scan_fixpoint,
     split_trace,
 )
@@ -414,15 +418,35 @@ def test_bts_index_sorts_edges_given_out_of_order(twin_bts):
 
 
 
+def expanded_view(g):
+    """The graph as its callers read it: the states in order, each Y-state's
+    decisions and each Z-state's ``(obs, Y-state)`` edges."""
+    return (tuple(g.y_states), tuple(g.z_states),
+            [g.decisions_of(y) for y in g.y_states],
+            [g.observations_of(z) for z in g.z_states])
+
+
 def assert_index_matches_edge_maps(g):
     n_edges = len(g.zy_edges)
     yz, zy = dict(g.yz_edges), dict(g.zy_edges)
     assert (len(g.yz_edges), n_edges) == (len(yz), len(zy))
-    rebuilt = fi.BTSGraph(g.y_states, g.z_states, yz, zy, g.initial, g.marked)
-    ids = (g._y_zs, g._z_owner, g._z_obs)
-    assert (rebuilt._y_zs, rebuilt._z_owner, rebuilt._z_obs) == ids
+    assert len(g.z_states) == len(yz) == len(set(g.z_states))
+    view = expanded_view(g)
+    listed = {}
+    for z in g.z_states:
+        assert z in g.z_states and g.yz_edges[(z.estimate, z.decision)] == z
+        listed.setdefault(z.estimate, []).append(z.decision)
+    # z_states lists each Y-state's Z-states in decision order
+    assert {y: tuple(decs) for y, decs in listed.items()} == {
+        y: decs for y, decs in zip(g.y_states, view[2]) if decs}
+    for (z, obs), dst in zy.items():
+        assert g.zy_edges[(z, obs)] == dst
+    # indexing the materialised maps, one class per Z-state, reads the same
+    rebuilt = fi.BTSGraph(g.y_states, tuple(g.z_states), yz, zy, g.initial, g.marked)
+    assert expanded_view(rebuilt) == view
     marked = replace(g, marked=frozenset(g.y_states[::2]))
-    assert (marked._y_zs, marked._z_owner, marked._z_obs) == ids
+    assert expanded_view(marked) == view
+    assert (len(marked.z_states), len(marked.zy_edges)) == (len(yz), n_edges)
 
 
 def assert_built_and_pruned_index_match(plant, rng):
@@ -460,7 +484,9 @@ def test_synthesis_never_materialises_edge_maps(monkeypatch, twin):
         raise AssertionError("edge maps read on the synthesis path")
 
     monkeypatch.setattr(fi.BTSGraph, "__post_init__", refuse)
-    monkeypatch.setattr(synthesis._EdgeMap, "_map", property(refuse))
+    for view in (synthesis._YZEdges, synthesis._ZYEdges):
+        monkeypatch.setattr(view, "__iter__", refuse)
+        monkeypatch.setattr(view, "__getitem__", refuse)
     solved = []
     for aut in (twin, variant_without_enforceable_o3(twin)):
         plant = fi.build_labeled_plant(aut)
@@ -468,7 +494,7 @@ def test_synthesis_never_materialises_edge_maps(monkeypatch, twin):
         deadlocks = fi.find_deadlocks(plant, bts)
         liv = fi.prune_live(bts, deadlocks)
         result = fi.good_fixpoint(liv, deadlocks)
-        assert len(bts.zy_edges) == sum(map(len, bts._z_obs))
+        assert len(bts.zy_edges) == sum(len(bts.observations_of(z)) for z in bts.z_states)
         export_bts_dot(liv, deadlocks, result)
         try:
             fi.extract_supervisor(result, liv)
@@ -477,6 +503,58 @@ def test_synthesis_never_materialises_edge_maps(monkeypatch, twin):
             assert exc.bad_initials
             solved.append(False)
     assert solved == [True, False]
+
+
+def test_synthesis_builds_no_zstate(monkeypatch, twin):
+    # the stages and the sizes the benchmark reads work on classes; a
+    # Z-state object is built only when a caller iterates a view
+    def refuse(self):
+        raise AssertionError("Z-state built on the synthesis path")
+
+    monkeypatch.setattr(ZState, "__post_init__", refuse)
+    aut3, _ = three_lamps()
+    solved = []
+    for aut in (twin, variant_without_enforceable_o3(twin), aut3):
+        plant = fi.build_labeled_plant(aut)
+        bts = fi.build_bts(plant)
+        deadlocks = fi.find_deadlocks(plant, bts)
+        liv = fi.prune_live(bts, deadlocks)
+        result = fi.good_fixpoint(liv, deadlocks)
+        sizes = [len(bts.y_states), len(bts.z_states), len(bts.zy_edges), len(deadlocks),
+                 len(liv.z_states), len(result.good_y), len(result.good_z)]
+        assert all(sizes[:2]) and sizes[1] >= sizes[4] >= sizes[6]
+        try:
+            fi.extract_supervisor(result, liv)
+            solved.append(True)
+        except SynthesisError as exc:
+            assert exc.bad_initials
+            solved.append(False)
+    assert solved == [True, False, True]
+    assert sizes[1] == 3397 and sizes[3] == 91  # three lamps
+
+
+def test_graph_rejects_states_it_does_not_hold(twin_plant, twin_bts, twin_pipeline):
+    _, liv, _, _ = twin_pipeline
+    outside = twin_plant.initial_estimate
+    assert outside not in liv.y_states
+    z0 = twin_bts.z_states[0]
+    yz, zy = dict(twin_bts.yz_edges), dict(twin_bts.zy_edges)
+    calls = [
+        lambda: replace(liv, marked=frozenset([outside])),
+        lambda: replace(liv, initial=liv.initial | {outside}),
+        lambda: liv.decisions_of(outside),
+        lambda: liv.observations_of(ZState(outside, fi.NO_CONTROL)),
+        lambda: fi.BTSGraph(twin_bts.y_states, twin_bts.z_states, yz,
+                            {**zy, (z0, "o1"): outside}, twin_bts.initial, twin_bts.marked),
+        lambda: fi.BTSGraph(twin_bts.y_states, tuple(twin_bts.z_states)[1:], yz, zy,
+                            twin_bts.initial, twin_bts.marked),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidArgumentError):
+            call()
+    assert ZState(outside, fi.NO_CONTROL) not in liv.z_states
+    assert (outside, fi.NO_CONTROL) not in liv.yz_edges
+
 
 def _live_graph(plant):
     bts = fi.build_bts(plant)
@@ -515,6 +593,82 @@ def test_good_fixpoint_matches_round_scan(seed):
 def test_good_fixpoint_matches_round_scan_three_lamps():
     aut, _ = three_lamps()
     assert_matches_round_scan(*_live_graph(fi.build_labeled_plant(aut)))
+
+
+def assert_same_graph(g, ref):
+    """The class graph's expanded views equal the per-decision referee's."""
+    assert g.y_states == ref.y_states
+    assert (g.initial, g.marked) == (ref.initial, ref.marked)
+    assert tuple(g.z_states) == ref.z_states and len(g.z_states) == len(ref.z_states)
+    assert list(g.yz_edges.items()) == list(ref.yz_edges.items())
+    assert list(g.zy_edges.items()) == list(ref.zy_edges.items())
+    assert (len(g.yz_edges), len(g.zy_edges)) == (len(ref.yz_edges), len(ref.zy_edges))
+    for y in ref.y_states:
+        assert g.decisions_of(y) == ref.decisions_of(y)
+    for z in ref.z_states:
+        assert z in g.z_states
+        assert g.observations_of(z) == ref.observations_of(z)
+
+
+def assert_same_fixpoint(g, ref, deadlocks, ref_deadlocks):
+    for mode in TIE_BREAK_MODES:
+        got = fi.good_fixpoint(g, deadlocks, tie_break=mode)
+        want = round_scan_fixpoint(ref, ref_deadlocks, tie_break=mode)
+        assert got.good_y == want.good_y
+        assert got.good_z == want.good_z and len(got.good_z) == len(want.good_z)
+        assert got.rounds == want.rounds
+        assert list(got.policy.items()) == list(want.policy.items())
+        assert (got.solvable, got.isolation_bound) == (want.solvable, want.isolation_bound)
+        try:
+            fi.extract_supervisor(got, g)
+            assert got.solvable
+        except SynthesisError as exc:
+            bad = per_decision_bad_initials(ref, want.good_y)
+            assert list(exc.bad_initials.items()) == list(bad.items())
+
+
+def assert_matches_per_decision(plant, rng):
+    """Build, deadlocks, pruning and fixpoint on effect classes against the
+    per-decision referee; returns how many classes a random pruning cut."""
+    bts, ref = fi.build_bts(plant), per_decision_bts(plant)
+    assert_same_graph(bts, ref)
+    deadlocks, ref_deadlocks = fi.find_deadlocks(plant, bts), per_decision_deadlocks(plant, ref)
+    assert deadlocks == ref_deadlocks and len(deadlocks) == len(ref_deadlocks)
+    assert all((z in deadlocks) == (z in ref_deadlocks) for z in ref.z_states)
+    live, ref_live = fi.prune_live(bts, deadlocks), per_decision_prune(ref, ref_deadlocks)
+    assert_same_graph(live, ref_live)
+    assert_same_fixpoint(live, ref_live, deadlocks, ref_deadlocks)
+    marked = frozenset(y for y in ref_live.y_states if rng.random() < 0.3)
+    assert_same_fixpoint(replace(live, marked=marked), replace(ref_live, marked=marked),
+                         deadlocks, ref_deadlocks)
+    # an arbitrary Z-state set cuts classes, which pruning splits
+    keep = {y: rng.choice(ref.decisions_of(y)) for y in ref.y_states}
+    dropped = frozenset(z for z in ref.z_states if keep[z.estimate] != z.decision)
+    pruned = fi.prune_live(bts, dropped)
+    assert_same_graph(pruned, per_decision_prune(ref, dropped))
+    assert not any(z in pruned.z_states for z in dropped)
+    members = {}
+    for z in ref.z_states:
+        members.setdefault(bts._class_of(z), set()).add(z in dropped)
+    return sum(len(kinds) == 2 for kinds in members.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_classes_match_per_decision_referee(seed):
+    rng = random.Random(seed)
+    while True:
+        plant = fi.build_labeled_plant(random_plant(rng, max_states=8))
+        if plant.diagnosability.diagnosable:
+            break
+    assert_matches_per_decision(plant, rng)
+
+
+def test_classes_match_per_decision_referee_three_lamps():
+    aut, _ = three_lamps()
+    plant = fi.build_labeled_plant(aut)
+    assert len(fi.build_bts(plant)._z_dec) < len(per_decision_bts(plant).z_states)
+    assert assert_matches_per_decision(plant, random.Random(3)) > 0
 
 
 def test_boundary_errors_are_typed(twin_plant, twin_bts, twin_pipeline):
