@@ -15,7 +15,6 @@ from .automata import (
     accessible_part,
     active_events,
     check_assumptions,
-    enumerate_language,
     parallel_compose,
     project,
     require_assumptions,

@@ -342,20 +342,3 @@ def require_assumptions(aut: Automaton) -> AssumptionReport:
         raise AssumptionError(f"assumption check failed: {report.explain()}", report)
     return report
 
-
-def enumerate_language(aut: Automaton, max_len: int) -> set[tuple[str, ...]]:
-    """All strings of length <= max_len generated from the initial state.
-
-    Exponential; intended for tests and small demonstrations only.
-    """
-    out: set[tuple[str, ...]] = {()}
-    layer = [((), aut.initial)]
-    for _ in range(max_len):
-        nxt = []
-        for s, q in layer:
-            for ev, dst in aut.outgoing(q):
-                s2 = s + (ev,)
-                out.add(s2)
-                nxt.append((s2, dst))
-        layer = nxt
-    return out

@@ -8,9 +8,10 @@ state with the label of the fault class seen so far; labels never revert.
 """
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .automata import (
@@ -80,11 +81,6 @@ class StateEstimate:
 
     def fault_labels(self) -> frozenset[str]:
         return frozenset(l for l in self.labels() if l != NORMAL)
-
-    @property
-    def mixed(self) -> bool:
-        """True when two distinct fault classes are still possible."""
-        return len(self.fault_labels()) >= 2
 
 
 @dataclass(frozen=True)
@@ -193,6 +189,18 @@ class LabeledPlant:
         """The uncapped diagnoser, built once per plant."""
         return build_diagnoser(self)
 
+    @cached_property
+    def index(self) -> "StateIndex":
+        """The labelled states as bits, built once per plant."""
+        aut, observable = self.automaton, self.table.observable_events
+        ids = sorted(aut.states, key=self.member_of)
+        bit = {q: i for i, q in enumerate(ids)}
+        return StateIndex(
+            tuple(map(self.member_of, ids)),
+            tuple(sum(1 << bit[r] for r in unobservable_reach(aut, [q])) for q in ids),
+            tuple(tuple((ev, bit[d]) for ev, d in aut.outgoing(q) if ev in observable)
+                  for q in ids))
+
 
 def build_labeled_plant(g: Automaton) -> LabeledPlant:
     """Compose the plant with the label automaton.
@@ -223,9 +231,29 @@ def build_labeled_plant(g: Automaton) -> LabeledPlant:
 
 # -- state estimation ---------------------------------------------------------
 
-def _observable_step(aut: Automaton, ids: frozenset[str], obs: str) -> frozenset[str]:
-    return frozenset(dst for q in ids
-                     if (dst := aut.transitions.get((q, obs))) is not None)
+def _bits(mask: int):
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class StateIndex:
+    """Labelled-state sets as integer masks: bit ``i`` is ``members[i]``, in
+    ``LabeledState`` order, so a mask lists its members sorted.  ``normal``
+    and ``faults`` (one per fault label) are label masks.  A plant's index
+    also has each state's closure mask and ``(event, bit)`` observable edges.
+    A plain class, not a dataclass: the package is imported per CLI process."""
+
+    def __init__(self, members: tuple[LabeledState, ...], closure: tuple[int, ...] = (),
+                 observable_out: tuple[tuple[tuple[str, int], ...], ...] = ()):
+        self.members, self.closure, self.observable_out = members, closure, observable_out
+        by_label: dict[str, int] = {}
+        for i, m in enumerate(members):
+            by_label[m.label] = by_label.get(m.label, 0) | 1 << i
+        self.normal = by_label.pop(NORMAL, 0)
+        self.faults = tuple(by_label.values())
 
 
 def diagnoser_step_ids(plant: LabeledPlant, ids: frozenset[str], obs: str) -> frozenset[str]:
@@ -233,8 +261,9 @@ def diagnoser_step_ids(plant: LabeledPlant, ids: frozenset[str], obs: str) -> fr
     plant.table.require(obs)
     if obs not in plant.table.observable_events:
         raise InvalidArgumentError(f"event {obs} is not observable")
-    closure = unobservable_reach(plant.automaton, ids)
-    return _observable_step(plant.automaton, closure, obs)
+    trans = plant.automaton.transitions
+    return frozenset(dst for q in unobservable_reach(plant.automaton, ids)
+                     if (dst := trans.get((q, obs))) is not None)
 
 
 def estimate_after(plant: LabeledPlant, t: Sequence[str]) -> StateEstimate:
@@ -250,7 +279,14 @@ def estimate_after(plant: LabeledPlant, t: Sequence[str]) -> StateEstimate:
 
 @dataclass(frozen=True)
 class Diagnoser:
-    """Deterministic estimate automaton over the observable alphabet."""
+    """Deterministic estimate automaton over the observable alphabet.
+
+    ``_succ[i]`` lists the ``(obs, position)`` successors of ``states[i]``
+    in event order and ``_masks[i]`` is ``states[i]`` over ``_index``.  The
+    four-field constructor derives both, over an index of its states'
+    members, and raises ``InvalidArgumentError`` for a state it cannot place.
+    ``walk`` names an unobservable event as such only in a built diagnoser.
+    """
 
     states: tuple[StateEstimate, ...]
     alphabet: frozenset[str]
@@ -258,17 +294,42 @@ class Diagnoser:
     initial: StateEstimate
 
     def __post_init__(self):
-        adj: dict[StateEstimate, list[tuple[str, StateEstimate]]] = \
-            {est: [] for est in self.states}
+        if len(self._pos) != len(self.states):
+            raise InvalidArgumentError("duplicate diagnoser states")
+        self._position(self.initial)
+        succ: list[list[tuple[str, int]]] = [[] for _ in self.states]
         for (src, obs), dst in self.transitions.items():
-            adj[src].append((obs, dst))
-        for edges in adj.values():
-            edges.sort()
-        object.__setattr__(self, "_adj", {e: tuple(v) for e, v in adj.items()})
+            succ[self._position(src)].append((obs, self._position(dst)))
+        index = StateIndex(tuple(sorted(set().union(*self.states))))
+        bit = {m: i for i, m in enumerate(index.members)}
+        self.__dict__.update(_succ=[tuple(sorted(edges)) for edges in succ], _index=index,
+                             _masks=[sum(1 << bit[m] for m in est) for est in self.states],
+                             _unobservable=frozenset())
+
+    @classmethod
+    def _of_positions(cls, states, table, transitions, succ, masks, index) -> Diagnoser:
+        d = object.__new__(cls)  # states[0] is the initial estimate
+        d.__dict__.update(states=states, alphabet=table.observable_events, initial=states[0],
+                          transitions=transitions, _succ=succ, _masks=masks, _index=index,
+                          _unobservable=table.unobservable_events)
+        return d
+
+    @cached_property
+    def _pos(self) -> dict[StateEstimate, int]:
+        return {est: i for i, est in enumerate(self.states)}
+
+    def _position(self, est: StateEstimate) -> int:
+        """The position of ``est`` in ``states``."""
+        if est not in self._pos:
+            raise InvalidArgumentError(f"estimate not in diagnoser: {est}")
+        return self._pos[est]
 
     def walk(self, t: Sequence[str]) -> StateEstimate:
         est = self.initial
         for obs in t:
+            if obs not in self.alphabet:
+                raise InvalidArgumentError(f"event {obs} is not observable" if obs
+                                           in self._unobservable else f"unknown event: {obs}")
             nxt = self.transitions.get((est, obs))
             if nxt is None:
                 raise InvalidArgumentError(
@@ -277,36 +338,47 @@ class Diagnoser:
         return est
 
     def successors(self, est: StateEstimate) -> tuple[tuple[str, StateEstimate], ...]:
-        return self._adj[est]
+        return tuple((obs, self.states[j]) for obs, j in self._succ[self._position(est)])
+
+    def _frontier(self) -> list[int]:
+        """Positions first reached with fault certainty (no normal bit), in
+        breadth-first order."""
+        normal, masks, succ = self._index.normal, self._masks, self._succ
+        nodes = reach([self._position(self.initial)],
+                      lambda i: succ[i] if masks[i] & normal else ())
+        return [i for i in nodes if not masks[i] & normal]
 
 
 def build_diagnoser(plant: LabeledPlant, max_states: int = 1_000_000) -> Diagnoser:
-    """Worklist determinisation of the labelled plant over observations."""
-    aut = plant.automaton
-    initial = plant.initial_estimate
-    table = {initial: frozenset([aut.initial])}
-    queue = deque([initial])
+    """Worklist determinisation of the labelled plant over observations, on
+    masks of ``plant.index``: each state's estimate is built once, and only
+    the observations active in its closure are followed, in event order."""
+    closure, out, members = plant.index.closure, plant.index.observable_out, plant.index.members
+    masks = [1 << bisect_left(members, plant.member_of(plant.automaton.initial))]
+    pos, states = {masks[0]: 0}, [plant.initial_estimate]
+    succ: list[tuple[tuple[str, int], ...]] = []
     trans: dict[tuple[StateEstimate, str], StateEstimate] = {}
-    order = [initial]
-    while queue:
-        est = queue.popleft()
-        ids = table[est]
-        closure = unobservable_reach(aut, ids)
-        for obs in sorted(plant.table.observable_events):
-            nxt_ids = _observable_step(aut, closure, obs)
-            if not nxt_ids:
-                continue
-            nxt = plant.estimate_of(nxt_ids)
-            trans[(est, obs)] = nxt
-            if nxt not in table:
-                if len(table) >= max_states:
+    for i, mask in enumerate(masks):  # masks grows as states are found
+        step: dict[str, int] = {}
+        for b in _bits(reduce(or_, map(closure.__getitem__, _bits(mask)))):
+            for obs, d in out[b]:
+                step[obs] = step.get(obs, 0) | 1 << d
+        edges = []
+        for obs in sorted(step):
+            nxt = step[obs]
+            j = pos.get(nxt)
+            if j is None:
+                if len(masks) >= max_states:
                     raise ResourceLimitError(
                         f"diagnoser exceeded {max_states} states",
-                        stats={"states": len(table), "transitions": len(trans)})
-                table[nxt] = nxt_ids
-                order.append(nxt)
-                queue.append(nxt)
-    return Diagnoser(tuple(order), plant.table.observable_events, trans, initial)
+                        stats={"states": len(masks), "transitions": len(trans) + 1})
+                j = pos[nxt] = len(masks)
+                masks.append(nxt)
+                states.append(StateEstimate(tuple(members[b] for b in _bits(nxt))))
+            trans[(states[i], obs)] = states[j]
+            edges.append((obs, j))
+        succ.append(tuple(edges))
+    return Diagnoser._of_positions(tuple(states), plant.table, trans, succ, masks, plant.index)
 
 
 # -- diagnosability (twin construction) ---------------------------------------
@@ -404,16 +476,8 @@ def fault_frontier(plant: LabeledPlant) -> frozenset[StateEstimate]:
     if not report.diagnosable:
         raise NotDiagnosableError("plant is not diagnosable; no isolation "
                                   "supervisor can exist", witness=report.witness)
-    frontier = set()
-
-    def expand(est):
-        if classify(est).detection == "F":
-            frontier.add(est)
-            return ()
-        return plant.diagnoser.successors(est)
-
-    reach([plant.diagnoser.initial], expand)
-    return frozenset(frontier)
+    diag = plant.diagnoser
+    return frozenset(map(diag.states.__getitem__, diag._frontier()))
 
 
 def check_isolatability(plant: LabeledPlant) -> IsolatabilityReport:
@@ -435,36 +499,33 @@ def check_isolatability(plant: LabeledPlant) -> IsolatabilityReport:
         raise NotDiagnosableError(
             "isolatability is only defined for diagnosable systems",
             witness=diag_report.witness)
-    diag = plant.diagnoser
-    nodes = reach(sorted(fault_frontier(plant), key=str), diag.successors)
-    mixed = [est.mixed for est in nodes]
-    if not any(mixed):
+    diag = plant.diagnoser  # queried on positions; "mixed" meets two fault masks
+    states, masks, succ, faults = diag.states, diag._masks, diag._succ, diag._index.faults
+    nodes = reach(sorted(diag._frontier(), key=lambda i: str(states[i])), succ.__getitem__)
+    mixed = {i: sum(1 for f in faults if masks[i] & f) >= 2 for i in nodes}
+    if not any(mixed.values()):
         return IsolatabilityReport(True, None, 0)
-    # the queries run on positions in ``nodes``; hashing an estimate is slow
-    pos = {est: i for i, est in enumerate(nodes)}
-    edges = [[(obs, pos[nxt]) for obs, nxt in diag.successors(est)] for est in nodes]
 
     def mixed_succ(i):
-        return [(obs, j) for obs, j in edges[i] if mixed[j]]
+        return [(obs, j) for obs, j in succ[i] if mixed[j]]
 
-    ids = range(len(nodes))
-    mixed_ids = [i for i in ids if mixed[i]]
+    mixed_ids = [i for i in nodes if mixed[i]]
     bound = longest_path(mixed_ids, mixed_succ)
     if bound is not None:
         return IsolatabilityReport(True, None, bound)
 
     cyclic = cyclic_nodes(mixed_ids, mixed_succ)
-    on_cycle = [i for i in sorted(ids, key=lambda i: str(nodes[i])) if i in cyclic]
-    preds: list[list] = [[] for _ in ids]
-    for i, out in enumerate(edges):
-        for obs, j in out:
+    on_cycle = sorted((i for i in nodes if i in cyclic), key=lambda i: str(states[i]))
+    preds: dict[int, list] = {i: [] for i in nodes}
+    for i in nodes:
+        for obs, j in succ[i]:
             preds[j].append((obs, i))
-    reach_pure = set(reach([i for i in ids if not mixed[i]], preds.__getitem__))
+    reach_pure = set(reach([i for i in nodes if not mixed[i]], preds.__getitem__))
     trapped = [i for i in on_cycle if i not in reach_pure]
     chosen = (trapped or on_cycle)[0]
-    witness = [nodes[chosen]]
-    for obs, j in shortest_path(chosen, edges.__getitem__, lambda i: i == chosen):
-        witness += [obs, nodes[j]]
+    witness = [states[chosen]]
+    for obs, j in shortest_path(chosen, succ.__getitem__, lambda i: i == chosen):
+        witness += [obs, states[j]]
     return IsolatabilityReport(False, tuple(witness))
 
 

@@ -6,15 +6,23 @@ test, so a disagreement means a real bug on one side.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Sequence, Union
 
 from faultiso.automata import active_events, unobservable_reach
-from faultiso.diagnosis import LabeledPlant, StateEstimate, classify, fault_frontier
-from faultiso.errors import InvalidArgumentError
-from faultiso.graph import reach
+from faultiso.diagnosis import (
+    Diagnoser,
+    IsolatabilityReport,
+    LabeledPlant,
+    StateEstimate,
+    classify,
+    fault_frontier,
+)
+from faultiso.errors import InvalidArgumentError, NotDiagnosableError, ResourceLimitError
+from faultiso.graph import cyclic_nodes, longest_path, reach, shortest_path
 from faultiso.synthesis import (
     BTSGraph,
     ControlDecision,
@@ -446,3 +454,107 @@ def split_trace(trace: Sequence[Union[ControlDecision, str]]
     decisions = tuple(x for x in trace if isinstance(x, ControlDecision))
     observations = tuple(x for x in trace if isinstance(x, str))
     return decisions, observations
+
+
+def enumerate_language(aut, max_len: int) -> set[tuple[str, ...]]:
+    """All strings of length <= max_len generated from the initial state.
+
+    Exponential; for tests and small demonstrations only.
+    """
+    out: set[tuple[str, ...]] = {()}
+    layer = [((), aut.initial)]
+    for _ in range(max_len):
+        nxt = []
+        for s, q in layer:
+            for ev, dst in aut.outgoing(q):
+                s2 = s + (ev,)
+                out.add(s2)
+                nxt.append((s2, dst))
+        layer = nxt
+    return out
+
+
+def set_diagnoser(plant: LabeledPlant, max_states: int = 1_000_000) -> Diagnoser:
+    """The worklist determinisation on sets of state ids: every observable
+    event is tried at every estimate, and every successor is rebuilt and
+    hashed as a ``StateEstimate``.  Returned through the public four-field
+    ``Diagnoser`` constructor."""
+    aut = plant.automaton
+    initial = plant.initial_estimate
+    table = {initial: frozenset([aut.initial])}
+    queue = deque([initial])
+    trans: dict[tuple[StateEstimate, str], StateEstimate] = {}
+    order = [initial]
+    while queue:
+        est = queue.popleft()
+        closure = unobservable_reach(aut, table[est])
+        for obs in sorted(plant.table.observable_events):
+            nxt_ids = frozenset(dst for q in closure
+                                if (dst := aut.transitions.get((q, obs))) is not None)
+            if not nxt_ids:
+                continue
+            nxt = plant.estimate_of(nxt_ids)
+            trans[(est, obs)] = nxt
+            if nxt not in table:
+                if len(table) >= max_states:
+                    raise ResourceLimitError(
+                        f"diagnoser exceeded {max_states} states",
+                        stats={"states": len(table), "transitions": len(trans)})
+                table[nxt] = nxt_ids
+                order.append(nxt)
+                queue.append(nxt)
+    return Diagnoser(tuple(order), plant.table.observable_events, trans, initial)
+
+
+def set_isolatability(plant: LabeledPlant, diag: Diagnoser = None) -> IsolatabilityReport:
+    """The mixed-cycle test on estimates: the frontier and "mixed" come from
+    ``classify`` and the estimates' fault labels, the graph from the transitions
+    of ``diag`` (by default ``set_diagnoser(plant)``)."""
+    report = plant.diagnosability
+    if not report.diagnosable:
+        raise NotDiagnosableError(
+            "isolatability is only defined for diagnosable systems",
+            witness=report.witness)
+    diag = diag or set_diagnoser(plant)
+    adj: dict[StateEstimate, list] = {est: [] for est in diag.states}
+    for (src, obs), dst in diag.transitions.items():
+        adj[src].append((obs, dst))
+    for edges in adj.values():
+        edges.sort()
+    frontier = set()
+
+    def expand(est):
+        if classify(est).detection == "F":
+            frontier.add(est)
+            return ()
+        return adj[est]
+
+    reach([diag.initial], expand)
+    nodes = reach(sorted(frontier, key=str), adj.__getitem__)
+    mixed = [len(est.fault_labels()) >= 2 for est in nodes]
+    if not any(mixed):
+        return IsolatabilityReport(True, None, 0)
+    pos = {est: i for i, est in enumerate(nodes)}
+    edges = [[(obs, pos[nxt]) for obs, nxt in adj[est]] for est in nodes]
+
+    def mixed_succ(i):
+        return [(obs, j) for obs, j in edges[i] if mixed[j]]
+
+    ids = range(len(nodes))
+    mixed_ids = [i for i in ids if mixed[i]]
+    bound = longest_path(mixed_ids, mixed_succ)
+    if bound is not None:
+        return IsolatabilityReport(True, None, bound)
+    cyclic = cyclic_nodes(mixed_ids, mixed_succ)
+    on_cycle = [i for i in sorted(ids, key=lambda i: str(nodes[i])) if i in cyclic]
+    preds: list[list] = [[] for _ in ids]
+    for i, out in enumerate(edges):
+        for obs, j in out:
+            preds[j].append((obs, i))
+    reach_pure = set(reach([i for i in ids if not mixed[i]], preds.__getitem__))
+    trapped = [i for i in on_cycle if i not in reach_pure]
+    chosen = (trapped or on_cycle)[0]
+    witness = [nodes[chosen]]
+    for obs, j in shortest_path(chosen, edges.__getitem__, lambda i: i == chosen):
+        witness += [obs, nodes[j]]
+    return IsolatabilityReport(False, tuple(witness))

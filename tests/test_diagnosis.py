@@ -1,16 +1,22 @@
 """Label automaton, estimates, diagnoser, diagnosability and isolatability."""
 from __future__ import annotations
 
+import importlib.util
+import random
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import faultiso as fi
 from faultiso import diagnosis, synthesis
-from faultiso.diagnosis import NORMAL
-from faultiso.gallery import twin_branch
+from faultiso.diagnosis import NORMAL, _bits
+from faultiso.gallery import three_lamps, twin_branch
 from faultiso.errors import AssumptionError, ModelError, NotDiagnosableError
 
 from conftest import estimate, names
-from oracles import brute_estimates
+from oracles import brute_estimates, enumerate_language, set_diagnoser, set_isolatability
+from plantgen import random_plant
 
 
 def small_plant(events, transitions, initial="0"):
@@ -47,7 +53,7 @@ def test_labeled_plant_states(twin_plant):
 
 
 def test_labeled_plant_language_preserved(twin, twin_plant):
-    assert fi.enumerate_language(twin, 6) == fi.enumerate_language(twin_plant.automaton, 6)
+    assert enumerate_language(twin, 6) == enumerate_language(twin_plant.automaton, 6)
 
 
 def test_labeled_plant_requires_assumptions():
@@ -256,3 +262,102 @@ def test_analyses_run_once_per_plant(monkeypatch):
 def test_detection_agent_raises_typed_error(twin_diagnoser):
     with pytest.raises(fi.FaultIsoError, match="observation infeasible"):
         fi.detection_agent(twin_diagnoser, ["o3"])
+
+
+def test_diagnoser_rejects_estimates_it_does_not_hold(twin_diagnoser):
+    d = twin_diagnoser
+    missing = fi.StateEstimate(())
+    for call in (lambda: d.successors(missing), lambda: d._position(missing)):
+        with pytest.raises(fi.InvalidArgumentError, match="not in diagnoser"):
+            call()
+    for states, trans, initial in [
+            (d.states[1:], d.transitions, d.initial),
+            (d.states, {**d.transitions, (missing, "o1"): d.initial}, d.initial),
+            (d.states, {**d.transitions, (d.initial, "o1"): missing}, d.initial),
+            (d.states, d.transitions, missing),
+            (d.states + d.states[:1], d.transitions, d.initial)]:
+        with pytest.raises(fi.InvalidArgumentError):
+            fi.Diagnoser(states, d.alphabet, trans, initial)
+
+
+def assert_walk_fails(diag, t, message):
+    """``walk`` and both agents that walk the diagnoser raise ``message``."""
+    for call in (lambda: diag.walk(t), lambda: fi.detection_agent(diag, t),
+                 lambda: fi.isolation_agent(diag, t)):
+        with pytest.raises(fi.InvalidArgumentError) as info:
+            call()
+        assert str(info.value) == message
+
+
+def test_walk_reports_unknown_event(twin_diagnoser):
+    assert_walk_fails(twin_diagnoser, ["zzz"], "unknown event: zzz")
+
+
+def test_walk_reports_unobservable_event(twin_diagnoser):
+    assert_walk_fails(twin_diagnoser, ["o2", "a"], "event a is not observable")
+
+
+def assert_matches_set_referee(plant):
+    """The mask-built diagnoser and the position-based isolatability test
+    agree with the set-based referees, including their state-cap errors."""
+    diag, ref = fi.build_diagnoser(plant), set_diagnoser(plant)
+    assert diag.states == ref.states
+    assert list(diag.transitions.items()) == list(ref.transitions.items())
+    assert (diag.initial, diag.alphabet) == (ref.initial, ref.alphabet)
+    adj = {est: [] for est in ref.states}
+    for (src, obs), dst in ref.transitions.items():
+        adj[src].append((obs, dst))
+    for est in ref.states:
+        assert diag.successors(est) == tuple(sorted(adj[est]))
+    # the four-field constructor derives the same positions; each mask lists
+    # its estimate's members in order
+    rebuilt = fi.Diagnoser(diag.states, diag.alphabet, diag.transitions, diag.initial)
+    assert rebuilt._succ == diag._succ
+    for d in (diag, rebuilt):
+        assert len(d._masks) == len(d.states)
+        for est, mask in zip(d.states, d._masks):
+            assert tuple(d._index.members[b] for b in _bits(mask)) == est.members
+    n = len(ref.states)
+    for cap in sorted(c for c in {1, n // 2, n - 1} if 0 < c < n):
+        with pytest.raises(fi.ResourceLimitError) as got:
+            fi.build_diagnoser(plant, max_states=cap)
+        with pytest.raises(fi.ResourceLimitError) as want:
+            set_diagnoser(plant, max_states=cap)
+        assert str(got.value) == str(want.value)
+        assert got.value.stats == want.value.stats
+    if not plant.diagnosability.diagnosable:
+        with pytest.raises(NotDiagnosableError):
+            fi.check_isolatability(plant)
+        return None
+    report, want = fi.check_isolatability(plant), set_isolatability(plant, ref)
+    assert report == want
+    assert report.witness_text() == want.witness_text()
+    return report
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_diagnoser_matches_set_referee(seed):
+    assert_matches_set_referee(fi.build_labeled_plant(random_plant(random.Random(seed))))
+
+
+def lamps_plant(n):
+    """The ``n``-lamp case study, from the benchmark's lamp ladder."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "lamps.py"
+    spec = importlib.util.spec_from_file_location("lamp_ladder", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return fi.build_labeled_plant(module.lamps(n))
+
+
+def test_diagnoser_matches_set_referee_three_lamps():
+    plant = fi.build_labeled_plant(three_lamps()[0])
+    assert len(fi.build_diagnoser(plant).states) == 68
+    assert not assert_matches_set_referee(plant).isolatable
+
+
+def test_diagnoser_matches_set_referee_six_lamps():
+    plant = lamps_plant(6)
+    diag = plant.diagnoser
+    assert (len(diag.states), len(diag.transitions)) == (2723, 9155)
+    assert not assert_matches_set_referee(plant).isolatable

@@ -13,6 +13,7 @@ from faultiso.synthesis import ControlDecision
 from oracles import (
     closed_loop_estimates,
     closed_loop_language,
+    enumerate_language,
     exact_uncontrolled_estimates,
     split_trace,
 )
@@ -73,7 +74,7 @@ def test_fault_certainty_absorbing(sample):
 
 def test_labeled_language_preserved(sample):
     for plant in sample:
-        base = {s for s in fi.enumerate_language(plant.automaton, 4)}
+        base = {s for s in enumerate_language(plant.automaton, 4)}
         # strip the labelling by replaying on the automaton the labels wrap
         for s in base:
             assert fi.run(plant.automaton, s) is not None
@@ -93,7 +94,7 @@ def test_closed_loop_language_literal(synthesised):
         for policy in policies[:2]:
             expected = closed_loop_language(plant, policy, 6)
             cl = fi.build_closed_loop(plant, policy)
-            assert fi.enumerate_language(cl.automaton, 6) == expected
+            assert enumerate_language(cl.automaton, 6) == expected
 
 
 def test_engine_matches_literal_estimates(synthesised):
@@ -112,9 +113,9 @@ def test_uncontrolled_strings_always_pass(synthesised):
     # before fault certainty the supervisor must not intervene
     for plant, bts, deadlocks, liv, result, policies in synthesised[:6]:
         unc = exact_uncontrolled_estimates(plant, 5)
-        plant_lang = fi.enumerate_language(plant.automaton, 5)
+        plant_lang = enumerate_language(plant.automaton, 5)
         for policy in policies[:2]:
-            cl_lang = fi.enumerate_language(
+            cl_lang = enumerate_language(
                 fi.build_closed_loop(plant, policy).automaton, 5)
             for s in plant_lang:
                 t = fi.project(plant.table, s)

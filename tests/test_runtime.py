@@ -8,7 +8,7 @@ from faultiso import diagnosis
 from faultiso.errors import ProtocolError, SchedulerError, SupervisorIntegrityError
 from faultiso.modelio import parse_model
 
-from oracles import closed_loop_estimates, closed_loop_language
+from oracles import closed_loop_estimates, closed_loop_language, enumerate_language
 
 
 @pytest.fixture(scope="module")
@@ -96,15 +96,15 @@ def test_engine_estimates_match_literal_enumeration(twin_plant, twin_pipeline):
 
 
 def test_closed_loop_cuts_unobserved_branch(twin_plant, closed):
-    lang = fi.enumerate_language(closed.automaton, 4)
+    lang = enumerate_language(closed.automaton, 4)
     assert ("sf1", "o2", "o3") in lang
     assert ("sf1", "o2", "a") not in lang  # o3 is enforced at {2F1,7F2}
 
 
 def test_closed_loop_no_control_is_plant(twin_plant, twin_bts):
     cl = fi.build_closed_loop(twin_plant, none_policy(twin_bts))
-    assert fi.enumerate_language(cl.automaton, 6) \
-        == fi.enumerate_language(twin_plant.automaton, 6)
+    assert enumerate_language(cl.automaton, 6) \
+        == enumerate_language(twin_plant.automaton, 6)
 
 
 def test_closed_loop_language_matches_literal_rules(twin_plant, twin_bts, twin_pipeline):
@@ -112,13 +112,13 @@ def test_closed_loop_language_matches_literal_rules(twin_plant, twin_bts, twin_p
     for pol in (policy, none_policy(twin_bts), trap_disabling_policy(twin_bts)):
         expected = closed_loop_language(twin_plant, pol, 6)
         cl = fi.build_closed_loop(twin_plant, pol)
-        assert fi.enumerate_language(cl.automaton, 6) == expected
+        assert enumerate_language(cl.automaton, 6) == expected
 
 
 def test_closed_loop_uncontrolled_before_certainty(twin_plant, closed):
     # strings whose observation is not yet fault-certain pass through freely
-    plant_lang = fi.enumerate_language(twin_plant.automaton, 4)
-    cl_lang = fi.enumerate_language(closed.automaton, 4)
+    plant_lang = enumerate_language(twin_plant.automaton, 4)
+    cl_lang = enumerate_language(closed.automaton, 4)
     diag = fi.build_diagnoser(twin_plant)
     for s in plant_lang:
         t = fi.project(twin_plant.table, s)
