@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Synthesise an isolation supervisor, stage by stage.
+"""Synthesise an isolation supervisor and look at what each stage produced.
 
 The decision graph alternates estimates (awaiting a decision) with
 (estimate, decision) pairs (awaiting an observation).  Deadlocked decisions
 are pruned, then a backward fixpoint finds the estimates from which some
-decision policy forces a fault-class-pure estimate.
+decision policy forces a fault-class-pure estimate.  ``fi.synthesize`` runs
+these stages in order and keeps each one's output.
 """
 from pathlib import Path
 
@@ -23,23 +24,21 @@ for y in sorted(frontier, key=str):
           " ".join(str(d) for d in decs))
 print()
 
-bts = fi.build_bts(plant)
+run = fi.synthesize(plant)
+bts, deadlocks, liv, result = run.bts, run.deadlocks, run.live, run.result
 print(f"decision graph: {len(bts.y_states)} estimates, {len(bts.z_states)} decision nodes")
 print("fault-class-pure (marked):", " ".join(sorted(map(str, bts.marked))))
 
-deadlocks = fi.find_deadlocks(plant, bts)
 print("deadlocked decisions:", " ".join(str(z) for z in deadlocks))
 print("  (disabling o3 inside the trap would freeze the plant entirely)")
 
-liv = fi.prune_live(bts, deadlocks)
-result = fi.good_fixpoint(liv, deadlocks)
 print()
 print("good estimates:", " ".join(sorted(map(str, result.good_y))))
 print("solvable?", result.solvable, "| worst-case observations to isolation:",
       result.isolation_bound)
 print()
 
-policy = fi.extract_supervisor(result, liv)
+policy = run.policy
 print("extracted supervisor:")
 for y in sorted(policy.decisions, key=str):
     print(f"  at {y}: apply {policy.decisions[y]}")

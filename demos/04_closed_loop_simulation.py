@@ -11,10 +11,7 @@ from faultiso.gallery import twin_branch
 
 aut, _ = twin_branch()
 plant = fi.build_labeled_plant(aut)
-bts = fi.build_bts(plant)
-deadlocks = fi.find_deadlocks(plant, bts)
-liv = fi.prune_live(bts, deadlocks)
-policy = fi.extract_supervisor(fi.good_fixpoint(liv, deadlocks), liv)
+policy = fi.synthesize(plant).policy
 
 print("observation-by-observation replay of o2 o3 o1:")
 for st in fi.replay(plant, policy, ["o2", "o3", "o1"])[1:]:

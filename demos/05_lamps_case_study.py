@@ -14,10 +14,10 @@ import time
 from pathlib import Path
 
 import faultiso as fi
-from faultiso.gallery import three_lamps, three_lamps_text
+from faultiso.gallery import lamps, three_lamps_text
 
-aut, table = three_lamps()
-print(f"composed plant: {len(aut.states)} states, {len(table.events)} events, "
+aut = lamps(3)
+print(f"composed plant: {len(aut.states)} states, {len(aut.table.events)} events, "
       f"{len(aut.transitions)} transitions")
 print("fault classes: left lamp (F1), right lamp (F2), floor lamp (F3)")
 print()
@@ -28,15 +28,12 @@ print("isolatable without control?", fi.check_isolatability(plant).isolatable)
 print()
 
 t0 = time.time()
-bts = fi.build_bts(plant)
-deadlocks = fi.find_deadlocks(plant, bts)
-liv = fi.prune_live(bts, deadlocks)
-result = fi.good_fixpoint(liv, deadlocks)
-policy = fi.extract_supervisor(result, liv)
-print(f"synthesis: {len(bts.y_states)} estimates, {len(bts.z_states)} decision "
-      f"nodes, {len(deadlocks)} deadlocked decisions pruned, "
+run = fi.synthesize(plant)
+policy = run.policy
+print(f"synthesis: {len(run.bts.y_states)} estimates, {len(run.bts.z_states)} decision "
+      f"nodes, {len(run.deadlocks)} deadlocked decisions pruned, "
       f"{time.time() - t0:.2f}s")
-print("solvable?", result.solvable)
+print("solvable?", run.result.solvable)
 print()
 
 ambiguous = max((y for y in policy.initial_frontier), key=len)

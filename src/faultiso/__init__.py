@@ -76,6 +76,7 @@ from .synthesis import (
     observable_reach,
     policy_graph,
     prune_live,
+    synthesize,
 )
 
 __version__ = "0.1.0"

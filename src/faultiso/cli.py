@@ -44,6 +44,13 @@ def _load_model(path: str):
     return doc, aut, table
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise FaultIsoError(f"cannot write {path}: {exc}") from None
+
+
 def _cmd_check(args) -> int:
     doc, aut, table = _load_model(args.model)
     print(f"model: {doc.name or args.model} ({len(aut.states)} states, "
@@ -75,18 +82,15 @@ def _cmd_diagnoser(args) -> int:
           f"{len(diag.transitions)} transitions")
     print(f"initial: {diag.initial}")
     if args.dot:
-        Path(args.dot).write_text(dotexport.export_diagnoser_dot(diag), encoding="utf-8")
+        _write(args.dot, dotexport.export_diagnoser_dot(diag))
         print(f"dot written to {args.dot}")
     return EXIT_OK
 
 
 def _cmd_synth(args) -> int:
     doc, aut, table = _load_model(args.model)
-    plant = diagnosis.build_labeled_plant(aut)
-    bts = synthesis.build_bts(plant)
-    deadlocks = synthesis.find_deadlocks(plant, bts)
-    bts_liv = synthesis.prune_live(bts, deadlocks)
-    result = synthesis.good_fixpoint(bts_liv, deadlocks, tie_break=args.tie_break)
+    run = synthesis.synthesize(diagnosis.build_labeled_plant(aut), args.tie_break)
+    bts, deadlocks, result = run.bts, run.deadlocks, run.result
     print("Y0: " + " ".join(str(y) for y in sorted(bts.initial, key=str)))
     print("Ym: " + " ".join(str(y) for y in sorted(bts.marked, key=str)))
     print(f"deadlock Z-states: {len(deadlocks)}")
@@ -94,12 +98,10 @@ def _cmd_synth(args) -> int:
     print(f"isolation bound: {result.isolation_bound if result.solvable else '-'}")
     print(f"solvable: {'yes' if result.solvable else 'no'}")
     if args.dot:
-        Path(args.dot).write_text(
-            dotexport.export_bts_dot(bts_liv, deadlocks=deadlocks, result=result),
-            encoding="utf-8")
+        _write(args.dot, dotexport.export_bts_dot(run.live, deadlocks, result))
         print(f"dot written to {args.dot}")
     try:
-        policy = synthesis.extract_supervisor(result, bts_liv)
+        policy = run.policy
     except SynthesisError as exc:
         for y, reasons in exc.bad_initials.items():
             print(f"not good: {y}")
@@ -112,7 +114,7 @@ def _cmd_synth(args) -> int:
     if args.out:
         sup_doc = modelio.supervisor_document(policy, doc, args.tie_break,
                                               result.isolation_bound)
-        Path(args.out).write_text(modelio.serialize_supervisor(sup_doc), encoding="utf-8")
+        _write(args.out, modelio.serialize_supervisor(sup_doc))
         print(f"supervisor written to {args.out}")
     return EXIT_OK
 

@@ -4,14 +4,19 @@
 twinned until the supervisor intervenes; it exercises every stage of the
 pipeline and is the worked example in the README.
 
-``three_lamps`` is an office-lighting case study: three lamps that can break
-down silently, a light-intensity sensor, and a polling cycle that forces a
-reading after every switching action or failure.  Which lamp failed can only
-be told apart by actively switching lamps off and watching the light level.
+``lamps(n)`` is the office-lighting case study scaled to ``n`` lamps: lamps
+that can break down silently while on, a light-intensity sensor, and a
+polling cycle that forces a reading after every switching action or failure.
+Which lamp failed can only be told apart by actively switching lamps off and
+watching the light level.  ``lamps(3)`` is the bundled
+``models/three_lamps.des``.
 """
 from __future__ import annotations
 
+from functools import reduce
+
 from .automata import Automaton, Event, EventTable, accessible_part, parallel_compose
+from .errors import InvalidArgumentError
 from .modelio import ModelDocument, serialize_model, to_system
 
 
@@ -49,97 +54,74 @@ def twin_branch() -> tuple[Automaton, EventTable]:
     return to_system(twin_branch_document())
 
 
-# -- three-lamp lighting case study ---------------------------------------------
+# -- the office-lighting case study, scaled to n lamps ---------------------------
 
-_LAMPS = ("a", "b", "c")
-_LEVELS = 4  # 0..3 lamps lit
+LAMP_NAMES = "abcdefgh"
 
 
-def _lamp(name: str) -> Automaton:
-    on, off, fault = f"{name}_on", f"{name}_off", f"{name}_f"
-    table = EventTable((
-        Event(on, observable=True, controllable=True, forcible=True),
-        Event(off, observable=True, controllable=True, forcible=True),
-        Event(fault, fault_type=_LAMPS.index(name) + 1),
-    ))
+def _lamp_events(i: int, name: str) -> tuple[Event, Event, Event]:
+    return (Event(f"{name}_on", observable=True, controllable=True, forcible=True),
+            Event(f"{name}_off", observable=True, controllable=True, forcible=True),
+            Event(f"{name}_f", fault_type=i + 1))
+
+
+def _lamp(i: int, name: str) -> Automaton:
+    on, off, fault = (e.name for e in _lamp_events(i, name))
     # a dead lamp still accepts switch commands; they just do nothing
-    trans = {
-        ("off", on): "on",
-        ("on", off): "off",
-        ("on", fault): "dead",
-        ("dead", on): "dead",
-        ("dead", off): "dead",
-    }
-    return Automaton(table, frozenset({"off", "on", "dead"}), "off", trans)
+    trans = {("off", on): "on", ("on", off): "off", ("on", fault): "dead",
+             ("dead", on): "dead", ("dead", off): "dead"}
+    return Automaton(EventTable(_lamp_events(i, name)), frozenset({"off", "on", "dead"}),
+                     "off", trans)
 
 
-def _single_fault_monitor() -> Automaton:
-    table = EventTable(tuple(
-        Event(f"{l}_f", fault_type=i + 1) for i, l in enumerate(_LAMPS)))
-    trans = {("m0", f"{l}_f"): f"m{l}" for l in _LAMPS}
-    states = frozenset({"m0"} | {f"m{l}" for l in _LAMPS})
-    return Automaton(table, states, "m0", trans)
+def _monitor(names: str) -> Automaton:
+    # at most one lamp fails per run
+    table = EventTable(tuple(_lamp_events(i, l)[2] for i, l in enumerate(names)))
+    trans = {("m0", f"{l}_f"): f"m{l}" for l in names}
+    return Automaton(table, frozenset({"m0"} | {f"m{l}" for l in names}), "m0", trans)
 
 
-def _poller() -> Automaton:
+def _poller(names: str) -> Automaton:
     # every switching action or failure forces one sensor reading before the
     # next action; which reading is possible is filtered in afterwards
-    events = []
-    for l in _LAMPS:
-        events.append(Event(f"{l}_on", observable=True, controllable=True, forcible=True))
-        events.append(Event(f"{l}_off", observable=True, controllable=True, forcible=True))
-        events.append(Event(f"{l}_f", fault_type=_LAMPS.index(l) + 1))
-    for k in range(_LEVELS):
+    events = [e for i, l in enumerate(names) for e in _lamp_events(i, l)]
+    trans = {("idle", e.name): "sense" for e in events}
+    for k in range(len(names) + 1):
         events.append(Event(f"e{k}", observable=True))
-    table = EventTable(tuple(events))
-    trans = {}
-    for l in _LAMPS:
-        trans[("idle", f"{l}_on")] = "sense"
-        trans[("idle", f"{l}_off")] = "sense"
-        trans[("idle", f"{l}_f")] = "sense"
-    for k in range(_LEVELS):
         trans[("sense", f"e{k}")] = "idle"
-    return Automaton(table, frozenset({"idle", "sense"}), "idle", trans)
+    return Automaton(EventTable(tuple(events)), frozenset({"idle", "sense"}), "idle", trans)
 
 
-def _lit_count(composite: str) -> int:
-    # composite names look like ((((a,b),c),m),p) with lamp states first
-    inner = composite.replace("(", "").replace(")", "").split(",")
-    return sum(1 for part in inner[:3] if part == "on")
-
-
-def three_lamps() -> tuple[Automaton, EventTable]:
-    """Compose lamps, single-fault monitor and polling cycle, then keep only
-    the sensor reading that matches each state's actual light level."""
-    plant = _lamp("a")
-    for component in (_lamp("b"), _lamp("c"), _single_fault_monitor(), _poller()):
-        plant = parallel_compose(plant, component)
+def lamps(n: int) -> Automaton:
+    """``n`` lamps, the single-fault monitor and the polling cycle composed,
+    keeping only the reading ``e<k>`` with ``k`` lamps lit; accessible part."""
+    if not 1 <= n <= len(LAMP_NAMES):
+        raise InvalidArgumentError(f"lamp count must be in 1..{len(LAMP_NAMES)}, got {n}")
+    names = LAMP_NAMES[:n]
+    parts = [_lamp(i, l) for i, l in enumerate(names)] + [_monitor(names), _poller(names)]
+    plant = reduce(parallel_compose, parts)
     trans = {}
     for (src, ev), dst in plant.transitions.items():
-        if ev.startswith("e") and ev[1:].isdigit():
-            if ev != f"e{_lit_count(src)}":
+        if ev[0] == "e" and ev[1:].isdigit():
+            # composite names nest as (((a,b),c),...); lamp states come first
+            lit = src.replace("(", "").replace(")", "").split(",")[:n].count("on")
+            if ev != f"e{lit}":
                 continue
         trans[(src, ev)] = dst
-    filtered = Automaton(plant.table, plant.states, plant.initial, trans)
-    aut = accessible_part(filtered)
-    return aut, aut.table
+    return accessible_part(Automaton(plant.table, plant.states, plant.initial, trans))
 
 
-def three_lamps_document() -> ModelDocument:
-    aut, table = three_lamps()
-    return ModelDocument(
-        name="three-lamps",
-        description="office lighting with silent lamp breakdowns and a "
-                    "polled intensity sensor",
-        events=table.events,
-        explicit_states=(),
-        initial=aut.initial,
-        transitions=tuple(sorted((s, e, d) for (s, e), d in aut.transitions.items())),
-    )
+def lamps_text(n: int, name: str, description: str) -> str:
+    """``lamps(n)`` in the model grammar, transitions sorted."""
+    aut = lamps(n)
+    return serialize_model(ModelDocument(
+        name, description, aut.table.events, (), aut.initial,
+        tuple(sorted((s, e, d) for (s, e), d in aut.transitions.items()))))
 
 
 def three_lamps_text() -> str:
-    return serialize_model(three_lamps_document())
+    return lamps_text(3, "three-lamps", "office lighting with silent lamp breakdowns "
+                      "and a polled intensity sensor")
 
 
 def twin_branch_text() -> str:

@@ -11,6 +11,7 @@ Pipeline: ``diagnosis.fault_frontier`` finds where supervision switches on,
 ``prune_live`` remove decisions that could block the plant, ``good_fixpoint``
 computes the states from which some decision policy forces a fault-class-pure
 estimate, and ``extract_supervisor`` packages the winning policy.
+``synthesize`` runs these stages in that order.
 """
 from __future__ import annotations
 
@@ -785,6 +786,29 @@ def extract_supervisor(result: SynthesisResult, bts_liv: BTSGraph) -> Supervisor
             f"no valid isolation supervisor: initial estimates not good: {names}",
             bad_initials=bad)
     return SupervisorPolicy(bts_liv.initial, dict(result.policy))
+
+
+class Synthesis:
+    """What ``synthesize`` built: the graph ``bts``, its ``deadlocks``, the
+    pruned graph ``live`` and the fixpoint ``result``.  ``policy`` raises
+    ``SynthesisError`` when unsolvable.  A plain class, like ``StateIndex``,
+    so that importing the package builds no extra dataclass."""
+
+    def __init__(self, bts: BTSGraph, deadlocks: AbstractSet[ZState], live: BTSGraph,
+                 result: SynthesisResult):
+        self.bts, self.deadlocks, self.live, self.result = bts, deadlocks, live, result
+
+    @cached_property
+    def policy(self) -> SupervisorPolicy:
+        return extract_supervisor(self.result, self.live)
+
+
+def synthesize(plant: LabeledPlant, tie_break: str = "default") -> Synthesis:
+    """``build_bts``, ``find_deadlocks``, ``prune_live``, then ``good_fixpoint``."""
+    bts = build_bts(plant)
+    deadlocks = find_deadlocks(plant, bts)
+    live = prune_live(bts, deadlocks)
+    return Synthesis(bts, deadlocks, live, good_fixpoint(live, deadlocks, tie_break))
 
 
 def policy_graph(plant: LabeledPlant, policy: SupervisorPolicy

@@ -29,12 +29,9 @@ def twin_bts(twin_plant):
 
 
 @pytest.fixture(scope="session")
-def twin_pipeline(twin_plant, twin_bts):
-    deadlocks = fi.find_deadlocks(twin_plant, twin_bts)
-    bts_liv = fi.prune_live(twin_bts, deadlocks)
-    result = fi.good_fixpoint(bts_liv, deadlocks)
-    policy = fi.extract_supervisor(result, bts_liv)
-    return deadlocks, bts_liv, result, policy
+def twin_pipeline(twin_plant):
+    run = fi.synthesize(twin_plant)
+    return run.deadlocks, run.live, run.result, run.policy
 
 
 def estimate(plant, *rendered):

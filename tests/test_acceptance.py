@@ -97,12 +97,10 @@ def test_c5_good_states(twin_pipeline):
 
 
 @criterion(6, "solvability and the documented tie-break")
-def test_c6_solvable_and_tie_break(twin_plant, twin_bts, twin_pipeline):
+def test_c6_solvable_and_tie_break(twin_plant, twin_pipeline):
     _, _, result, _ = twin_pipeline
     assert result.solvable
-    deadlocks = fi.find_deadlocks(twin_plant, twin_bts)
-    liv = fi.prune_live(twin_bts, deadlocks)
-    alt = fi.good_fixpoint(liv, deadlocks, tie_break="paper-example")
+    alt = fi.synthesize(twin_plant, tie_break="paper-example").result
     chosen = {str(y): str(d) for y, d in alt.policy.items()}
     assert chosen["{1F1,6F2}"] == "<o2,{}>"
 
@@ -149,11 +147,7 @@ def corpus_pipeline(corpus):
     for plant in corpus:
         row = {"plant": plant, "diagnosable": fi.check_diagnosability(plant).diagnosable}
         if row["diagnosable"]:
-            bts = fi.build_bts(plant)
-            deadlocks = fi.find_deadlocks(plant, bts)
-            liv = fi.prune_live(bts, deadlocks)
-            result = fi.good_fixpoint(liv, deadlocks)
-            row.update(bts=bts, deadlocks=deadlocks, liv=liv, result=result)
+            row["run"] = fi.synthesize(plant)
         rows.append(row)
     return rows
 
@@ -178,8 +172,8 @@ def test_c8b_deadlocks(corpus_pipeline):
         if not row["diagnosable"]:
             continue
         plants += 1
-        deadlocks = row["deadlocks"]
-        for z in row["bts"].z_states:
+        deadlocks = row["run"].deadlocks
+        for z in row["run"].bts.z_states:
             expected = brute_zstate_deadlock(row["plant"], z.estimate, z.decision)
             assert (z in deadlocks) == expected, str(z)
     assert plants >= 100
@@ -199,13 +193,12 @@ def test_c8c_good_states():
             continue
         if not fi.check_diagnosability(plant).diagnosable:
             continue
-        bts = fi.build_bts(plant)
-        liv = fi.prune_live(bts, fi.find_deadlocks(plant, bts))
+        run = fi.synthesize(plant)
+        liv = run.live
         oracle = oracle_good_states(liv, cap=20000)
         if oracle is None:
             continue
-        result = fi.good_fixpoint(liv)
-        assert oracle == set(result.good_y), names(liv.y_states)
+        assert oracle == set(run.result.good_y), names(liv.y_states)
         evaluated += 1
     assert evaluated >= 30
 
@@ -214,13 +207,13 @@ def test_c8c_good_states():
 def test_c8d_soundness(corpus_pipeline):
     solvable = 0
     for row in corpus_pipeline:
-        if not row["diagnosable"] or not row["result"].solvable:
+        if not row["diagnosable"] or not row["run"].result.solvable:
             continue
         solvable += 1
-        policy = fi.extract_supervisor(row["result"], row["liv"])
-        report = fi.verify_closed_loop(fi.build_closed_loop(row["plant"], policy))
-        assert report.live, names(row["liv"].initial)
-        assert report.isolatable, names(row["liv"].initial)
+        run = row["run"]
+        report = fi.verify_closed_loop(fi.build_closed_loop(row["plant"], run.policy))
+        assert report.live, names(run.live.initial)
+        assert report.isolatable, names(run.live.initial)
     assert solvable >= 40
 
 
@@ -236,10 +229,9 @@ def test_c8e_completeness():
         plant = fi.build_labeled_plant(aut)
         if not fi.check_diagnosability(plant).diagnosable:
             continue
-        bts = fi.build_bts(plant)
-        liv = fi.prune_live(bts, fi.find_deadlocks(plant, bts))
-        result = fi.good_fixpoint(liv)
-        if result.solvable:
+        run = fi.synthesize(plant)
+        liv = run.live
+        if run.result.solvable:
             continue
         enumerated = oracle_solvable(liv, cap=20000)
         if enumerated is None:
@@ -257,16 +249,13 @@ def test_c9_lamps():
     assert 30 <= len(aut.states) <= 45
     start = time.perf_counter()
     plant = fi.build_labeled_plant(aut)
-    bts = fi.build_bts(plant)
-    deadlocks = fi.find_deadlocks(plant, bts)
-    liv = fi.prune_live(bts, deadlocks)
-    result = fi.good_fixpoint(liv, deadlocks)
-    assert result.solvable
-    policy = fi.extract_supervisor(result, liv)
+    run = fi.synthesize(plant)
+    assert run.result.solvable
+    policy = run.policy
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"synthesis took {elapsed:.1f}s"
     report = fi.verify_closed_loop(fi.build_closed_loop(plant, policy))
     assert report.live
     assert report.isolatable
     assert not fi.check_isolatability(plant).isolatable  # control is essential
-    assert deadlocks  # the pruning stage genuinely fires here
+    assert run.deadlocks  # the pruning stage genuinely fires here

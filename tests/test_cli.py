@@ -227,3 +227,17 @@ def test_hostile_input_exit_code(supervisor_file, tmp_path, corrupt, command, co
                            str(sup), *command[1:]], capture_output=True, text=True)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", [["synth", "--out"], ["synth", "--dot"],
+                                     ["diagnoser", "--dot"]],
+                         ids=["synth-out", "synth-dot", "diagnoser-dot"])
+def test_unwritable_output_path(tmp_path, command):
+    # a missing parent directory, then an existing directory as the target
+    for target in (tmp_path / "missing" / "x.out", tmp_path):
+        proc = subprocess.run([sys.executable, "-m", "faultiso.cli", command[0], TWIN,
+                               command[1], str(target)], capture_output=True, text=True)
+        assert proc.returncode == cli.EXIT_MODEL, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: cannot write {target}: ")
+        assert proc.stderr.count("\n") == 1

@@ -1,9 +1,7 @@
 """Label automaton, estimates, diagnoser, diagnosability and isolatability."""
 from __future__ import annotations
 
-import importlib.util
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import faultiso as fi
 from faultiso import diagnosis, synthesis
 from faultiso.diagnosis import NORMAL, _bits
-from faultiso.gallery import three_lamps, twin_branch
+from faultiso.gallery import lamps, twin_branch
 from faultiso.errors import AssumptionError, ModelError, NotDiagnosableError
 
 from conftest import estimate, names
@@ -341,23 +339,14 @@ def test_diagnoser_matches_set_referee(seed):
     assert_matches_set_referee(fi.build_labeled_plant(random_plant(random.Random(seed))))
 
 
-def lamps_plant(n):
-    """The ``n``-lamp case study, from the benchmark's lamp ladder."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "lamps.py"
-    spec = importlib.util.spec_from_file_location("lamp_ladder", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return fi.build_labeled_plant(module.lamps(n))
-
-
 def test_diagnoser_matches_set_referee_three_lamps():
-    plant = fi.build_labeled_plant(three_lamps()[0])
+    plant = fi.build_labeled_plant(lamps(3))
     assert len(fi.build_diagnoser(plant).states) == 68
     assert not assert_matches_set_referee(plant).isolatable
 
 
 def test_diagnoser_matches_set_referee_six_lamps():
-    plant = lamps_plant(6)
+    plant = fi.build_labeled_plant(lamps(6))
     diag = plant.diagnoser
     assert (len(diag.states), len(diag.transitions)) == (2723, 9155)
     assert not assert_matches_set_referee(plant).isolatable

@@ -1,6 +1,7 @@
 """Model grammar, canonical serialisation, digests, supervisor documents."""
 from __future__ import annotations
 
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, strategies as st
 import faultiso as fi
 from faultiso import modelio
 from faultiso.errors import ModelError
-from faultiso.gallery import twin_branch_document, twin_branch_text
+from faultiso.gallery import lamps, lamps_text, twin_branch_document, twin_branch_text
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -30,10 +31,21 @@ def test_fixture_file_matches_builder():
     assert text == twin_branch_text()
 
 
-def test_lamps_file_matches_builder():
-    from faultiso.gallery import three_lamps_text
-    text = (MODELS / "three_lamps.des").read_text(encoding="utf-8")
-    assert text == three_lamps_text()
+def test_lamp_ladder_matches_benchmark_builder():
+    # the benchmark keeps its own copy of the builder; both write the same text
+    path = MODELS.parent / "perfbench" / "lamps.py"
+    spec = importlib.util.spec_from_file_location("perfbench_lamps", path)
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    for n in range(1, 7):
+        assert lamps_text(n, f"lamps{n}", f"{n} lamps") == ladder.lamps_text(
+            n, f"lamps{n}", f"{n} lamps"), n
+
+
+def test_lamp_count_out_of_range():
+    for n in (0, 9):
+        with pytest.raises(fi.InvalidArgumentError, match="lamp count must be in 1..8"):
+            lamps(n)
 
 
 def test_determinism_rejected():

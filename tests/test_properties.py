@@ -41,13 +41,11 @@ def synthesised(sample):
     for plant in sample:
         if not fi.check_diagnosability(plant).diagnosable:
             continue
-        bts = fi.build_bts(plant)
-        deadlocks = fi.find_deadlocks(plant, bts)
-        liv = fi.prune_live(bts, deadlocks)
-        result = fi.good_fixpoint(liv, deadlocks)
+        run = fi.synthesize(plant)
+        bts, deadlocks, liv, result = run.bts, run.deadlocks, run.live, run.result
         policies = []
         if result.solvable:
-            policies.append(fi.extract_supervisor(result, liv))
+            policies.append(run.policy)
         for source in (liv, bts):  # unpruned choices may hit deadlocks
             assignment = {y: rng.choice(source.decisions_of(y))
                           for y in source.y_states}

@@ -12,7 +12,7 @@ import faultiso as fi
 from faultiso.errors import InvalidArgumentError, NotDiagnosableError, SynthesisError
 from faultiso import synthesis
 from faultiso.dotexport import export_bts_dot
-from faultiso.gallery import three_lamps
+from faultiso.gallery import lamps
 from faultiso.synthesis import TIE_BREAK_MODES, ZState
 
 from conftest import estimate, names
@@ -303,18 +303,15 @@ def test_good_states_match_policy_enumeration(twin_pipeline):
 
 def test_unsolvable_variant(twin):
     aut = variant_without_enforceable_o3(twin)
-    plant = fi.build_labeled_plant(aut)
-    bts = fi.build_bts(plant)
-    deadlocks = fi.find_deadlocks(plant, bts)
-    liv = fi.prune_live(bts, deadlocks)
-    result = fi.good_fixpoint(liv, deadlocks)
+    run = fi.synthesize(fi.build_labeled_plant(aut))
+    result = run.result
     assert not result.solvable
     assert result.isolation_bound is None
     assert "{2F1,7F2}" not in names(result.good_y)
     with pytest.raises(SynthesisError) as exc:
-        fi.extract_supervisor(result, liv)
+        run.policy
     assert exc.value.bad_initials
-    enumerated = oracle_solvable(liv, cap=100000)
+    enumerated = oracle_solvable(run.live, cap=100000)
     assert enumerated is False
 
 
@@ -323,10 +320,7 @@ def test_solvability_flips_with_enforceability(twin, twin_pipeline):
     _, _, result, _ = twin_pipeline
     assert result.solvable
     aut = variant_without_enforceable_o3(twin)
-    plant = fi.build_labeled_plant(aut)
-    bts = fi.build_bts(plant)
-    liv = fi.prune_live(bts, fi.find_deadlocks(plant, bts))
-    assert not fi.good_fixpoint(liv).solvable
+    assert not fi.synthesize(fi.build_labeled_plant(aut)).result.solvable
 
 
 def test_extracted_policy_decisions(twin_pipeline):
@@ -339,15 +333,13 @@ def test_extracted_policy_decisions(twin_pipeline):
     assert by_name["{8F2}"] == "<~,{}>"
 
 
-def test_tie_break_paper_example_mode(twin_plant, twin_bts):
-    deadlocks = fi.find_deadlocks(twin_plant, twin_bts)
-    liv = fi.prune_live(twin_bts, deadlocks)
-    result = fi.good_fixpoint(liv, deadlocks, tie_break="paper-example")
-    by_name = {str(y): str(d) for y, d in result.policy.items()}
+def test_tie_break_paper_example_mode(twin_plant):
+    run = fi.synthesize(twin_plant, tie_break="paper-example")
+    by_name = {str(y): str(d) for y, d in run.result.policy.items()}
     assert by_name["{1F1,6F2}"] == "<o2,{}>"
     assert by_name["{3F1}"] == "<o1,{}>"  # prefers enforcing
     with pytest.raises(ValueError):
-        fi.good_fixpoint(liv, deadlocks, tie_break="nonsense")
+        fi.good_fixpoint(run.live, run.deadlocks, tie_break="nonsense")
 
 
 def test_absorbing_mixed_frontier_unsolvable():
@@ -361,12 +353,9 @@ def test_absorbing_mixed_frontier_unsolvable():
         ("0", "w"): "0", ("0", "f1"): "1", ("0", "f2"): "2",
         ("1", "o"): "1", ("2", "o"): "2",
     })
-    plant = fi.build_labeled_plant(aut)
-    bts = fi.build_bts(plant)
-    liv = fi.prune_live(bts, fi.find_deadlocks(plant, bts))
-    result = fi.good_fixpoint(liv)
-    assert not result.solvable
-    assert oracle_solvable(liv, cap=1000) is False
+    run = fi.synthesize(fi.build_labeled_plant(aut))
+    assert not run.result.solvable
+    assert oracle_solvable(run.live, cap=1000) is False
 
 
 def test_marked_frontier_zero_step():
@@ -375,13 +364,34 @@ def test_marked_frontier_zero_step():
                            fi.Event("o2", observable=True)))
     aut = fi.Automaton(table, frozenset({"0", "1"}), "0",
                        {("0", "f"): "1", ("0", "o1"): "0", ("1", "o2"): "1"})
-    plant = fi.build_labeled_plant(aut)
-    bts = fi.build_bts(plant)
-    liv = fi.prune_live(bts, fi.find_deadlocks(plant, bts))
-    result = fi.good_fixpoint(liv)
-    assert result.solvable and result.isolation_bound == 0
-    policy = fi.extract_supervisor(result, liv)
-    assert set(policy.decisions) >= set(bts.initial)
+    run = fi.synthesize(fi.build_labeled_plant(aut))
+    assert run.result.solvable and run.result.isolation_bound == 0
+    assert set(run.policy.decisions) >= set(run.bts.initial)
+
+
+@pytest.mark.parametrize("mode", TIE_BREAK_MODES)
+def test_synthesize_runs_the_stages_in_order(twin, mode):
+    for aut in (twin, variant_without_enforceable_o3(twin), lamps(3)):
+        plant = fi.build_labeled_plant(aut)
+        run = fi.synthesize(plant, tie_break=mode)
+        bts = fi.build_bts(plant)
+        deadlocks = fi.find_deadlocks(plant, bts)
+        live = fi.prune_live(bts, deadlocks)
+        result = fi.good_fixpoint(live, deadlocks, tie_break=mode)
+        assert (run.bts.y_states, tuple(run.bts.z_states)) == (bts.y_states, tuple(bts.z_states))
+        assert run.deadlocks == deadlocks and run.result.deadlocks is run.deadlocks
+        assert (run.live.y_states, tuple(run.live.z_states)) == (live.y_states,
+                                                                 tuple(live.z_states))
+        assert list(run.result.policy.items()) == list(result.policy.items())
+        assert (run.result.good_y, run.result.rounds, run.result.isolation_bound) == (
+            result.good_y, result.rounds, result.isolation_bound)
+        if result.solvable:
+            assert run.policy is run.policy
+            assert run.policy == fi.extract_supervisor(result, live)
+        else:
+            with pytest.raises(SynthesisError) as exc:
+                run.policy
+            assert exc.value.bad_initials
 
 
 def test_split_trace():
@@ -475,8 +485,8 @@ def test_id_index_matches_edge_maps(seed):
 
 
 def test_id_index_matches_edge_maps_three_lamps():
-    aut, _ = three_lamps()
-    assert assert_built_and_pruned_index_match(fi.build_labeled_plant(aut), random.Random(5)) > 0
+    assert assert_built_and_pruned_index_match(fi.build_labeled_plant(lamps(3)),
+                                               random.Random(5)) > 0
 
 
 def test_synthesis_never_materialises_edge_maps(monkeypatch, twin):
@@ -489,15 +499,12 @@ def test_synthesis_never_materialises_edge_maps(monkeypatch, twin):
         monkeypatch.setattr(view, "__getitem__", refuse)
     solved = []
     for aut in (twin, variant_without_enforceable_o3(twin)):
-        plant = fi.build_labeled_plant(aut)
-        bts = fi.build_bts(plant)
-        deadlocks = fi.find_deadlocks(plant, bts)
-        liv = fi.prune_live(bts, deadlocks)
-        result = fi.good_fixpoint(liv, deadlocks)
+        run = fi.synthesize(fi.build_labeled_plant(aut))
+        bts = run.bts
         assert len(bts.zy_edges) == sum(len(bts.observations_of(z)) for z in bts.z_states)
-        export_bts_dot(liv, deadlocks, result)
+        export_bts_dot(run.live, run.deadlocks, run.result)
         try:
-            fi.extract_supervisor(result, liv)
+            run.policy
             solved.append(True)
         except SynthesisError as exc:
             assert exc.bad_initials
@@ -512,19 +519,15 @@ def test_synthesis_builds_no_zstate(monkeypatch, twin):
         raise AssertionError("Z-state built on the synthesis path")
 
     monkeypatch.setattr(ZState, "__post_init__", refuse)
-    aut3, _ = three_lamps()
     solved = []
-    for aut in (twin, variant_without_enforceable_o3(twin), aut3):
-        plant = fi.build_labeled_plant(aut)
-        bts = fi.build_bts(plant)
-        deadlocks = fi.find_deadlocks(plant, bts)
-        liv = fi.prune_live(bts, deadlocks)
-        result = fi.good_fixpoint(liv, deadlocks)
-        sizes = [len(bts.y_states), len(bts.z_states), len(bts.zy_edges), len(deadlocks),
-                 len(liv.z_states), len(result.good_y), len(result.good_z)]
+    for aut in (twin, variant_without_enforceable_o3(twin), lamps(3)):
+        run = fi.synthesize(fi.build_labeled_plant(aut))
+        bts, result = run.bts, run.result
+        sizes = [len(bts.y_states), len(bts.z_states), len(bts.zy_edges), len(run.deadlocks),
+                 len(run.live.z_states), len(result.good_y), len(result.good_z)]
         assert all(sizes[:2]) and sizes[1] >= sizes[4] >= sizes[6]
         try:
-            fi.extract_supervisor(result, liv)
+            run.policy
             solved.append(True)
         except SynthesisError as exc:
             assert exc.bad_initials
@@ -591,8 +594,7 @@ def test_good_fixpoint_matches_round_scan(seed):
 
 
 def test_good_fixpoint_matches_round_scan_three_lamps():
-    aut, _ = three_lamps()
-    assert_matches_round_scan(*_live_graph(fi.build_labeled_plant(aut)))
+    assert_matches_round_scan(*_live_graph(fi.build_labeled_plant(lamps(3))))
 
 
 def assert_same_graph(g, ref):
@@ -665,8 +667,7 @@ def test_classes_match_per_decision_referee(seed):
 
 
 def test_classes_match_per_decision_referee_three_lamps():
-    aut, _ = three_lamps()
-    plant = fi.build_labeled_plant(aut)
+    plant = fi.build_labeled_plant(lamps(3))
     assert len(fi.build_bts(plant)._z_dec) < len(per_decision_bts(plant).z_states)
     assert assert_matches_per_decision(plant, random.Random(3)) > 0
 
