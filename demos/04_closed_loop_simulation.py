@@ -16,7 +16,7 @@ policy = fi.synthesize(plant).policy
 print("observation-by-observation replay of o2 o3 o1:")
 for st in fi.replay(plant, policy, ["o2", "o3", "o1"])[1:]:
     dec = f" decision {st.active_decision}" if st.active_decision else ""
-    print(f"  obs {st.observation_log[-1]}: {st.phase:<9} estimate {st.estimate}"
+    print(f"  obs {st.observation}: {st.phase:<9} estimate {st.estimate}"
           f"{dec} verdict {st.verdict}")
 print()
 

@@ -142,13 +142,14 @@ def _cmd_simulate(args) -> int:
 def _cmd_explain(args) -> int:
     plant, policy = _load_closed_loop(args.model, args.supervisor)
     observations = args.obs.split(",") if args.obs else []
-    states = runtime.replay(plant, policy, observations)
-    for obs, st in zip(observations, states[1:]):
+    st = runtime.initial_engine_state(plant)
+    for obs in observations:
+        st = runtime.engine_step(plant, policy, st, obs)
         dec = st.active_decision
         dec_text = f" decision={dec}" if dec is not None else ""
         print(f"obs {obs} -> estimate {st.estimate} phase={st.phase}"
               f"{dec_text} verdict={st.verdict}")
-    print(f"final verdict: {states[-1].verdict.isolation}")
+    print(f"final verdict: {st.verdict.isolation}")
     return EXIT_OK
 
 

@@ -18,15 +18,19 @@ def _quote(s: str) -> str:
 
 
 def export_diagnoser_dot(diag: Diagnoser) -> str:
+    # each estimate named once; sorted by its raw name, written quoted
+    order = sorted(diag.states, key=str)
+    name = {est: _quote(str(est)) for est in order}
+    rank = {est: i for i, est in enumerate(order)}
     lines = ["digraph diagnoser {", "  rankdir=LR;"]
-    for est in sorted(diag.states, key=str):
+    for est in order:
         attrs = ["shape=ellipse"]
         if est == diag.initial:
             attrs.append("color=blue")
-        lines.append(f"  {_quote(str(est))} [{', '.join(attrs)}];")
+        lines.append(f"  {name[est]} [{', '.join(attrs)}];")
     for (src, obs), dst in sorted(diag.transitions.items(),
-                                  key=lambda kv: (str(kv[0][0]), kv[0][1])):
-        lines.append(f"  {_quote(str(src))} -> {_quote(str(dst))} [label={_quote(obs)}];")
+                                  key=lambda kv: (rank[kv[0][0]], kv[0][1])):
+        lines.append(f"  {name[src]} -> {name[dst]} [label={_quote(obs)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

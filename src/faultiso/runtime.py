@@ -42,22 +42,20 @@ ISOLATION = "isolation"
 
 @dataclass(frozen=True)
 class EngineState:
-    """Supervisor-side view of a run: phase, current estimate, logs, verdict."""
+    """Supervisor-side view of a run: phase, estimate, verdict, the last
+    observation (``None`` initially) and the decision in force (``None``
+    during detection).  No log: ``replay``'s list of states is the history."""
 
     phase: str
     estimate: StateEstimate
-    observation_log: tuple[str, ...]
-    decision_log: tuple[ControlDecision, ...]
     verdict: DiagnosisVerdict
-
-    @property
-    def active_decision(self) -> Optional[ControlDecision]:
-        return self.decision_log[-1] if self.phase == ISOLATION else None
+    observation: Optional[str]
+    active_decision: Optional[ControlDecision]
 
 
 def initial_engine_state(plant: LabeledPlant) -> EngineState:
     est = plant.initial_estimate
-    return EngineState(DETECTION, est, (), (), classify(est))
+    return EngineState(DETECTION, est, classify(est), None, None)
 
 
 def engine_step(plant: LabeledPlant, policy: SupervisorPolicy,
@@ -80,14 +78,10 @@ def engine_step(plant: LabeledPlant, policy: SupervisorPolicy,
         est = plant.estimate_of(ids)
         verdict = classify(est)
         if verdict.detection == "F":
-            return EngineState(ISOLATION, est,
-                               state.observation_log + (obs,),
-                               state.decision_log + (policy.decision_for(est),),
-                               verdict)
-        return EngineState(DETECTION, est, state.observation_log + (obs,),
-                           state.decision_log, verdict)
+            return EngineState(ISOLATION, est, verdict, obs, policy.decision_for(est))
+        return EngineState(DETECTION, est, verdict, obs, None)
 
-    dec = state.decision_log[-1]
+    dec = state.active_decision
     if dec.enforce is not None and dec.enforce in plant.table.observable_events \
             and obs != dec.enforce:
         raise ProtocolError(f"decision {dec} enforces {dec.enforce} "
@@ -98,10 +92,7 @@ def engine_step(plant: LabeledPlant, policy: SupervisorPolicy,
     if nxt is None:
         raise ProtocolError(f"observation {obs} is infeasible at "
                             f"{state.estimate} under {dec}")
-    return EngineState(ISOLATION, nxt,
-                       state.observation_log + (obs,),
-                       state.decision_log + (policy.decision_for(nxt),),
-                       classify(nxt))
+    return EngineState(ISOLATION, nxt, classify(nxt), obs, policy.decision_for(nxt))
 
 
 def replay(plant: LabeledPlant, policy: SupervisorPolicy,
@@ -122,7 +113,10 @@ def isolation_agent(source: Union[Diagnoser, tuple], t: Sequence[str]) -> str:
     if isinstance(source, Diagnoser):
         return classify(source.walk(t)).isolation
     plant, policy = source
-    return replay(plant, policy, t)[-1].verdict.isolation
+    state = initial_engine_state(plant)
+    for obs in t:
+        state = engine_step(plant, policy, state, obs)
+    return state.verdict.isolation
 
 
 # -- closed-loop automaton -----------------------------------------------------

@@ -805,6 +805,8 @@ class Synthesis:
 
 def synthesize(plant: LabeledPlant, tie_break: str = "default") -> Synthesis:
     """``build_bts``, ``find_deadlocks``, ``prune_live``, then ``good_fixpoint``."""
+    if tie_break not in TIE_BREAK_MODES:
+        raise InvalidArgumentError(f"unknown tie-break mode: {tie_break}")
     bts = build_bts(plant)
     deadlocks = find_deadlocks(plant, bts)
     live = prune_live(bts, deadlocks)

@@ -142,10 +142,13 @@ def test_explain(capsys, supervisor_file):
 
 
 def test_explain_protocol_error(capsys, supervisor_file):
-    code, _, err = run_cli(capsys, "explain", TWIN, supervisor_file,
-                           "--obs", "o2,o4")
+    code, out, err = run_cli(capsys, "explain", TWIN, supervisor_file,
+                             "--obs", "o2,o4")
     assert code == cli.EXIT_PROTOCOL
     assert "runtime" in err
+    # lines stream as the engine steps: the accepted prefix is printed
+    assert out == ("obs o2 -> estimate {2F1,7F2} phase=isolation "
+                   "decision=<o3,{}> verdict=F/FU\n")
 
 
 def test_simulate_script_and_seed(capsys, supervisor_file):

@@ -1,11 +1,14 @@
 """Runtime engine, closed-loop construction, verification, simulation."""
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 import faultiso as fi
 from faultiso import diagnosis
 from faultiso.errors import ProtocolError, SchedulerError, SupervisorIntegrityError
+from faultiso.gallery import lamps
 from faultiso.modelio import parse_model
 
 from oracles import closed_loop_estimates, closed_loop_language, enumerate_language
@@ -93,6 +96,35 @@ def test_engine_estimates_match_literal_enumeration(twin_plant, twin_pipeline):
             continue
         states = fi.replay(twin_plant, policy, list(t))
         assert states[-1].estimate == expected, t
+
+
+def test_replay_memory_is_linear_in_the_observations():
+    # each state holds the last observation and the decision in force, not
+    # the run so far, so 2,000 states stay small (copied logs took ~32 MB)
+    plant = fi.build_labeled_plant(lamps(3))
+    policy = fi.synthesize(plant).policy
+    trace = fi.simulate(fi.build_closed_loop(plant, policy), 6000, seed=11)
+    observations = [line[4:] for line in trace.splitlines()
+                    if line.startswith("OBS ")][:2000]
+    assert len(observations) == 2000
+    fi.replay(plant, policy, observations[:50])  # warm the plant's caches
+    tracemalloc.start()
+    try:
+        states = fi.replay(plant, policy, observations)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000, f"replay of 2,000 observations peaked at {peak} bytes"
+    folded = fi.initial_engine_state(plant)
+    for obs in observations:
+        folded = fi.engine_step(plant, policy, folded, obs)
+    assert states[-1] == folded
+    assert states[0].observation is None
+    assert [st.observation for st in states[1:]] == observations
+    assert any(st.phase == "detection" for st in states[1:])
+    assert any(st.phase == "isolation" for st in states)
+    for st in states:
+        assert (st.active_decision is None) == (st.phase == "detection")
 
 
 def test_closed_loop_cuts_unobserved_branch(twin_plant, closed):
@@ -216,7 +248,7 @@ def test_bts_walk_matches_engine(twin_plant, twin_bts, twin_pipeline):
         switched = [st for st in states if st.phase == "isolation"]
         y = switched[0].estimate
         for st in switched[1:]:
-            obs = st.observation_log[-1]
+            obs = st.observation
             z = bts_liv.yz_edges[(y, policy.decision_for(y))]
             y = bts_liv.zy_edges[(z, obs)]
             assert y == st.estimate

@@ -342,6 +342,15 @@ def test_tie_break_paper_example_mode(twin_plant):
         fi.good_fixpoint(run.live, run.deadlocks, tie_break="nonsense")
 
 
+def test_synthesize_rejects_unknown_tie_break_before_building(twin_plant, monkeypatch):
+    def unreachable(plant):
+        raise AssertionError("build_bts ran before the tie-break was checked")
+
+    monkeypatch.setattr(synthesis, "build_bts", unreachable)
+    with pytest.raises(InvalidArgumentError, match="nonsense"):
+        fi.synthesize(twin_plant, "nonsense")
+
+
 def test_absorbing_mixed_frontier_unsolvable():
     # both classes loop on the same observation with nothing to enforce or
     # disable: the frontier estimate is an absorbing mixed self-loop
