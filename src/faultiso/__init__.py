@@ -36,6 +36,7 @@ from .diagnosis import (
     detection_agent,
     estimate_after,
     fault_frontier,
+    isolation_agent,
 )
 from .errors import (
     AssumptionError,
@@ -56,7 +57,6 @@ from .runtime import (
     build_closed_loop,
     engine_step,
     initial_engine_state,
-    isolation_agent,
     replay,
     simulate,
     verify_closed_loop,

@@ -534,3 +534,9 @@ def check_isolatability(plant: LabeledPlant) -> IsolatabilityReport:
 def detection_agent(diag: Diagnoser, t: Sequence[str]) -> str:
     """N, F, or U after observing ``t`` without control."""
     return classify(diag.walk(t)).detection
+
+
+def isolation_agent(diag: Diagnoser, t: Sequence[str]) -> str:
+    """FU or a specific fault label after observing ``t`` without control.
+    Under a supervisor the verdict is ``runtime.replay``'s last state's."""
+    return classify(diag.walk(t)).isolation

@@ -272,9 +272,9 @@ def load_supervisor(text: str, plant: LabeledPlant,
                     model_doc: ModelDocument) -> SupervisorPolicy:
     """Parse, bind to the model, and verify the policy is closed.
 
-    The document's hash must match the model; every estimate reachable from
-    the frontier under the policy must carry an explicit decision and its
-    decision must be feasible there.
+    The document's hash must match the model and list each estimate at most
+    once; every estimate reachable from the frontier under the policy must
+    carry an explicit decision and its decision must be feasible there.
     """
     doc = parse_supervisor(text)
     digest = model_digest(model_doc)
@@ -287,6 +287,8 @@ def load_supervisor(text: str, plant: LabeledPlant,
                 raise ModelError(f"supervisor references unknown labelled state {m}")
     decisions = {}
     for est, dec in doc.decisions:
+        if est in decisions:
+            raise ModelError(f"supervisor lists a decision for {est} twice")
         try:
             decisions[est] = canonical_decision(plant, dec.enforce, dec.disable)
         except (TypeError, ValueError) as exc:

@@ -15,11 +15,10 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 from .automata import Automaton
 from .diagnosis import (
-    Diagnoser,
     DiagnosisVerdict,
     LabeledPlant,
     StateEstimate,
@@ -102,21 +101,6 @@ def replay(plant: LabeledPlant, policy: SupervisorPolicy,
     for obs in observations:
         states.append(engine_step(plant, policy, states[-1], obs))
     return states
-
-
-def isolation_agent(source: Union[Diagnoser, tuple], t: Sequence[str]) -> str:
-    """Fault class after observing ``t``: ``FU`` or a specific label.
-
-    ``source`` is either an uncontrolled diagnoser, or a ``(plant, policy)``
-    pair whose estimates follow the controlled recursion of the engine.
-    """
-    if isinstance(source, Diagnoser):
-        return classify(source.walk(t)).isolation
-    plant, policy = source
-    state = initial_engine_state(plant)
-    for obs in t:
-        state = engine_step(plant, policy, state, obs)
-    return state.verdict.isolation
 
 
 # -- closed-loop automaton -----------------------------------------------------

@@ -129,41 +129,6 @@ class _ZSet(Set):
     __hash__ = Set._hash
 
 
-class _ZStates(Sequence):
-    """``z_states`` of a graph built by ``build_bts`` or ``prune_live``: the
-    Z-states per Y-state in decision order, expanded from the classes on
-    read.  Compares equal to the tuple of its members."""
-
-    def __init__(self, graph: BTSGraph):
-        self._graph, self._all = graph, _ZSet(graph)
-
-    @cached_property
-    def _tuple(self) -> tuple[ZState, ...]:
-        return tuple(self._all)
-
-    def __len__(self):
-        return len(self._all)
-
-    def __contains__(self, z):
-        return z in self._all
-
-    def __iter__(self):
-        return iter(self._all)
-
-    def __getitem__(self, k):
-        return self._tuple[k]
-
-    def __eq__(self, other):
-        if isinstance(other, (tuple, _ZStates)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    __hash__ = None
-
-    def __add__(self, other):
-        return tuple(self) + tuple(other)
-
-
 class _YZEdges(Mapping):
     """``yz_edges`` as a view: ``(y, decision) -> ZState(y, decision)``."""
 
@@ -210,7 +175,6 @@ class _ZYEdges(Mapping):
         return self._size
 
 
-@dataclass(frozen=True)
 class BTSGraph:
     """Bipartite transition system over Y-states and Z-states.
 
@@ -222,68 +186,25 @@ class BTSGraph:
     events, standing for the ``2 ** len(free)`` Z-states that add any subset
     of the free events to the disable set; all of them have the class's
     successors and deadlock status.  Y-states and classes are numbered by
-    position, and the synthesis stages work on those ids (``_CLASS_LISTS``).
-    ``build_bts`` and ``prune_live`` emit the class lists directly, and
-    ``z_states``, ``yz_edges`` and ``zy_edges`` are read-only views over
-    them: lengths come from the multiplicities, membership is a class
+    position, and the synthesis stages work on those ids.  ``build_bts`` and
+    ``prune_live`` build every graph from its class lists: per Y-state its
+    class ids; per class its owner's Y id, minimal decision, free events and
+    ``(obs, Y id)`` edges sorted by observation; and the deadlocked class
+    ids.  ``z_states``, ``yz_edges`` and ``zy_edges`` are read-only views
+    over them: lengths come from the multiplicities, membership is a class
     lookup, and members are expanded only when iterated.
-
-    The public six-field constructor keeps the states and edge maps it is
-    given and makes each Z-state a class of one; ``dataclasses.replace`` on
-    a built graph reuses its classes.  It raises ``InvalidArgumentError``
-    when an initial or marked estimate or an edge endpoint is not in the
-    graph.
     """
 
-    y_states: tuple[StateEstimate, ...]
-    z_states: Sequence[ZState]
-    yz_edges: Mapping[tuple[StateEstimate, ControlDecision], ZState]
-    zy_edges: Mapping[tuple[ZState, str], StateEstimate]
-    initial: frozenset[StateEstimate]
-    marked: frozenset[StateEstimate]
-
-    def __post_init__(self):
-        if len(self._y_id) != len(self.y_states):
-            raise InvalidArgumentError("duplicate Y-states")
-        src = getattr(self.z_states, "_graph", None)
-        if (isinstance(self.z_states, _ZStates) and self.yz_edges is src.yz_edges
-                and self.zy_edges is src.zy_edges and self.y_states == src.y_states):
-            self.__dict__.update((k, src.__dict__[k]) for k in _CLASS_LISTS)
-        else:
-            self.__dict__.update(zip(_CLASS_LISTS, self._index_given()))
-        for y in sorted(self.initial | self.marked, key=str):
-            self._require_y(y)
-
-    def _index_given(self):
-        """Class lists with one class per given Z-state."""
-        y_id = self._y_id
-        z_id = {z: j for j, z in enumerate(self.z_states)}
-        if len(z_id) != len(self.z_states):
-            raise InvalidArgumentError("duplicate Z-states")
-        z_owner = [self._require_y(z.estimate) for z in self.z_states]
-        for (y, _), z in self.yz_edges.items():
-            if y not in y_id or z not in z_id:
-                raise InvalidArgumentError(f"edge endpoint not in graph: {y} -> {z}")
-        z_obs: list[list[tuple[str, int]]] = [[] for _ in self.z_states]
-        for (z, obs), dst in self.zy_edges.items():
-            if z not in z_id or dst not in y_id:
-                raise InvalidArgumentError(f"edge endpoint not in graph: {z} -{obs}-> {dst}")
-            z_obs[z_id[z]].append((obs, y_id[dst]))
-        y_zs: list[list[int]] = [[] for _ in self.y_states]
-        for j, i in enumerate(z_owner):
-            y_zs[i].append(j)
-        return (y_zs, z_owner, [z.decision for z in self.z_states],
-                [frozenset()] * len(z_owner), [tuple(sorted(edges)) for edges in z_obs])
-
-    @classmethod
-    def _of_classes(cls, y_states, initial, marked, *class_lists) -> BTSGraph:
-        """A graph from its class lists (see ``_CLASS_LISTS``), the classes
-        of each Y-state numbered consecutively."""
-        g = object.__new__(cls)
-        g.__dict__.update(zip(_CLASS_LISTS, class_lists), y_states=y_states,
-                          initial=initial, marked=marked)
-        g.__dict__.update(z_states=_ZStates(g), yz_edges=_YZEdges(g), zy_edges=_ZYEdges(g))
-        return g
+    def __init__(self, y_states: tuple[StateEstimate, ...], initial: frozenset[StateEstimate],
+                 marked: frozenset[StateEstimate], y_zs: list[list[int]], z_owner: list[int],
+                 z_dec: list[ControlDecision], z_free: list[frozenset[str]],
+                 z_obs: list[tuple[tuple[str, int], ...]], z_dead: frozenset[int]):
+        self.y_states, self.initial, self.marked = y_states, initial, marked
+        self._y_zs, self._z_owner, self._z_dec, self._z_free = y_zs, z_owner, z_dec, z_free
+        self._z_obs, self._z_dead = z_obs, z_dead
+        self.z_states: AbstractSet[ZState] = _ZSet(self)
+        self.yz_edges: Mapping[tuple[StateEstimate, ControlDecision], ZState] = _YZEdges(self)
+        self.zy_edges: Mapping[tuple[ZState, str], StateEstimate] = _ZYEdges(self)
 
     @cached_property
     def _y_id(self) -> dict[StateEstimate, int]:
@@ -350,11 +271,6 @@ class BTSGraph:
         if c is None:
             raise InvalidArgumentError(f"Z-state not in graph: {z}")
         return tuple((obs, self.y_states[i]) for obs, i in self._z_obs[c])
-
-
-# per Y-state its class ids; per class its owner's Y id, minimal decision,
-# free events and (obs, Y id) edges sorted by observation
-_CLASS_LISTS = ("_y_zs", "_z_owner", "_z_dec", "_z_free", "_z_obs")
 
 
 def feasible_decisions(plant: LabeledPlant, est: StateEstimate) -> tuple[ControlDecision, ...]:
@@ -462,8 +378,9 @@ def build_bts(plant: LabeledPlant, max_states: int = 1_000_000) -> BTSGraph:
     minimal member, with the other controllable events free: it stands for
     ``2 ** len(free)`` Z-states.  An observable enforced event is a class of
     one.  Y-states and classes are numbered in the order the per-decision
-    expansion would discover them.  ``max_states`` caps the stored states:
-    Y-states plus classes.
+    expansion would discover them.  Each class's deadlock status (see
+    ``find_deadlocks``) is decided here, on the closure its effect releases.
+    ``max_states`` caps the stored states: Y-states plus classes.
     """
     y0 = fault_frontier(plant)
     table, trans = plant.table, plant.automaton.transitions
@@ -496,6 +413,7 @@ def build_bts(plant: LabeledPlant, max_states: int = 1_000_000) -> BTSGraph:
     z_dec: list[ControlDecision] = []
     z_free: list[frozenset[str]] = []
     z_obs: list[tuple[tuple[str, int], ...]] = []
+    z_dead: list[int] = []
 
     def edges_under(released, admitted, reached):
         for obs in admitted:
@@ -516,131 +434,81 @@ def build_bts(plant: LabeledPlant, max_states: int = 1_000_000) -> BTSGraph:
     for i, y in enumerate(y_order):  # grows as estimates are discovered: breadth-first
         ids = plant.ids_of(y)
         # per closure effect: the released states, the observations that can
-        # occur from them in name order, and the effect's classes
+        # occur from them in name order, the effect's classes, and the event
+        # sets of released states that a disable set can block entirely
         effects = []
         for ev in _enforceable(plant, ids):
             if ev in table.observable_events:
-                effects.append((ids, [ev], menu(ev, frozenset(), None)))
+                effects.append((ids, [ev], menu(ev, frozenset(), None), ()))
                 continue
             for part in unobs_parts:
                 released = _released(plant, ids, ControlDecision(ev, part))
                 active = frozenset().union(*map(active_at.__getitem__, released))
                 if part <= active:  # else its classes are listed under part & active
                     effects.append((released, sorted(active & table.observable_events),
-                                    menu(ev, part, active & ctrl)))
-        classes = sorted(((entry, e) for e, (_, _, entries) in enumerate(effects)
+                                    menu(ev, part, active & ctrl),
+                                    {active_at[q] for q in released if active_at[q] <= ctrl}))
+        classes = sorted(((entry, e) for e, (_, _, entries, _) in enumerate(effects)
                           for entry in entries), key=lambda m: m[0][0])
         # per effect: observation -> its (obs, Y id) edge, or None when it cannot occur
         reached: list[dict[str, Optional[tuple[str, int]]]] = [{} for _ in effects]
         y_zs.append(list(range(len(z_owner), len(z_owner) + len(classes))))
         for (_, dec, free), e in classes:  # minimal members in sort_key order
-            released, possible, _ = effects[e]
+            released, possible, _, blockable = effects[e]
+            if any(events <= dec.disable for events in blockable):
+                z_dead.append(len(z_owner))
             z_owner.append(i)
             z_dec.append(dec)
             z_free.append(free)
             z_obs.append(edges_under(released, [o for o in possible if o not in dec.disable],
                                      reached[e]))
     marked = frozenset(y for y in y_order if classify(y).isolation != "FU")
-    return BTSGraph._of_classes(tuple(y_order), frozenset(y0), marked,
-                                y_zs, z_owner, z_dec, z_free, z_obs)
+    return BTSGraph(tuple(y_order), frozenset(y0), marked,
+                    y_zs, z_owner, z_dec, z_free, z_obs, frozenset(z_dead))
 
 
 def find_deadlocks(plant: LabeledPlant, bts: BTSGraph) -> AbstractSet[ZState]:
-    """Z-states that can strand the plant before the next observation.
+    """Z-states of ``bts`` (built from ``plant``) that can strand the plant
+    before the next observation, as a read-only view of its deadlocked
+    classes.
 
-    An observable enforced event must be defined at every estimate member.
-    Otherwise the plant evolves freely under the disablement: after the
-    enforced event (if any) fires, every state reachable through undisabled
-    unobservable events must still have some undisabled event available --
-    with no unobservable cycles this is exactly the condition for an
-    observation to eventually occur on every branch.  The status is decided
-    once per class, on its minimal decision, and returned as a read-only
-    view of the deadlocked classes.
+    An observable enforced event is defined at every estimate member, so it
+    fires.  Otherwise the plant evolves freely under the disablement: after
+    the enforced event (if any) fires, every state reachable through
+    undisabled unobservable events must still have some undisabled event
+    available -- with no unobservable cycles this is exactly the condition
+    for an observation to eventually occur on every branch.  ``build_bts``
+    decides the status once per class, on its minimal decision.
     """
-    aut = plant.automaton
-    active = {q: frozenset(ev for ev, _ in aut.outgoing(q)) for q in aut.states}
-    table = plant.table
-    unobs_ctrl = table.unobservable_events & table.controllable_events
-    closures: dict[tuple, Optional[frozenset[str]]] = {}
-    dead = []
-    for c, (owner, dec) in enumerate(zip(bts._z_owner, bts._z_dec)):
-        key = (owner, dec.enforce, dec.disable & unobs_ctrl)
-        if key not in closures:
-            closures[key] = _released(plant, plant.ids_of(bts.y_states[owner]), dec)
-        released = closures[key]
-        if released is None or (dec.enforce not in table.observable_events
-                                and any(active[q] <= dec.disable for q in released)):
-            dead.append(c)
-    return _ZSet(bts, frozenset(dead))
-
-
-def _split(dec: ControlDecision, free: frozenset[str], removed
-           ) -> list[tuple[ControlDecision, frozenset[str]]]:
-    """The classes ``(minimal decision, free events)`` left of the class
-    ``(dec, free)`` once the members whose disable sets are in ``removed``
-    are dropped; ``removed=None`` drops them all."""
-    if removed is None or len(removed) == 1 << len(free):
-        return []
-    if not removed:
-        return [(dec, free)]
-    ev = min(free)
-    rest = free - {ev}
-    return (_split(dec, rest, {d for d in removed if ev not in d})
-            + _split(ControlDecision(dec.enforce, dec.disable | {ev}), rest,
-                     {d for d in removed if ev in d}))
+    return _ZSet(bts, bts._z_dead)
 
 
 def prune_live(bts: BTSGraph, deadlocks: AbstractSet[ZState]) -> BTSGraph:
     """Drop deadlock Z-states and keep the part accessible from the frontier.
 
-    ``deadlocks`` may be any set of the graph's Z-states.  A class it holds
-    whole is dropped, a class it cuts is split into classes it holds whole
-    or not at all, and the other classes are kept; the deadlock view of
-    ``find_deadlocks`` never cuts a class.  Doing nothing and disabling
-    nothing never deadlocks in a live plant, so no surviving Y-state is left
-    without a decision; InvalidArgumentError otherwise.
+    ``deadlocks`` is a class view of ``bts``: what ``find_deadlocks``
+    returns, or ``bts.z_states``.  An empty set drops nothing; any other set
+    raises InvalidArgumentError.  Doing nothing and disabling nothing never
+    deadlocks in a live plant, so no surviving Y-state is left without a
+    decision; InvalidArgumentError otherwise.
     """
     ys = bts.y_states
-    # class id -> disable sets of its dropped members, None when all are dropped
-    gone: dict[int, Optional[set[frozenset[str]]]] = {}
-    if isinstance(deadlocks, _ZSet) and deadlocks._graph._z_dec is bts._z_dec:
-        gone = dict.fromkeys(range(len(bts._z_dec)) if deadlocks._classes is None
-                             else deadlocks._classes)
+    if isinstance(deadlocks, _ZSet) and deadlocks._graph is bts:
+        gone = range(len(bts._z_dec)) if deadlocks._classes is None else deadlocks._classes
+    elif not deadlocks:
+        gone = ()
     else:
-        unknown = []
-        for z in deadlocks:
-            c = bts._class_of(z)
-            if c is None:
-                unknown.append(z)
-            else:
-                gone.setdefault(c, set()).add(z.decision.disable)
-        if unknown:
-            raise InvalidArgumentError(f"deadlocks not in graph: {min(unknown, key=str)}")
-    kept: list[int] = []  # per kept class, the id of the class it comes from
-    z_dec: list[ControlDecision] = []
-    z_free: list[frozenset[str]] = []
+        raise InvalidArgumentError("prune_live takes find_deadlocks(plant, bts) or "
+                                   "bts.z_states, not another set of Z-states")
+    kept: list[int] = []  # per kept class, its id in bts
 
     def live_successors(i):
-        before = len(kept)
-        steps = []
-        for c in bts._y_zs[i]:
-            if c not in gone:
-                kept.append(c)
-                z_dec.append(bts._z_dec[c])
-                z_free.append(bts._z_free[c])
-            else:
-                parts = _split(bts._z_dec[c], bts._z_free[c], gone[c])
-                if not parts:
-                    continue
-                for dec, free in parts:
-                    kept.append(c)
-                    z_dec.append(dec)
-                    z_free.append(free)
-            steps += bts._z_obs[c]
-        if len(kept) == before:
+        classes = [c for c in bts._y_zs[i] if c not in gone]
+        if not classes:
             raise InvalidArgumentError(f"estimate {ys[i]} lost all decisions; "
                                        "plant is not live")
-        return steps
+        kept.extend(classes)
+        return [edge for c in classes for edge in bts._z_obs[c]]
 
     roots = sorted((bts._y_id[y] for y in bts.initial), key=lambda i: str(ys[i]))
     live_y = sorted(reach(roots, live_successors))
@@ -650,12 +518,13 @@ def prune_live(bts: BTSGraph, deadlocks: AbstractSet[ZState]) -> BTSGraph:
     z_owner = [y_new[bts._z_owner[c]] for c in kept]
     for new, i in enumerate(z_owner):
         y_zs[i].append(new)
-    return BTSGraph._of_classes(
+    return BTSGraph(
         tuple(ys[i] for i in live_y), bts.initial,
         frozenset(m for m in bts.marked if bts._y_id[m] in y_new),
-        y_zs, z_owner, z_dec, z_free,
+        y_zs, z_owner, [bts._z_dec[c] for c in kept], [bts._z_free[c] for c in kept],
         [bts._z_obs[c] if same else tuple((obs, y_new[i]) for obs, i in bts._z_obs[c])
-         for c in kept])
+         for c in kept],
+        frozenset(new for new, c in enumerate(kept) if c in bts._z_dead))
 
 
 @dataclass(frozen=True)

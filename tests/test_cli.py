@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, DOT artifacts, reproducibility."""
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -219,8 +220,10 @@ def _edited(change):
     (_edited(lambda doc: doc["frontier"].append([["zz", "F1"]])),
      ["explain", "--obs", "o2"], cli.EXIT_MODEL),
     (lambda text: b"\xd0\x00", ["explain", "--obs", "o2"], cli.EXIT_MODEL),
+    (_edited(lambda doc: doc["decisions"].append(dict(doc["decisions"][0], enforce=None))),
+     ["explain", "--obs", "o2"], cli.EXIT_MODEL),
 ], ids=["unknown-observation", "zero-steps", "non-forcible-enforce", "string-disable",
-        "one-element-pair", "unknown-frontier-state", "not-utf8"])
+        "one-element-pair", "unknown-frontier-state", "not-utf8", "estimate-listed-twice"])
 def test_hostile_input_exit_code(supervisor_file, tmp_path, corrupt, command, code):
     sup = supervisor_file
     if corrupt is not None:
@@ -244,3 +247,40 @@ def test_unwritable_output_path(tmp_path, command):
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"error: cannot write {target}: ")
         assert proc.stderr.count("\n") == 1
+
+
+# sha256 of `faultiso synth` stdout (no --out or --dot), of the --out
+# supervisor document and of the --dot file, per bundled model and tie-break
+SYNTH_DIGESTS = {
+    ("twin_branch", "default"): (
+        "5f17c9459d26440c913b95db94a54b64a57dba719a30a09c50a9e097ad5b5e91",
+        "ecc50609de5fb73f2a0d321ccbdf669c72506d163068c689a8040950faa7f0aa",
+        "399782854c98d8721a8b2fe75930547e2bb37182280b0fecbd29f8bb3af575c3"),
+    ("twin_branch", "paper-example"): (
+        "a9a621be94117e36a385a7b8d7becb1d603aa6db58af3726e75cb78e094d2f85",
+        "47e4aaaf495f79ea289396688ce7b3ec39bc8506f5929dcf8893a652cec82b6b",
+        "6e85e1009b735700f37d1acbf29ad04e611ed946922285ce3176140f7ae60c38"),
+    ("three_lamps", "default"): (
+        "1e05a427f6cf1a524e7f79dfc03838da70e289e7054a42e19a60392aead99e58",
+        "eca8b20921cba945ec7ff0a414b57f35b1e9bbe41803572122b74c6dcdbf2b5e",
+        "a14a58ed429b82b3b6cbfe7993577f5bf781a417e145e88ccc70853fc06b2841"),
+    ("three_lamps", "paper-example"): (
+        "c0f5195c9747cec9e9871ead3e079d95817d5cd7007a2e0240cd9951ffb4cda3",
+        "b4ece5f114f8864d994d492bb6503fe25243a10babb115794f4cb0598956b63d",
+        "09e72995e9474ea6459de0863ae4e9fc85c853cf8296308805bf001154830057"),
+}
+
+
+@pytest.mark.parametrize("model, tie_break", list(SYNTH_DIGESTS))
+def test_synth_outputs_match_pinned_digests(capsys, tmp_path, model, tie_break):
+    argv = ["synth", str(MODELS / f"{model}.des")]
+    if tie_break != "default":
+        argv += ["--tie-break", tie_break]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    sup, dot = tmp_path / "sup.json", tmp_path / "bts.dot"
+    code, _, _ = run_cli(capsys, *argv, "--out", str(sup), "--dot", str(dot))
+    assert code == 0
+    digests = tuple(hashlib.sha256(data).hexdigest()
+                    for data in (out.encode("utf-8"), sup.read_bytes(), dot.read_bytes()))
+    assert digests == SYNTH_DIGESTS[(model, tie_break)]

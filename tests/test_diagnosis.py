@@ -232,9 +232,13 @@ def test_isolation_agent_uncontrolled(twin_diagnoser):
 
 def test_isolation_agent_closed_loop(twin_plant, twin_pipeline):
     _, _, _, policy = twin_pipeline
-    assert fi.isolation_agent((twin_plant, policy), ["o2", "o3", "o1"]) == "F1"
-    assert fi.isolation_agent((twin_plant, policy), ["o2", "o3", "o2"]) == "F2"
-    assert fi.isolation_agent((twin_plant, policy), ["o2"]) == "FU"
+
+    def isolation(t):
+        return fi.replay(twin_plant, policy, t)[-1].verdict.isolation
+
+    assert isolation(["o2", "o3", "o1"]) == "F1"
+    assert isolation(["o2", "o3", "o2"]) == "F2"
+    assert isolation(["o2"]) == "FU"
 
 
 def test_analyses_run_once_per_plant(monkeypatch):

@@ -196,17 +196,6 @@ def test_no_control_never_deadlocks(twin_plant, twin_bts):
             assert z not in deadlocks
 
 
-def test_enforced_undefined_is_deadlock(twin_plant, twin_bts):
-    # defence in depth: a Z-state whose commanded event is impossible at one
-    # member is flagged even though feasible_decisions would never emit it
-    est = estimate(twin_plant, "3:F1", "8:F2")
-    z = ZState(est, fi.ControlDecision("o1", frozenset()))
-    bts = fi.BTSGraph(twin_bts.y_states, twin_bts.z_states + (z,),
-                      {**twin_bts.yz_edges, (est, z.decision): z},
-                      dict(twin_bts.zy_edges), twin_bts.initial, twin_bts.marked)
-    assert z in fi.find_deadlocks(twin_plant, bts)
-
-
 def test_prune_live(twin_plant, twin_bts):
     deadlocks = fi.find_deadlocks(twin_plant, twin_bts)
     liv = fi.prune_live(twin_bts, deadlocks)
@@ -217,7 +206,7 @@ def test_prune_live(twin_plant, twin_bts):
 
 def test_prune_live_rejects_losing_every_decision(twin_bts):
     with pytest.raises(ValueError, match="lost all decisions"):
-        fi.prune_live(twin_bts, frozenset(twin_bts.z_states))
+        fi.prune_live(twin_bts, twin_bts.z_states)
 
 
 def test_prune_removes_unreachable():
@@ -413,30 +402,6 @@ def test_split_trace():
     assert split_trace(["o1", "o2"]) == ((), ("o1", "o2"))
 
 
-def test_bts_index_sorts_edges_given_out_of_order(twin_bts):
-    # the index orders decisions by sort_key and observations by name,
-    # whatever order the states and edges were given in
-    rng = random.Random(7)
-    ys, zs = list(twin_bts.y_states), list(twin_bts.z_states)
-    rng.shuffle(ys)
-    rng.shuffle(zs)
-    yz = dict(reversed(list(twin_bts.yz_edges.items())))
-    zy = dict(reversed(list(twin_bts.zy_edges.items())))
-    bts = fi.BTSGraph(tuple(ys), tuple(zs), yz, zy, twin_bts.initial, twin_bts.marked)
-    given_order = {y: [d for (y2, d) in yz if y2 == y] for y in ys}
-    assert any(decs != sorted(decs, key=fi.ControlDecision.sort_key)
-               for decs in given_order.values())
-    for y in ys:
-        assert bts.decisions_of(y) == tuple(
-            sorted(given_order[y], key=fi.ControlDecision.sort_key))
-        assert bts.decisions_of(y) == twin_bts.decisions_of(y)
-    for z in zs:
-        assert bts.observations_of(z) == tuple(
-            sorted((obs, dst) for (z2, obs), dst in zy.items() if z2 == z))
-        assert bts.observations_of(z) == twin_bts.observations_of(z)
-
-
-
 def expanded_view(g):
     """The graph as its callers read it: the states in order, each Y-state's
     decisions and each Z-state's ``(obs, Y-state)`` edges."""
@@ -460,24 +425,31 @@ def assert_index_matches_edge_maps(g):
         y: decs for y, decs in zip(g.y_states, view[2]) if decs}
     for (z, obs), dst in zy.items():
         assert g.zy_edges[(z, obs)] == dst
-    # indexing the materialised maps, one class per Z-state, reads the same
-    rebuilt = fi.BTSGraph(g.y_states, tuple(g.z_states), yz, zy, g.initial, g.marked)
-    assert expanded_view(rebuilt) == view
-    marked = replace(g, marked=frozenset(g.y_states[::2]))
+    marked = with_marked(g, frozenset(g.y_states[::2]))
     assert expanded_view(marked) == view
     assert (len(marked.z_states), len(marked.zy_edges)) == (len(yz), n_edges)
 
 
+def with_marked(g, marked):
+    """``g`` with another target set, built by the one constructor."""
+    return fi.BTSGraph(g.y_states, g.initial, marked, g._y_zs, g._z_owner, g._z_dec,
+                       g._z_free, g._z_obs, g._z_dead)
+
+
+def random_class_view(bts, rng):
+    """A class view of ``bts`` holding every class but one random class per
+    Y-state.  Pruning by it also drops the Y-states that only the other
+    classes reach, so the ids get renumbered."""
+    keep = {rng.choice(classes) for classes in bts._y_zs}
+    return synthesis._ZSet(bts, frozenset(range(len(bts._z_dec))) - keep)
+
+
 def assert_built_and_pruned_index_match(plant, rng):
-    """Returns how many Y-states an arbitrary pruning dropped."""
+    """Returns how many Y-states a random class pruning dropped."""
     bts = fi.build_bts(plant)
     assert_index_matches_edge_maps(bts)
     assert_index_matches_edge_maps(fi.prune_live(bts, fi.find_deadlocks(plant, bts)))
-    # keeping one random decision per Y-state also drops the Y-states that
-    # only the others reach, so the ids get renumbered
-    keep = {y: rng.choice(bts.decisions_of(y)) for y in bts.y_states}
-    dropped = frozenset(z for z in bts.z_states if keep[z.estimate] != z.decision)
-    pruned = fi.prune_live(bts, dropped)
+    pruned = fi.prune_live(bts, random_class_view(bts, rng))
     assert_index_matches_edge_maps(pruned)
     return len(bts.y_states) - len(pruned.y_states)
 
@@ -502,7 +474,6 @@ def test_synthesis_never_materialises_edge_maps(monkeypatch, twin):
     def refuse(self, *args):
         raise AssertionError("edge maps read on the synthesis path")
 
-    monkeypatch.setattr(fi.BTSGraph, "__post_init__", refuse)
     for view in (synthesis._YZEdges, synthesis._ZYEdges):
         monkeypatch.setattr(view, "__iter__", refuse)
         monkeypatch.setattr(view, "__getitem__", refuse)
@@ -545,21 +516,13 @@ def test_synthesis_builds_no_zstate(monkeypatch, twin):
     assert sizes[1] == 3397 and sizes[3] == 91  # three lamps
 
 
-def test_graph_rejects_states_it_does_not_hold(twin_plant, twin_bts, twin_pipeline):
+def test_graph_rejects_states_it_does_not_hold(twin_plant, twin_pipeline):
     _, liv, _, _ = twin_pipeline
     outside = twin_plant.initial_estimate
     assert outside not in liv.y_states
-    z0 = twin_bts.z_states[0]
-    yz, zy = dict(twin_bts.yz_edges), dict(twin_bts.zy_edges)
     calls = [
-        lambda: replace(liv, marked=frozenset([outside])),
-        lambda: replace(liv, initial=liv.initial | {outside}),
         lambda: liv.decisions_of(outside),
         lambda: liv.observations_of(ZState(outside, fi.NO_CONTROL)),
-        lambda: fi.BTSGraph(twin_bts.y_states, twin_bts.z_states, yz,
-                            {**zy, (z0, "o1"): outside}, twin_bts.initial, twin_bts.marked),
-        lambda: fi.BTSGraph(twin_bts.y_states, tuple(twin_bts.z_states)[1:], yz, zy,
-                            twin_bts.initial, twin_bts.marked),
     ]
     for call in calls:
         with pytest.raises(InvalidArgumentError):
@@ -599,7 +562,7 @@ def test_good_fixpoint_matches_round_scan(seed):
     # the game is defined for any target set; an arbitrary one also reaches
     # marked states whose decisions leave the marked set
     marked = frozenset(y for y in bts_liv.y_states if rng.random() < 0.3)
-    assert_matches_round_scan(replace(bts_liv, marked=marked), deadlocks)
+    assert_matches_round_scan(with_marked(bts_liv, marked), deadlocks)
 
 
 def test_good_fixpoint_matches_round_scan_three_lamps():
@@ -640,7 +603,8 @@ def assert_same_fixpoint(g, ref, deadlocks, ref_deadlocks):
 
 def assert_matches_per_decision(plant, rng):
     """Build, deadlocks, pruning and fixpoint on effect classes against the
-    per-decision referee; returns how many classes a random pruning cut."""
+    per-decision referee; returns how many Y-states a random class pruning
+    dropped."""
     bts, ref = fi.build_bts(plant), per_decision_bts(plant)
     assert_same_graph(bts, ref)
     deadlocks, ref_deadlocks = fi.find_deadlocks(plant, bts), per_decision_deadlocks(plant, ref)
@@ -650,18 +614,14 @@ def assert_matches_per_decision(plant, rng):
     assert_same_graph(live, ref_live)
     assert_same_fixpoint(live, ref_live, deadlocks, ref_deadlocks)
     marked = frozenset(y for y in ref_live.y_states if rng.random() < 0.3)
-    assert_same_fixpoint(replace(live, marked=marked), replace(ref_live, marked=marked),
+    assert_same_fixpoint(with_marked(live, marked), replace(ref_live, marked=marked),
                          deadlocks, ref_deadlocks)
-    # an arbitrary Z-state set cuts classes, which pruning splits
-    keep = {y: rng.choice(ref.decisions_of(y)) for y in ref.y_states}
-    dropped = frozenset(z for z in ref.z_states if keep[z.estimate] != z.decision)
-    pruned = fi.prune_live(bts, dropped)
-    assert_same_graph(pruned, per_decision_prune(ref, dropped))
+    dropped = random_class_view(bts, rng)
+    pruned, ref_pruned = fi.prune_live(bts, dropped), per_decision_prune(ref, frozenset(dropped))
+    assert_same_graph(pruned, ref_pruned)
+    assert fi.find_deadlocks(plant, pruned) == per_decision_deadlocks(plant, ref_pruned)
     assert not any(z in pruned.z_states for z in dropped)
-    members = {}
-    for z in ref.z_states:
-        members.setdefault(bts._class_of(z), set()).add(z in dropped)
-    return sum(len(kinds) == 2 for kinds in members.values())
+    return len(bts.y_states) - len(pruned.y_states)
 
 
 @settings(max_examples=60, deadline=None)
@@ -688,7 +648,9 @@ def test_boundary_errors_are_typed(twin_plant, twin_bts, twin_pipeline):
         lambda: fi.good_fixpoint(bts_liv, tie_break="nonsense"),
         lambda: fi.observable_reach(twin_plant, est,
                                     fi.ControlDecision("o3", frozenset()), "o3"),
-        lambda: fi.prune_live(twin_bts, frozenset(twin_bts.z_states)),
+        lambda: fi.prune_live(twin_bts, twin_bts.z_states),
+        lambda: fi.prune_live(twin_bts, frozenset(fi.find_deadlocks(twin_plant, twin_bts))),
+        lambda: fi.prune_live(bts_liv, fi.find_deadlocks(twin_plant, twin_bts)),
         lambda: twin_plant.table.require("zz"),
     ]
     for call in calls:
