@@ -6,11 +6,13 @@ pipeline), ``simulate`` (closed-loop runs) and ``explain`` (replay an
 observation sequence through the runtime engine).
 
 Exit codes: 0 success/solvable, 2 model error, 3 assumption failure,
-4 not diagnosable, 5 not solvable, 6 runtime protocol error.
+4 not diagnosable, 5 not solvable, 6 runtime protocol error; 141 when the
+reader of standard output closed it early.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -32,6 +34,7 @@ EXIT_ASSUMPTIONS = 3
 EXIT_NOT_DIAGNOSABLE = 4
 EXIT_NOT_SOLVABLE = 5
 EXIT_PROTOCOL = 6
+EXIT_BROKEN_PIPE = 141  # as for a process killed by SIGPIPE (128 + 13)
 
 
 def _load_model(path: str):
@@ -98,7 +101,8 @@ def _cmd_synth(args) -> int:
     print(f"isolation bound: {result.isolation_bound if result.solvable else '-'}")
     print(f"solvable: {'yes' if result.solvable else 'no'}")
     if args.dot:
-        _write(args.dot, dotexport.export_bts_dot(run.live, deadlocks, result))
+        # the pruned graph holds no deadlock Z-state, so none is drawn red
+        _write(args.dot, dotexport.export_bts_dot(run.live, result=result))
         print(f"dot written to {args.dot}")
     try:
         policy = run.policy
@@ -226,7 +230,22 @@ def main(argv=None) -> int:
 
 
 def entry():
-    raise SystemExit(main())
+    """Console entry point.  A reader that closes standard output early ends
+    the run quietly with ``EXIT_BROKEN_PIPE``; any other failure to write it
+    exits 2 with one ``error:`` line."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = EXIT_BROKEN_PIPE
+    except OSError as exc:
+        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+        code = EXIT_MODEL
+    else:
+        raise SystemExit(code)
+    # stdout is unusable: send it to devnull, so the flush at exit cannot fail again
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -52,7 +52,15 @@ class StateEstimate:
 
     @classmethod
     def of(cls, members: Iterable[LabeledState]) -> "StateEstimate":
-        return cls(tuple(sorted(set(members))))
+        return cls._of_sorted(tuple(sorted(set(members))))
+
+    @classmethod
+    def _of_sorted(cls, members: tuple[LabeledState, ...]) -> "StateEstimate":
+        """An estimate of members already sorted and unique, unchecked."""
+        est = object.__new__(cls)
+        object.__setattr__(est, "members", members)  # not __dict__: that doubles its size
+        object.__setattr__(est, "_hash", hash((members,)))
+        return est
 
     def __post_init__(self):
         if list(self.members) != sorted(set(self.members)):
@@ -374,7 +382,7 @@ def build_diagnoser(plant: LabeledPlant, max_states: int = 1_000_000) -> Diagnos
                         stats={"states": len(masks), "transitions": len(trans) + 1})
                 j = pos[nxt] = len(masks)
                 masks.append(nxt)
-                states.append(StateEstimate(tuple(members[b] for b in _bits(nxt))))
+                states.append(StateEstimate._of_sorted(tuple(members[b] for b in _bits(nxt))))
             trans[(states[i], obs)] = states[j]
             edges.append((obs, j))
         succ.append(tuple(edges))

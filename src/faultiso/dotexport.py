@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import AbstractSet, Mapping, Optional
 
 from .diagnosis import Diagnoser, StateEstimate
-from .synthesis import BTSGraph, SupervisorPolicy, SynthesisResult, ZState
+from .synthesis import BTSGraph, SupervisorPolicy, SynthesisResult, ZState, _ZSet
 
 
 def _quote(s: str) -> str:
@@ -35,19 +35,34 @@ def export_diagnoser_dot(diag: Diagnoser) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _member_test(zs: AbstractSet[ZState], bts: BTSGraph):
+    """``(y, decision, effect id, mask) -> bool``: whether that member of
+    ``bts`` is in ``zs``, read from the masks when ``zs`` is a view of
+    ``bts``."""
+    if isinstance(zs, _ZSet) and zs._graph is bts:
+        return lambda y, dec, e, mask: zs._holds(e, mask)
+    if not zs:
+        return lambda y, dec, e, mask: False
+    return lambda y, dec, e, mask: ZState(y, dec) in zs
+
+
 def export_bts_dot(bts: BTSGraph,
                    deadlocks: AbstractSet[ZState] = frozenset(),
                    result: Optional[SynthesisResult] = None) -> str:
     good_y = result.good_y if result else frozenset()
-    good_z = result.good_z if result else frozenset()
     policy = dict(result.policy) if result else {}
-    ys = sorted(bts.y_states, key=str)
-    name = {y: _quote(str(y)) for y in ys}
-    # per Y-state by name, its Z-states in decision order: each built and named once
-    rows = [(y, [(dec, z, _quote(str(z))) for dec in bts.decisions_of(y)
-                 for z in (ZState(y, dec),)]) for y in ys]
+    is_dead = _member_test(deadlocks, bts)
+    is_good = _member_test(result.good_z if result else frozenset(), bts)
+    texts = [str(y) for y in bts.y_states]
+    name_of = [_quote(text) for text in texts]
+    ys = sorted(range(len(texts)), key=texts.__getitem__)
+    # per Y-state by name, its members in decision order: each named once
+    rows = [(i, [(dec, e, mask, _quote(dec_text), _quote(f"({texts[i]},{dec_text})"))
+                 for dec, e, mask in bts._members_of(i) for dec_text in (str(dec),)])
+            for i in ys]
     lines = ["digraph bts {", "  rankdir=LR;"]
-    for y in ys:
+    for i in ys:
+        y = bts.y_states[i]
         attrs = ["shape=ellipse"]
         if y in bts.initial:
             attrs.append("color=blue")
@@ -55,25 +70,27 @@ def export_bts_dot(bts: BTSGraph,
             attrs.append("color=green")
         if y in good_y:
             attrs.append('style=filled, fillcolor=lightblue')
-        lines.append(f"  {name[y]} [{', '.join(attrs)}];")
-    for _, row in rows:
-        for _, z, z_name in row:
+        lines.append(f"  {name_of[i]} [{', '.join(attrs)}];")
+    for i, row in rows:
+        y = bts.y_states[i]
+        for dec, e, mask, _, z_name in row:
             attrs = ["shape=box"]
-            if z in deadlocks:
+            if is_dead(y, dec, e, mask):
                 attrs.append("color=red")
-            if z in good_z:
+            if is_good(y, dec, e, mask):
                 attrs.append('style=filled, fillcolor=lightblue')
             lines.append(f"  {z_name} [{', '.join(attrs)}];")
-    for y, row in rows:
-        for dec, _, z_name in row:
-            attrs = [f"label={_quote(str(dec))}"]
-            if policy.get(y) == dec:
+    for i, row in rows:
+        chosen = policy.get(bts.y_states[i])
+        for dec, _, _, label, z_name in row:
+            attrs = [f"label={label}"]
+            if chosen == dec:
                 attrs.append("color=red, penwidth=2")
-            lines.append(f"  {name[y]} -> {z_name} [{', '.join(attrs)}];")
+            lines.append(f"  {name_of[i]} -> {z_name} [{', '.join(attrs)}];")
     for _, row in rows:
-        for _, z, z_name in row:
-            for obs, dst in bts.observations_of(z):
-                lines.append(f"  {z_name} -> {name[dst]} [label={_quote(obs)}];")
+        for _, e, mask, _, z_name in row:
+            for obs, j in bts._effects[e].edges_under(mask):
+                lines.append(f"  {z_name} -> {name_of[j]} [label={_quote(obs)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

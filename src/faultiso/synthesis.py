@@ -94,39 +94,131 @@ class ZState:
         return f"({self.estimate},{self.decision})"
 
 
-class _ZSet(Set):
-    """Read-only set of the Z-states of some classes of a graph (all of them
-    for ``classes=None``).
+def _count_subsets(n: int, blockers: Sequence[int], must: int = 0,
+                   blocked: Optional[bool] = None) -> int:
+    """How many subsets of ``n`` bits contain ``must``: all of them
+    (``blocked=None``), those that contain some blocker mask (``True``) or
+    those that contain none (``False``).  Inclusion-exclusion over the
+    blockers, with terms of equal union merged."""
+    total = 1 << (n - must.bit_count())
+    if blocked is None:
+        return total
+    terms = {must: 1}  # union of chosen blockers (and must) -> signed coefficient
+    for b in blockers:
+        for m, c in list(terms.items()):
+            terms[m | b] = terms.get(m | b, 0) - c
+    unblocked = sum(c << (n - m.bit_count()) for m, c in terms.items())
+    return total - unblocked if blocked else unblocked
 
-    Its length comes from the class multiplicities and membership is one
-    class lookup; members are built only when a caller iterates, in
-    ``z_states`` order.
+
+class _Effect:
+    """One closure effect of a Y-state: an enforced event plus the
+    unobservable part of a disable set.  ``bits`` maps each relevant
+    controllable observable event (sorted) to its bit; a mask over them
+    picks the member decisions that also disable those events, with any
+    subset of the ``free`` events, which change nothing.
+    ``edges`` are the ``(obs, Y id)`` successors of the minimal decision
+    ``dec``, sorted by observation; every relevant event has one.
+    ``blockers`` is the antichain of minimal masks whose disabling
+    deadlocks the plant: ``(0,)`` when ``dec`` already does."""
+
+    __slots__ = ("owner", "dec", "bits", "free", "edges", "blockers")
+
+    def __init__(self, owner: int, dec: ControlDecision, bits: dict[str, int],
+                 free: frozenset[str], edges: tuple[tuple[str, int], ...],
+                 blockers: tuple[int, ...]):
+        self.owner, self.dec, self.bits, self.free = owner, dec, bits, free
+        self.edges, self.blockers = edges, blockers
+
+    def blocked(self, mask: int) -> bool:
+        return any(b & mask == b for b in self.blockers)
+
+    def silent(self, mask: int) -> bool:
+        """Whether the member admits no observation at all."""
+        return len(self.edges) == len(self.bits) and mask == (1 << len(self.bits)) - 1
+
+    def decision(self, mask: int) -> ControlDecision:
+        if not mask:
+            return self.dec
+        return ControlDecision(self.dec.enforce, self.dec.disable.union(
+            ev for ev, bit in self.bits.items() if bit & mask))
+
+    def edges_under(self, mask: int) -> list[tuple[str, int]]:
+        bits = self.bits
+        return [edge for edge in self.edges if not bits.get(edge[0], 0) & mask]
+
+
+class _ZSet(Set):
+    """Read-only set of the Z-states a graph holds in some of its effects
+    (all of them for ``effects=None``).
+
+    Its length comes from closed-form counts per effect and membership is
+    one effect lookup; members are built only when a caller iterates, in
+    ``z_states`` order.  Subclasses narrow the members of each effect.
     """
 
-    def __init__(self, graph: BTSGraph, classes: Optional[frozenset[int]] = None):
-        self._graph, self._classes = graph, classes
+    def __init__(self, graph: BTSGraph, ids: Optional[frozenset[int]] = None):
+        self._graph, self._ids = graph, ids
 
     @classmethod
     def _from_iterable(cls, items):
         return frozenset(items)
 
+    def _take(self, e: int, mask: int) -> bool:
+        """Whether the graph's member ``mask`` of effect ``e`` is in the set."""
+        return True
+
+    def _count(self, e: int) -> int:
+        return self._graph._count(e)
+
+    def _holds(self, e: int, mask: int) -> bool:
+        return (self._ids is None or e in self._ids) and self._take(e, mask)
+
     @cached_property
     def _size(self) -> int:
-        free = self._graph._z_free
-        return sum(1 << len(free[c]) for c in (
-            range(len(free)) if self._classes is None else self._classes))
+        ids = range(len(self._graph._effects)) if self._ids is None else self._ids
+        return sum(map(self._count, ids))
 
     def __len__(self):
         return self._size
 
     def __contains__(self, z):
-        c = self._graph._class_of(z)
-        return c is not None and (self._classes is None or c in self._classes)
+        at = self._graph._locate(z)
+        return at is not None and self._holds(*at)
 
     def __iter__(self):
-        return (z for z, _ in self._graph._expand(self._classes))
+        return (z for z, _, _ in self._graph._expand(self._ids, self._take))
 
     __hash__ = Set._hash
+
+
+class _Deadlocks(_ZSet):
+    """The deadlocked Z-states of a graph."""
+
+    def _take(self, e, mask):
+        return self._graph._effects[e].blocked(mask)
+
+    def _count(self, e):
+        return self._graph._count(e, dead=True)
+
+
+class _GoodZ(_ZSet):
+    """The good Z-states: per good effect, the members that disable at
+    least the relevant events in ``must[e]`` and admit some observation."""
+
+    def __init__(self, graph: BTSGraph, must: dict[int, int]):
+        super().__init__(graph, frozenset(must))
+        self._must = must
+
+    def _take(self, e, mask):
+        must = self._must[e]
+        return mask & must == must and not self._graph._effects[e].silent(mask)
+
+    def _count(self, e):
+        g, eff = self._graph, self._graph._effects[e]
+        full = (1 << len(eff.bits)) - 1
+        silent = eff.silent(full) and g._holds(e, full)
+        return g._count(e, self._must[e]) - (silent << len(eff.free))
 
 
 class _YZEdges(Mapping):
@@ -142,7 +234,7 @@ class _YZEdges(Mapping):
         return z
 
     def __iter__(self):
-        return ((z.estimate, z.decision) for z, _ in self._graph._expand())
+        return ((z.estimate, z.decision) for z, _, _ in self._graph._expand())
 
     def __len__(self):
         return len(self._graph.z_states)
@@ -156,20 +248,23 @@ class _ZYEdges(Mapping):
 
     def __getitem__(self, key):
         g = self._graph
-        c = g._class_of(key[0]) if isinstance(key, tuple) and len(key) == 2 else None
-        for obs, i in () if c is None else g._z_obs[c]:
+        at = g._locate(key[0]) if isinstance(key, tuple) and len(key) == 2 else None
+        for obs, i in () if at is None else g._effects[at[0]].edges_under(at[1]):
             if obs == key[1]:
                 return g.y_states[i]
         raise KeyError(key)
 
     def __iter__(self):
-        z_obs = self._graph._z_obs
-        return ((z, obs) for z, c in self._graph._expand() for obs, _ in z_obs[c])
+        effects = self._graph._effects
+        return ((z, obs) for z, e, mask in self._graph._expand()
+                for obs, _ in effects[e].edges_under(mask))
 
     @cached_property
     def _size(self) -> int:
+        # every member admits all of its effect's edges but one per event it disables
         g = self._graph
-        return sum(len(edges) << len(free) for edges, free in zip(g._z_obs, g._z_free))
+        return sum(len(eff.edges) * g._count(e) - sum(g._count(e, b) for b in eff.bits.values())
+                   for e, eff in enumerate(g._effects))
 
     def __len__(self):
         return self._size
@@ -182,26 +277,23 @@ class BTSGraph:
     ``yz_edges[(y, c)]`` is structurally ``ZState(y, c)``; every
     ``zy_edges[(z, obs)]`` is the observable reach of ``z`` under ``obs``.
 
-    Z-states are stored by *class*: a minimal decision plus a set of free
-    events, standing for the ``2 ** len(free)`` Z-states that add any subset
-    of the free events to the disable set; all of them have the class's
-    successors and deadlock status.  Y-states and classes are numbered by
-    position, and the synthesis stages work on those ids.  ``build_bts`` and
-    ``prune_live`` build every graph from its class lists: per Y-state its
-    class ids; per class its owner's Y id, minimal decision, free events and
-    ``(obs, Y id)`` edges sorted by observation; and the deadlocked class
-    ids.  ``z_states``, ``yz_edges`` and ``zy_edges`` are read-only views
-    over them: lengths come from the multiplicities, membership is a class
-    lookup, and members are expanded only when iterated.
+    Z-states are stored one ``_Effect`` per enforced event and unobservable
+    disable part of each Y-state (see ``build_bts``).  A Z-state is an
+    effect plus a mask of disabled relevant events: it admits the effect's
+    edges whose event is not in the mask, and deadlocks when a blocker lies
+    inside it.  A ``live`` graph, which ``prune_live`` builds from a
+    deadlock view, holds only the members that do not deadlock.  Y-states
+    and effects are numbered by position, and the synthesis stages work on
+    those ids.  ``z_states``, ``yz_edges`` and ``zy_edges`` are read-only
+    views: lengths are closed-form counts over the effects, membership is
+    an effect lookup, and members are expanded only when iterated.
     """
 
     def __init__(self, y_states: tuple[StateEstimate, ...], initial: frozenset[StateEstimate],
-                 marked: frozenset[StateEstimate], y_zs: list[list[int]], z_owner: list[int],
-                 z_dec: list[ControlDecision], z_free: list[frozenset[str]],
-                 z_obs: list[tuple[tuple[str, int], ...]], z_dead: frozenset[int]):
+                 marked: frozenset[StateEstimate], y_effects: list[Sequence[int]],
+                 effects: list[_Effect], live: bool = False):
         self.y_states, self.initial, self.marked = y_states, initial, marked
-        self._y_zs, self._z_owner, self._z_dec, self._z_free = y_zs, z_owner, z_dec, z_free
-        self._z_obs, self._z_dead = z_obs, z_dead
+        self._y_effects, self._effects, self._live = y_effects, effects, live
         self.z_states: AbstractSet[ZState] = _ZSet(self)
         self.yz_edges: Mapping[tuple[StateEstimate, ControlDecision], ZState] = _YZEdges(self)
         self.zy_edges: Mapping[tuple[ZState, str], StateEstimate] = _ZYEdges(self)
@@ -216,61 +308,71 @@ class BTSGraph:
             raise InvalidArgumentError(f"estimate not in graph: {y}")
         return i
 
-    @cached_property
-    def _class_index(self) -> tuple[dict, list[set[frozenset[str]]]]:
-        """``(Y id, enforced event, minimal disable set) -> class id``, and the
-        distinct free-event sets per Y id."""
-        index, frees = {}, [set() for _ in self.y_states]
-        for c, (i, dec, free) in enumerate(zip(self._z_owner, self._z_dec, self._z_free)):
-            index[(i, dec.enforce, dec.disable)] = c
-            frees[i].add(free)
-        return index, frees
+    def _holds(self, e: int, mask: int) -> bool:
+        """Whether member ``mask`` of effect ``e`` is in the graph."""
+        return not (self._live and self._effects[e].blocked(mask))
 
-    def _class_of(self, z) -> Optional[int]:
-        """The id of the class holding ``z``, or ``None`` when ``z`` is not a
+    def _count(self, e: int, must: int = 0, dead: bool = False) -> int:
+        """How many Z-states of effect ``e`` the graph holds whose mask
+        contains ``must`` (only the deadlocked ones for ``dead``)."""
+        eff = self._effects[e]
+        if dead and self._live:
+            return 0
+        blocked = True if dead else False if self._live else None
+        return _count_subsets(len(eff.bits), eff.blockers, must, blocked) << len(eff.free)
+
+    def _locate(self, z) -> Optional[tuple[int, int]]:
+        """``(effect id, mask)`` of ``z``, or ``None`` when ``z`` is not a
         Z-state of the graph."""
         i = self._y_id.get(z.estimate) if isinstance(z, ZState) else None
         if i is None:
             return None
-        index, frees = self._class_index
         dec = z.decision
-        for free in frees[i]:  # classes are disjoint, so at most one matches
-            c = index.get((i, dec.enforce, dec.disable - free))
-            if c is not None and self._z_free[c] == free:
-                return c
+        for e in self._y_effects[i]:
+            eff = self._effects[e]
+            if (eff.dec.enforce == dec.enforce
+                    and dec.disable.difference(eff.free, eff.bits) == eff.dec.disable):
+                mask = sum(bit for ev, bit in eff.bits.items() if ev in dec.disable)
+                return (e, mask) if self._holds(e, mask) else None
         return None
 
-    def _members_of(self, i: int) -> list[tuple[ControlDecision, int]]:
-        """``(decision, class id)`` for every Z-state of Y id ``i``, in
-        decision ``sort_key`` order."""
+    def _members_of(self, i: int) -> list[tuple[ControlDecision, int, int]]:
+        """``(decision, effect id, mask)`` for every Z-state of Y id ``i``,
+        in decision ``sort_key`` order."""
         out = []
-        for c in self._y_zs[i]:
-            dec = self._z_dec[c]
-            out.append((dec, c))
-            out += [(ControlDecision(dec.enforce, dec.disable | extra), c)
-                    for extra in _all_subsets(sorted(self._z_free[c]))[1:]]
+        for e in self._y_effects[i]:
+            eff = self._effects[e]
+            extras = _all_subsets(sorted(eff.free))
+            for mask in range(1 << len(eff.bits)):
+                if self._holds(e, mask):
+                    dec = eff.decision(mask)
+                    out.append((dec, e, mask))
+                    out += [(ControlDecision(dec.enforce, dec.disable | extra), e, mask)
+                            for extra in extras[1:]]
         out.sort(key=lambda m: m[0].sort_key())
         return out
 
-    def _expand(self, classes: Optional[frozenset[int]] = None):
-        """``(Z-state, class id)`` for every member of ``classes`` (default
-        all), Y-states in the order of their first class id."""
-        owners = self._z_owner if classes is None else map(self._z_owner.__getitem__,
-                                                           sorted(classes))
+    def _expand(self, ids: Optional[frozenset[int]] = None, take=None):
+        """``(Z-state, effect id, mask)`` for every member of the effects
+        ``ids`` (default all) that ``take`` accepts, Y-states in the order of
+        their first effect id."""
+        owners = (eff.owner for eff in self._effects) if ids is None else (
+            self._effects[e].owner for e in sorted(ids))
         for i in dict.fromkeys(owners):
             y = self.y_states[i]
-            for dec, c in self._members_of(i):
-                if classes is None or c in classes:
-                    yield ZState(y, dec), c
+            for dec, e, mask in self._members_of(i):
+                if (ids is None or e in ids) and (take is None or take(e, mask)):
+                    yield ZState(y, dec), e, mask
 
     def decisions_of(self, y: StateEstimate) -> tuple[ControlDecision, ...]:
-        return tuple(dec for dec, _ in self._members_of(self._require_y(y)))
+        return tuple(dec for dec, _, _ in self._members_of(self._require_y(y)))
 
     def observations_of(self, z: ZState) -> tuple[tuple[str, StateEstimate], ...]:
-        c = self._class_of(z)
-        if c is None:
+        at = self._locate(z)
+        if at is None:
             raise InvalidArgumentError(f"Z-state not in graph: {z}")
-        return tuple((obs, self.y_states[i]) for obs, i in self._z_obs[c])
+        return tuple((obs, self.y_states[i])
+                     for obs, i in self._effects[at[0]].edges_under(at[1]))
 
 
 def feasible_decisions(plant: LabeledPlant, est: StateEstimate) -> tuple[ControlDecision, ...]:
@@ -362,6 +464,15 @@ def observable_reach(plant: LabeledPlant, est: StateEstimate,
     return plant.estimate_of(after) if after else None
 
 
+def _antichain(masks: Iterable[int]) -> tuple[int, ...]:
+    """The minimal masks among ``masks``, fewest bits first."""
+    out: list[int] = []
+    for m in sorted(set(masks), key=int.bit_count):
+        if not any(b & m == b for b in out):
+            out.append(m)
+    return tuple(out)
+
+
 def build_bts(plant: LabeledPlant, max_states: int = 1_000_000) -> BTSGraph:
     """Expand the bipartite transition system from the certainty frontier.
 
@@ -369,108 +480,89 @@ def build_bts(plant: LabeledPlant, max_states: int = 1_000_000) -> BTSGraph:
     Z-state gets one outgoing edge per undisabled observation with a
     non-empty observable reach.  Marked Y-states are fault-class-pure.
 
-    Z-states are stored one per effect class.  The unobservable part of a
-    disable set fixes the closure the decision releases; the controllable
-    events active somewhere in that closure are its relevant events.  Two
-    decisions with the same enforced event that disable the same relevant
-    events have the same successors and the same deadlock status, so the
-    class keyed by ``(enforce, disable & relevant)`` is stored once, as its
-    minimal member, with the other controllable events free: it stands for
-    ``2 ** len(free)`` Z-states.  An observable enforced event is a class of
-    one.  Y-states and classes are numbered in the order the per-decision
-    expansion would discover them.  Each class's deadlock status (see
-    ``find_deadlocks``) is decided here, on the closure its effect releases.
-    ``max_states`` caps the stored states: Y-states plus classes.
+    Z-states are stored one record per *closure effect*: an enforced event
+    plus the unobservable part of a disable set, which fixes the closure
+    the decision releases.  The controllable events active somewhere in
+    that closure are its relevant events; the others are free, since
+    disabling them changes nothing.  Disabling a relevant observable event
+    only drops that observation's edge, so the effect's minimal decision
+    admits every observation any of its decisions admits: the effect keeps
+    that decision's edges, and no subset of its relevant events is listed.
+    A decision deadlocks when the active events of some released state are
+    all disabled, which is upward-closed in the disable set, so the effect
+    keeps the minimal blocking sets as masks over its relevant observable
+    events (see ``find_deadlocks``).  An observable enforced event is an
+    effect with one member.  Y-states are numbered in the order the
+    per-decision expansion would discover them: effects in the ``sort_key``
+    order of their minimal decisions, then by observation.  ``max_states``
+    caps the stored states: Y-states plus effects.
     """
     y0 = fault_frontier(plant)
     table, trans = plant.table, plant.automaton.transitions
-    ctrl = table.controllable_events
+    ctrl, observable = table.controllable_events, table.observable_events
     unobs_ctrl = table.unobservable_events & ctrl
     unobs_parts = _all_subsets(sorted(unobs_ctrl))
     active_at = {q: frozenset(ev for ev, _ in plant.automaton.outgoing(q))
                  for q in plant.automaton.states}
-    # per (enforced event, unobservable disable part, relevant events): each
-    # class's sort key, minimal decision and free events
-    menus: dict[tuple, list] = {}
-
-    def menu(ev, part, relevant):
-        """``relevant`` is None for an observable enforced event."""
-        key = (ev, part, relevant)
-        if key not in menus:
-            if relevant is None:
-                classes = [(ControlDecision(ev), frozenset())]
-            else:
-                free = ctrl - relevant
-                classes = [(ControlDecision(ev, part | extra), free)
-                           for extra in _all_subsets(sorted(relevant - unobs_ctrl))]
-            menus[key] = [(dec.sort_key(), dec, free) for dec, free in classes]
-        return menus[key]
+    # per set of relevant events: the bits of its observable ones and the free events
+    kinds: dict[frozenset[str], tuple[dict[str, int], frozenset[str]]] = {}
 
     y_order: list[StateEstimate] = sorted(y0, key=str)
     y_id = {y: i for i, y in enumerate(y_order)}
-    y_zs: list[list[int]] = []
-    z_owner: list[int] = []
-    z_dec: list[ControlDecision] = []
-    z_free: list[frozenset[str]] = []
-    z_obs: list[tuple[tuple[str, int], ...]] = []
-    z_dead: list[int] = []
+    y_effects: list[Sequence[int]] = []
+    effects: list[_Effect] = []
 
-    def edges_under(released, admitted, reached):
-        for obs in admitted:
-            if obs not in reached:
-                after = frozenset(dst for q in released
-                                  if (dst := trans.get((q, obs))) is not None)
-                nxt = plant.estimate_of(after) if after else None
-                if nxt is not None and nxt not in y_id:
-                    if len(y_order) + len(z_owner) >= max_states:
-                        raise ResourceLimitError(
-                            f"bipartite system exceeded {max_states} states",
-                            stats={"y_states": len(y_order), "z_classes": len(z_owner)})
-                    y_id[nxt] = len(y_order)
-                    y_order.append(nxt)
-                reached[obs] = None if nxt is None else (obs, y_id[nxt])
-        return tuple(edge for obs in admitted if (edge := reached[obs]) is not None)
+    def successor(released, obs) -> int:
+        nxt = plant.estimate_of(dst for q in released
+                                if (dst := trans.get((q, obs))) is not None)
+        i = y_id.get(nxt)
+        if i is None:
+            if len(y_order) + len(effects) >= max_states:
+                raise ResourceLimitError(
+                    f"bipartite system exceeded {max_states} states",
+                    stats={"y_states": len(y_order), "effects": len(effects)})
+            i = y_id[nxt] = len(y_order)
+            y_order.append(nxt)
+        return i
 
     for i, y in enumerate(y_order):  # grows as estimates are discovered: breadth-first
         ids = plant.ids_of(y)
-        # per closure effect: the released states, the observations that can
-        # occur from them in name order, the effect's classes, and the event
-        # sets of released states that a disable set can block entirely
-        effects = []
+        # per effect: its record (edges still to come), the released states
+        # and the observations possible from them, in name order
+        found = []
         for ev in _enforceable(plant, ids):
-            if ev in table.observable_events:
-                effects.append((ids, [ev], menu(ev, frozenset(), None), ()))
+            if ev in observable:
+                found.append((_Effect(i, ControlDecision(ev), {}, frozenset(), (), ()), ids, [ev]))
                 continue
             for part in unobs_parts:
-                released = _released(plant, ids, ControlDecision(ev, part))
+                dec = ControlDecision(ev, part)
+                released = _released(plant, ids, dec)
                 active = frozenset().union(*map(active_at.__getitem__, released))
-                if part <= active:  # else its classes are listed under part & active
-                    effects.append((released, sorted(active & table.observable_events),
-                                    menu(ev, part, active & ctrl),
-                                    {active_at[q] for q in released if active_at[q] <= ctrl}))
-        classes = sorted(((entry, e) for e, (_, _, entries, _) in enumerate(effects)
-                          for entry in entries), key=lambda m: m[0][0])
-        # per effect: observation -> its (obs, Y id) edge, or None when it cannot occur
-        reached: list[dict[str, Optional[tuple[str, int]]]] = [{} for _ in effects]
-        y_zs.append(list(range(len(z_owner), len(z_owner) + len(classes))))
-        for (_, dec, free), e in classes:  # minimal members in sort_key order
-            released, possible, _, blockable = effects[e]
-            if any(events <= dec.disable for events in blockable):
-                z_dead.append(len(z_owner))
-            z_owner.append(i)
-            z_dec.append(dec)
-            z_free.append(free)
-            z_obs.append(edges_under(released, [o for o in possible if o not in dec.disable],
-                                     reached[e]))
+                if not part <= active:  # its decisions belong to the effect of part & active
+                    continue
+                relevant = active & ctrl
+                if relevant not in kinds:
+                    watched = sorted(relevant - unobs_ctrl)
+                    kinds[relevant] = ({e: 1 << k for k, e in enumerate(watched)}, ctrl - relevant)
+                bits, free = kinds[relevant]
+                blockers = _antichain(sum(bits[e] for e in events - part)
+                                      for q in released if (events := active_at[q]) <= ctrl
+                                      and events & unobs_ctrl <= part)
+                found.append((_Effect(i, dec, bits, free, (), blockers), released,
+                              sorted(active & observable)))
+        found.sort(key=lambda f: f[0].dec.sort_key())
+        y_effects.append(range(len(effects), len(effects) + len(found)))
+        for eff, released, possible in found:
+            effects.append(eff)
+            eff.edges = tuple((obs, successor(released, obs)) for obs in possible)
     marked = frozenset(y for y in y_order if classify(y).isolation != "FU")
-    return BTSGraph(tuple(y_order), frozenset(y0), marked,
-                    y_zs, z_owner, z_dec, z_free, z_obs, frozenset(z_dead))
+    return BTSGraph(tuple(y_order), frozenset(y0), marked, y_effects, effects)
 
 
 def find_deadlocks(plant: LabeledPlant, bts: BTSGraph) -> AbstractSet[ZState]:
     """Z-states of ``bts`` (built from ``plant``) that can strand the plant
-    before the next observation, as a read-only view of its deadlocked
-    classes.
+    before the next observation, as a read-only view of its effects'
+    blocking masks.
 
     An observable enforced event is defined at every estimate member, so it
     fires.  Otherwise the plant evolves freely under the disablement: after
@@ -478,53 +570,60 @@ def find_deadlocks(plant: LabeledPlant, bts: BTSGraph) -> AbstractSet[ZState]:
     undisabled unobservable events must still have some undisabled event
     available -- with no unobservable cycles this is exactly the condition
     for an observation to eventually occur on every branch.  ``build_bts``
-    decides the status once per class, on its minimal decision.
+    records, per effect, the minimal disable sets that break it.
     """
-    return _ZSet(bts, bts._z_dead)
+    return _Deadlocks(bts)
 
 
 def prune_live(bts: BTSGraph, deadlocks: AbstractSet[ZState]) -> BTSGraph:
     """Drop deadlock Z-states and keep the part accessible from the frontier.
 
-    ``deadlocks`` is a class view of ``bts``: what ``find_deadlocks``
-    returns, or ``bts.z_states``.  An empty set drops nothing; any other set
-    raises InvalidArgumentError.  Doing nothing and disabling nothing never
+    ``deadlocks`` is what ``find_deadlocks`` returns for ``bts``: the result
+    is ``live`` and keeps the effects that some member survives.  An
+    effect view of ``bts`` (such as ``bts.z_states``) drops its effects
+    whole, and an empty set drops nothing; any other set raises
+    InvalidArgumentError.  Doing nothing and disabling nothing never
     deadlocks in a live plant, so no surviving Y-state is left without a
     decision; InvalidArgumentError otherwise.
     """
-    ys = bts.y_states
-    if isinstance(deadlocks, _ZSet) and deadlocks._graph is bts:
-        gone = range(len(bts._z_dec)) if deadlocks._classes is None else deadlocks._classes
+    ys, effects = bts.y_states, bts._effects
+    live = bts._live
+    if isinstance(deadlocks, _Deadlocks) and deadlocks._graph is bts:
+        gone = {e for e, eff in enumerate(effects) if eff.blocked(0)}
+        live = True
+    elif type(deadlocks) is _ZSet and deadlocks._graph is bts:
+        gone = range(len(effects)) if deadlocks._ids is None else deadlocks._ids
     elif not deadlocks:
         gone = ()
     else:
-        raise InvalidArgumentError("prune_live takes find_deadlocks(plant, bts) or "
-                                   "bts.z_states, not another set of Z-states")
-    kept: list[int] = []  # per kept class, its id in bts
+        raise InvalidArgumentError("prune_live takes find_deadlocks(plant, bts) or an "
+                                   "effect view of bts, not another set of Z-states")
+    kept: list[int] = []  # per kept effect, its id in bts
 
     def live_successors(i):
-        classes = [c for c in bts._y_zs[i] if c not in gone]
-        if not classes:
+        found = [e for e in bts._y_effects[i] if e not in gone]
+        if not found:
             raise InvalidArgumentError(f"estimate {ys[i]} lost all decisions; "
                                        "plant is not live")
-        kept.extend(classes)
-        return [edge for c in classes for edge in bts._z_obs[c]]
+        kept.extend(found)
+        return [edge for e in found for edge in effects[e].edges]
 
     roots = sorted((bts._y_id[y] for y in bts.initial), key=lambda i: str(ys[i]))
     live_y = sorted(reach(roots, live_successors))
     y_new = {old: new for new, old in enumerate(live_y)}
     same = len(live_y) == len(ys)  # then every Y id, and so every edge, is unchanged
-    y_zs: list[list[int]] = [[] for _ in live_y]
-    z_owner = [y_new[bts._z_owner[c]] for c in kept]
-    for new, i in enumerate(z_owner):
-        y_zs[i].append(new)
-    return BTSGraph(
-        tuple(ys[i] for i in live_y), bts.initial,
-        frozenset(m for m in bts.marked if bts._y_id[m] in y_new),
-        y_zs, z_owner, [bts._z_dec[c] for c in kept], [bts._z_free[c] for c in kept],
-        [bts._z_obs[c] if same else tuple((obs, y_new[i]) for obs, i in bts._z_obs[c])
-         for c in kept],
-        frozenset(new for new, c in enumerate(kept) if c in bts._z_dead))
+    y_effects: list[list[int]] = [[] for _ in live_y]
+    pruned = []
+    for new, e in enumerate(kept):
+        eff = effects[e]
+        owner = y_new[eff.owner]
+        y_effects[owner].append(new)
+        pruned.append(eff if same else _Effect(
+            owner, eff.dec, eff.bits, eff.free,
+            tuple((obs, y_new[i]) for obs, i in eff.edges), eff.blockers))
+    return BTSGraph(tuple(ys[i] for i in live_y), bts.initial,
+                    frozenset(m for m in bts.marked if bts._y_id[m] in y_new),
+                    y_effects, pruned, live)
 
 
 @dataclass(frozen=True)
@@ -551,72 +650,85 @@ def good_fixpoint(bts_liv: BTSGraph, deadlocks: AbstractSet[ZState] = frozenset(
 
     A Z-state is good when every observation it admits leads to a good
     Y-state; a Y-state is good when some decision leads to a good Z-state.
-    Marked states are round 0.  Each Z-state counts its edges into states
-    not yet good; the layer of round ``r - 1`` brings counters to zero, and
-    those Z-states make their owners good in round ``r``.  Every edge is
-    counted down once, so the cost is linear in the graph.  It runs on the
-    classes: the members of a class share its successors, so they turn good
-    together, and ``good_z`` is a read-only view of the good classes.
+    Marked states are round 0.  It runs on the effects: each counts its
+    fixed edges (those no member disables) into states not yet good, and
+    keeps the mask of relevant events whose edge leads there.  Once no
+    fixed edge is waiting, the members that disable all of the masked
+    events are good, the cheapest of them being the mask itself, when it
+    is a member of the graph.  The layer of round ``r - 1`` updates the
+    effects with an edge into it, and the good ones make their owners good
+    in round ``r``.  Every edge is visited once, so the cost is linear in
+    the graph.  ``good_z`` is a read-only view over the effects' masks.
 
     Each newly good Y-state records the decision that made it good: fewest
     disabled events, then not enforcing (``default``) or enforcing
     (``paper-example``), then by name.  A marked state first prefers
     decisions whose observations all stay among marked states.  Every
-    ranking puts fewer disabled events first, so the choice within a class
-    is always its minimal decision.
+    ranking puts fewer disabled events first, so within an effect the
+    choice is the member with the smallest mask.
     """
     if tie_break not in TIE_BREAK_MODES:
         raise InvalidArgumentError(f"unknown tie-break mode: {tie_break}")
     enforce_first = tie_break == "paper-example"
-    ys, z_dec, z_obs = bts_liv.y_states, bts_liv._z_dec, bts_liv._z_obs
+    g, ys, effects = bts_liv, bts_liv.y_states, bts_liv._effects
 
-    def preference(j):  # called at most once per class
-        dec = z_dec[j]
+    def preference(dec):
         return (len(dec.disable), (dec.enforce is None) == enforce_first,
                 dec.enforce or "", tuple(sorted(dec.disable)))
 
     round_of: list[Optional[int]] = [None] * len(ys)
-    layer = sorted(bts_liv._y_id[y] for y in bts_liv.marked)
+    layer = sorted(g._y_id[y] for y in g.marked)
     for i in layer:
         round_of[i] = 0
     rounds: dict[StateEstimate, int] = {ys[i]: 0 for i in layer}
     policy: dict[StateEstimate, ControlDecision] = {}
     for i in sorted(layer, key=lambda i: str(ys[i])):
-        best = min(bts_liv._y_zs[i], key=lambda j: (
-            any(round_of[t] is None for _, t in z_obs[j]), preference(j)))
-        policy[ys[i]] = z_dec[best]
+        options = []  # per effect, its cheapest decision and whether it leaves the marked set
+        for e in g._y_effects[i]:
+            eff = effects[e]
+            lost = [obs for obs, t in eff.edges if round_of[t] is None]
+            mask = sum(eff.bits.get(obs, 0) for obs in lost)
+            if all(obs in eff.bits for obs in lost) and g._holds(e, mask):
+                options.append((False, eff.decision(mask)))
+            elif g._holds(e, 0):
+                options.append((True, eff.dec))
+        policy[ys[i]] = min(options, key=lambda o: (o[0], preference(o[1])))[1]
 
-    preds: list[list[int]] = [[] for _ in ys]
-    for j, edges in enumerate(z_obs):
-        for _, i in edges:
-            preds[i].append(j)
-    pending = [len(edges) for edges in z_obs]
-    good_z: list[int] = []
+    preds: list[list[tuple[int, int]]] = [[] for _ in ys]
+    fixed = [0] * len(effects)  # per effect, its fixed edges into states not yet good
+    waiting = [0] * len(effects)  # per effect, the relevant events whose edge does so
+    for e, eff in enumerate(effects):
+        for obs, i in eff.edges:
+            bit = eff.bits.get(obs, 0)
+            preds[i].append((e, bit))
+            waiting[e] |= bit
+            fixed[e] += not bit
     r = 0
     while layer:
         r += 1
-        ready = []
+        touched: dict[int, None] = {}
         for i in layer:
-            for j in preds[i]:
-                pending[j] -= 1
-                if not pending[j]:
-                    ready.append(j)
-        good_z += ready
-        candidates: dict[int, list[int]] = {}
-        for j in ready:
-            owner = bts_liv._z_owner[j]
-            if round_of[owner] is None:
-                candidates.setdefault(owner, []).append(j)
+            for e, bit in preds[i]:
+                if bit:
+                    waiting[e] &= ~bit
+                else:
+                    fixed[e] -= 1
+                touched[e] = None
+        candidates: dict[int, list[ControlDecision]] = {}
+        for e in touched:
+            owner = effects[e].owner
+            if round_of[owner] is None and not fixed[e] and g._holds(e, waiting[e]):
+                candidates.setdefault(owner, []).append(effects[e].decision(waiting[e]))
         layer = sorted(candidates)
         for i in layer:
             round_of[i] = r
             rounds[ys[i]] = r
-            policy[ys[i]] = z_dec[min(candidates[i], key=preference)]
+            policy[ys[i]] = min(candidates[i], key=preference)
     good_y = frozenset(rounds)
     solvable = bts_liv.initial <= good_y
     bound = max((rounds[y] for y in bts_liv.initial), default=0) if solvable else None
-    return SynthesisResult(good_y, _ZSet(bts_liv, frozenset(good_z)), policy,
-                           solvable, deadlocks, bound, rounds)
+    good_z = _GoodZ(g, {e: waiting[e] for e in range(len(effects)) if not fixed[e]})
+    return SynthesisResult(good_y, good_z, policy, solvable, deadlocks, bound, rounds)
 
 
 @dataclass(frozen=True)
@@ -640,16 +752,15 @@ def extract_supervisor(result: SynthesisResult, bts_liv: BTSGraph) -> Supervisor
     """Package the winning policy, or explain why none exists.
 
     On failure the error carries, per non-good initial estimate, the
-    non-good successors of each of its decisions (the members of a class
-    share them).
+    non-good successors of each of its decisions.
     """
     if not result.solvable:
         ys = bts_liv.y_states
         bad = {}
         for y in sorted(bts_liv.initial - result.good_y, key=str):
-            bad[y] = {dec: tuple(ys[i] for _, i in bts_liv._z_obs[c]
+            bad[y] = {dec: tuple(ys[i] for _, i in bts_liv._effects[e].edges_under(mask)
                                  if ys[i] not in result.good_y)
-                      for dec, c in bts_liv._members_of(bts_liv._y_id[y])}
+                      for dec, e, mask in bts_liv._members_of(bts_liv._y_id[y])}
         names = ", ".join(str(y) for y in sorted(bad, key=str))
         raise SynthesisError(
             f"no valid isolation supervisor: initial estimates not good: {names}",

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 
 from faultiso import cli, dotexport, modelio
 import faultiso as fi
-from faultiso.gallery import twin_branch_text
+from faultiso.gallery import lamps_text, twin_branch_text
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 TWIN = str(MODELS / "twin_branch.des")
@@ -233,6 +234,46 @@ def test_hostile_input_exit_code(supervisor_file, tmp_path, corrupt, command, co
                            str(sup), *command[1:]], capture_output=True, text=True)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def synth_model(tmp_path, size):
+    """The twin-branch model, whose ``synth`` stdout fits the stdout buffer
+    and so is written at the final flush, or four lamps (about 22 KB), whose
+    stdout is written while ``synth`` is still printing."""
+    if size == "small":
+        return TWIN
+    model = tmp_path / "lamps4.des"
+    model.write_text(lamps_text(4, "lamps4", "4 lamps"), encoding="utf-8")
+    return str(model)
+
+
+def synth_into(stdout, model):
+    return subprocess.run([sys.executable, "-m", "faultiso.cli", "synth", model],
+                          stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+
+@pytest.mark.parametrize("size", ["small", "large"])
+def test_closed_stdout_is_a_quiet_exit(tmp_path, size):
+    model = synth_model(tmp_path, size)
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the first write
+    try:
+        proc = synth_into(write, model)
+    finally:
+        os.close(write)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+    assert proc.stderr == ""
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs the /dev/full device")
+@pytest.mark.parametrize("size", ["small", "large"])
+def test_full_stdout_exits_2_with_one_line(tmp_path, size):
+    model = synth_model(tmp_path, size)
+    with open("/dev/full", "w") as full:
+        proc = synth_into(full, model)
+    assert proc.returncode == cli.EXIT_MODEL
+    assert proc.stderr.startswith("error: cannot write standard output: ")
+    assert proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", [["synth", "--out"], ["synth", "--dot"],

@@ -432,24 +432,23 @@ def assert_index_matches_edge_maps(g):
 
 def with_marked(g, marked):
     """``g`` with another target set, built by the one constructor."""
-    return fi.BTSGraph(g.y_states, g.initial, marked, g._y_zs, g._z_owner, g._z_dec,
-                       g._z_free, g._z_obs, g._z_dead)
+    return fi.BTSGraph(g.y_states, g.initial, marked, g._y_effects, g._effects, g._live)
 
 
-def random_class_view(bts, rng):
-    """A class view of ``bts`` holding every class but one random class per
-    Y-state.  Pruning by it also drops the Y-states that only the other
-    classes reach, so the ids get renumbered."""
-    keep = {rng.choice(classes) for classes in bts._y_zs}
-    return synthesis._ZSet(bts, frozenset(range(len(bts._z_dec))) - keep)
+def random_effect_view(bts, rng):
+    """An effect view of ``bts`` holding every effect but one random effect
+    per Y-state.  Pruning by it also drops the Y-states that only the other
+    effects reach, so the ids get renumbered."""
+    keep = {rng.choice(effects) for effects in bts._y_effects}
+    return synthesis._ZSet(bts, frozenset(range(len(bts._effects))) - keep)
 
 
 def assert_built_and_pruned_index_match(plant, rng):
-    """Returns how many Y-states a random class pruning dropped."""
+    """Returns how many Y-states a random effect pruning dropped."""
     bts = fi.build_bts(plant)
     assert_index_matches_edge_maps(bts)
     assert_index_matches_edge_maps(fi.prune_live(bts, fi.find_deadlocks(plant, bts)))
-    pruned = fi.prune_live(bts, random_class_view(bts, rng))
+    pruned = fi.prune_live(bts, random_effect_view(bts, rng))
     assert_index_matches_edge_maps(pruned)
     return len(bts.y_states) - len(pruned.y_states)
 
@@ -493,7 +492,7 @@ def test_synthesis_never_materialises_edge_maps(monkeypatch, twin):
 
 
 def test_synthesis_builds_no_zstate(monkeypatch, twin):
-    # the stages and the sizes the benchmark reads work on classes; a
+    # the stages and the sizes the benchmark reads work on effects; a
     # Z-state object is built only when a caller iterates a view
     def refuse(self):
         raise AssertionError("Z-state built on the synthesis path")
@@ -559,6 +558,8 @@ def test_good_fixpoint_matches_round_scan(seed):
             break
     bts_liv, deadlocks = _live_graph(plant)
     assert_matches_round_scan(bts_liv, deadlocks)
+    # the game is defined on any graph, deadlocking decisions included
+    assert_matches_round_scan(fi.build_bts(plant), deadlocks)
     # the game is defined for any target set; an arbitrary one also reaches
     # marked states whose decisions leave the marked set
     marked = frozenset(y for y in bts_liv.y_states if rng.random() < 0.3)
@@ -570,7 +571,7 @@ def test_good_fixpoint_matches_round_scan_three_lamps():
 
 
 def assert_same_graph(g, ref):
-    """The class graph's expanded views equal the per-decision referee's."""
+    """The effect graph's expanded views equal the per-decision referee's."""
     assert g.y_states == ref.y_states
     assert (g.initial, g.marked) == (ref.initial, ref.marked)
     assert tuple(g.z_states) == ref.z_states and len(g.z_states) == len(ref.z_states)
@@ -602,8 +603,8 @@ def assert_same_fixpoint(g, ref, deadlocks, ref_deadlocks):
 
 
 def assert_matches_per_decision(plant, rng):
-    """Build, deadlocks, pruning and fixpoint on effect classes against the
-    per-decision referee; returns how many Y-states a random class pruning
+    """Build, deadlocks, pruning and fixpoint on effects against the
+    per-decision referee; returns how many Y-states a random effect pruning
     dropped."""
     bts, ref = fi.build_bts(plant), per_decision_bts(plant)
     assert_same_graph(bts, ref)
@@ -616,7 +617,7 @@ def assert_matches_per_decision(plant, rng):
     marked = frozenset(y for y in ref_live.y_states if rng.random() < 0.3)
     assert_same_fixpoint(with_marked(live, marked), replace(ref_live, marked=marked),
                          deadlocks, ref_deadlocks)
-    dropped = random_class_view(bts, rng)
+    dropped = random_effect_view(bts, rng)
     pruned, ref_pruned = fi.prune_live(bts, dropped), per_decision_prune(ref, frozenset(dropped))
     assert_same_graph(pruned, ref_pruned)
     assert fi.find_deadlocks(plant, pruned) == per_decision_deadlocks(plant, ref_pruned)
@@ -637,12 +638,44 @@ def test_classes_match_per_decision_referee(seed):
 
 def test_classes_match_per_decision_referee_three_lamps():
     plant = fi.build_labeled_plant(lamps(3))
-    assert len(fi.build_bts(plant)._z_dec) < len(per_decision_bts(plant).z_states)
+    assert len(fi.build_bts(plant)._effects) < len(per_decision_bts(plant).z_states)
     assert assert_matches_per_decision(plant, random.Random(3)) > 0
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, 2 ** n - 1), max_size=6),
+    st.integers(0, 2 ** n - 1))))
+def test_count_subsets_matches_enumeration(case):
+    n, blockers, must = case
+    subsets = [s for s in range(1 << n) if s & must == must]
+    hit = sum(any(b & s == b for b in blockers) for s in subsets)
+    for family in (blockers, synthesis._antichain(blockers)):
+        assert synthesis._count_subsets(n, family, must) == len(subsets)
+        assert synthesis._count_subsets(n, family, must, True) == hit
+        assert synthesis._count_subsets(n, family, must, False) == len(subsets) - hit
+
+
+# |Y|, |Z|, zy_edges, deadlocks, live Z and good Z on the lamp ladder, as
+# the pipeline with one stored record per effect class counted them; four
+# lamps are the synth_lamps4 known answers
+LADDER_COUNTS = {
+    3: (52, 3397, 5829, 91, 3306, 3306),
+    4: (205, 52772, 102692, 671, 52101, 52101),
+    5: (746, 765039, 1629295, 4651, 760388, 760388),
+}
+
+
+@pytest.mark.parametrize("n", sorted(LADDER_COUNTS))
+def test_lamp_ladder_counts(n):
+    run = fi.synthesize(fi.build_labeled_plant(lamps(n)))
+    bts = run.bts
+    assert (len(bts.y_states), len(bts.z_states), len(bts.zy_edges), len(run.deadlocks),
+            len(run.live.z_states), len(run.result.good_z)) == LADDER_COUNTS[n]
+
+
 def test_boundary_errors_are_typed(twin_plant, twin_bts, twin_pipeline):
-    _, bts_liv, _, _ = twin_pipeline
+    _, bts_liv, result, _ = twin_pipeline
     est = estimate(twin_plant, "1:F1", "6:F2")
     calls = [
         lambda: fi.good_fixpoint(bts_liv, tie_break="nonsense"),
@@ -651,6 +684,7 @@ def test_boundary_errors_are_typed(twin_plant, twin_bts, twin_pipeline):
         lambda: fi.prune_live(twin_bts, twin_bts.z_states),
         lambda: fi.prune_live(twin_bts, frozenset(fi.find_deadlocks(twin_plant, twin_bts))),
         lambda: fi.prune_live(bts_liv, fi.find_deadlocks(twin_plant, twin_bts)),
+        lambda: fi.prune_live(bts_liv, result.good_z),
         lambda: twin_plant.table.require("zz"),
     ]
     for call in calls:
