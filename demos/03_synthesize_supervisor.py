@@ -47,6 +47,5 @@ print("the key move: at {2F1,7F2} the supervisor forces o3, cutting the")
 print("silent drift through `a` into the trap where isolation is hopeless.")
 
 out = Path(__file__).resolve().parent / "supervisor.dot"
-out.write_text(export_bts_dot(liv, deadlocks=deadlocks, result=result),
-               encoding="utf-8")
+out.write_text(export_bts_dot(liv, result=result), encoding="utf-8")
 print(f"\npruned decision graph rendered to {out}")

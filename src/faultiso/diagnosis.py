@@ -250,12 +250,13 @@ def _bits(mask: int):
 class StateIndex:
     """Labelled-state sets as integer masks: bit ``i`` is ``members[i]``, in
     ``LabeledState`` order, so a mask lists its members sorted.  ``normal``
-    and ``faults`` (one per fault label) are label masks.  A plant's index
-    also has each state's closure mask and ``(event, bit)`` observable edges.
-    A plain class, not a dataclass: the package is imported per CLI process."""
+    and ``faults`` (one per fault label) are label masks.  ``closure`` holds
+    each state's unobservable-closure mask and ``observable_out`` its
+    ``(event, bit)`` observable edges.  A plain class, not a dataclass: the
+    package is imported per CLI process."""
 
-    def __init__(self, members: tuple[LabeledState, ...], closure: tuple[int, ...] = (),
-                 observable_out: tuple[tuple[tuple[str, int], ...], ...] = ()):
+    def __init__(self, members: tuple[LabeledState, ...], closure: tuple[int, ...],
+                 observable_out: tuple[tuple[tuple[str, int], ...], ...]):
         self.members, self.closure, self.observable_out = members, closure, observable_out
         by_label: dict[str, int] = {}
         for i, m in enumerate(members):
@@ -285,42 +286,21 @@ def estimate_after(plant: LabeledPlant, t: Sequence[str]) -> StateEstimate:
     return plant.estimate_of(ids)
 
 
-@dataclass(frozen=True)
 class Diagnoser:
-    """Deterministic estimate automaton over the observable alphabet.
+    """Deterministic estimate automaton over the observable alphabet, built
+    by ``build_diagnoser`` only.
 
-    ``_succ[i]`` lists the ``(obs, position)`` successors of ``states[i]``
-    in event order and ``_masks[i]`` is ``states[i]`` over ``_index``.  The
-    four-field constructor derives both, over an index of its states'
-    members, and raises ``InvalidArgumentError`` for a state it cannot place.
-    ``walk`` names an unobservable event as such only in a built diagnoser.
+    ``states[0]`` is the initial estimate.  ``_succ[i]`` lists the
+    ``(obs, position)`` successors of ``states[i]`` in event order and
+    ``_masks[i]`` is ``states[i]`` over ``_index``, the plant's index.
     """
 
-    states: tuple[StateEstimate, ...]
-    alphabet: frozenset[str]
-    transitions: Mapping[tuple[StateEstimate, str], StateEstimate]
-    initial: StateEstimate
-
-    def __post_init__(self):
-        if len(self._pos) != len(self.states):
-            raise InvalidArgumentError("duplicate diagnoser states")
-        self._position(self.initial)
-        succ: list[list[tuple[str, int]]] = [[] for _ in self.states]
-        for (src, obs), dst in self.transitions.items():
-            succ[self._position(src)].append((obs, self._position(dst)))
-        index = StateIndex(tuple(sorted(set().union(*self.states))))
-        bit = {m: i for i, m in enumerate(index.members)}
-        self.__dict__.update(_succ=[tuple(sorted(edges)) for edges in succ], _index=index,
-                             _masks=[sum(1 << bit[m] for m in est) for est in self.states],
-                             _unobservable=frozenset())
-
-    @classmethod
-    def _of_positions(cls, states, table, transitions, succ, masks, index) -> Diagnoser:
-        d = object.__new__(cls)  # states[0] is the initial estimate
-        d.__dict__.update(states=states, alphabet=table.observable_events, initial=states[0],
-                          transitions=transitions, _succ=succ, _masks=masks, _index=index,
-                          _unobservable=table.unobservable_events)
-        return d
+    def __init__(self, states: tuple[StateEstimate, ...], table: EventTable,
+                 transitions: Mapping[tuple[StateEstimate, str], StateEstimate],
+                 succ: list[tuple[tuple[str, int], ...]], masks: list[int], index: StateIndex):
+        self.states, self.alphabet, self.initial = states, table.observable_events, states[0]
+        self.transitions, self._succ, self._masks, self._index = transitions, succ, masks, index
+        self._table = table
 
     @cached_property
     def _pos(self) -> dict[StateEstimate, int]:
@@ -336,8 +316,8 @@ class Diagnoser:
         est = self.initial
         for obs in t:
             if obs not in self.alphabet:
-                raise InvalidArgumentError(f"event {obs} is not observable" if obs
-                                           in self._unobservable else f"unknown event: {obs}")
+                self._table.require(obs)
+                raise InvalidArgumentError(f"event {obs} is not observable")
             nxt = self.transitions.get((est, obs))
             if nxt is None:
                 raise InvalidArgumentError(
@@ -386,7 +366,7 @@ def build_diagnoser(plant: LabeledPlant, max_states: int = 1_000_000) -> Diagnos
             trans[(states[i], obs)] = states[j]
             edges.append((obs, j))
         succ.append(tuple(edges))
-    return Diagnoser._of_positions(tuple(states), plant.table, trans, succ, masks, plant.index)
+    return Diagnoser(tuple(states), plant.table, trans, succ, masks, plant.index)
 
 
 # -- diagnosability (twin construction) ---------------------------------------

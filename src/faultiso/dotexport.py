@@ -7,10 +7,11 @@ deterministic so output can be used in golden tests.
 """
 from __future__ import annotations
 
-from typing import AbstractSet, Mapping, Optional
+from typing import Mapping, Optional
 
 from .diagnosis import Diagnoser, StateEstimate
-from .synthesis import BTSGraph, SupervisorPolicy, SynthesisResult, ZState, _ZSet
+from .errors import InvalidArgumentError
+from .synthesis import BTSGraph, SupervisorPolicy, SynthesisResult, _GoodZ
 
 
 def _quote(s: str) -> str:
@@ -35,24 +36,16 @@ def export_diagnoser_dot(diag: Diagnoser) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _member_test(zs: AbstractSet[ZState], bts: BTSGraph):
-    """``(y, decision, effect id, mask) -> bool``: whether that member of
-    ``bts`` is in ``zs``, read from the masks when ``zs`` is a view of
-    ``bts``."""
-    if isinstance(zs, _ZSet) and zs._graph is bts:
-        return lambda y, dec, e, mask: zs._holds(e, mask)
-    if not zs:
-        return lambda y, dec, e, mask: False
-    return lambda y, dec, e, mask: ZState(y, dec) in zs
-
-
-def export_bts_dot(bts: BTSGraph,
-                   deadlocks: AbstractSet[ZState] = frozenset(),
-                   result: Optional[SynthesisResult] = None) -> str:
+def export_bts_dot(bts: BTSGraph, *, result: Optional[SynthesisResult] = None) -> str:
+    """Render ``bts``: deadlocked members red (a live graph has none) and,
+    with ``result``, good states filled and policy edges bold.  ``result``
+    must come from ``good_fixpoint`` on ``bts``; InvalidArgumentError
+    otherwise."""
+    if result and not (isinstance(result.good_z, _GoodZ) and result.good_z._graph is bts):
+        raise InvalidArgumentError("export_bts_dot takes a result computed on the same graph")
     good_y = result.good_y if result else frozenset()
     policy = dict(result.policy) if result else {}
-    is_dead = _member_test(deadlocks, bts)
-    is_good = _member_test(result.good_z if result else frozenset(), bts)
+    is_good = result.good_z._holds if result else lambda e, mask: False
     texts = [str(y) for y in bts.y_states]
     name_of = [_quote(text) for text in texts]
     ys = sorted(range(len(texts)), key=texts.__getitem__)
@@ -71,13 +64,12 @@ def export_bts_dot(bts: BTSGraph,
         if y in good_y:
             attrs.append('style=filled, fillcolor=lightblue')
         lines.append(f"  {name_of[i]} [{', '.join(attrs)}];")
-    for i, row in rows:
-        y = bts.y_states[i]
-        for dec, e, mask, _, z_name in row:
+    for _, row in rows:
+        for _, e, mask, _, z_name in row:
             attrs = ["shape=box"]
-            if is_dead(y, dec, e, mask):
+            if bts._effects[e].blocked(mask):
                 attrs.append("color=red")
-            if is_good(y, dec, e, mask):
+            if is_good(e, mask):
                 attrs.append('style=filled, fillcolor=lightblue')
             lines.append(f"  {z_name} [{', '.join(attrs)}];")
     for i, row in rows:

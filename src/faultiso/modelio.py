@@ -241,6 +241,8 @@ def parse_supervisor(text: str) -> SupervisorDocument:
     if not isinstance(payload, dict) or payload.get("format") != "faultiso-supervisor-v1":
         raise ModelError("not a faultiso supervisor document")
     try:
+        if not isinstance(payload["model_hash"], str):  # it is sliced for messages
+            raise TypeError(f"model_hash is not a string: {payload['model_hash']!r}")
         frontier = tuple(sorted((_estimate_from_json(e) for e in payload["frontier"]),
                                 key=str))
         decisions = tuple(sorted(

@@ -133,7 +133,6 @@ class ClosedLoopAutomaton:
     label_of: Mapping[str, str]
     estimate_of: Mapping[str, StateEstimate]
     certain_of: Mapping[str, bool]
-    plant_state_of: Mapping[str, str]
     policy: SupervisorPolicy
 
     def as_labeled_plant(self) -> LabeledPlant:
@@ -225,9 +224,7 @@ def build_closed_loop(plant: LabeledPlant, policy: SupervisorPolicy,
     label_of = {states[s]: plant.label_of[s.plant_state] for s in order}
     estimate_of = {states[s]: s.estimate for s in order}
     certain_of = {states[s]: s.certain for s in order}
-    plant_state_of = {states[s]: s.plant_state for s in order}
-    return ClosedLoopAutomaton(cl_aut, label_of, estimate_of, certain_of,
-                               plant_state_of, policy)
+    return ClosedLoopAutomaton(cl_aut, label_of, estimate_of, certain_of, policy)
 
 
 @dataclass(frozen=True)

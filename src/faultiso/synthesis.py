@@ -84,12 +84,6 @@ class ZState:
     estimate: StateEstimate
     decision: ControlDecision
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.estimate, self.decision)))
-
-    def __hash__(self):
-        return self._hash
-
     def __str__(self):
         return f"({self.estimate},{self.decision})"
 
@@ -150,7 +144,7 @@ class _Effect:
 
 class _ZSet(Set):
     """Read-only set of the Z-states a graph holds in some of its effects
-    (all of them for ``effects=None``).
+    (all of them for ``ids=None``).
 
     Its length comes from closed-form counts per effect and membership is
     one effect lookup; members are built only when a caller iterates, in
@@ -221,25 +215,6 @@ class _GoodZ(_ZSet):
         return g._count(e, self._must[e]) - (silent << len(eff.free))
 
 
-class _YZEdges(Mapping):
-    """``yz_edges`` as a view: ``(y, decision) -> ZState(y, decision)``."""
-
-    def __init__(self, graph: BTSGraph):
-        self._graph = graph
-
-    def __getitem__(self, key):
-        z = ZState(*key) if isinstance(key, tuple) and len(key) == 2 else None
-        if z is None or z not in self._graph.z_states:
-            raise KeyError(key)
-        return z
-
-    def __iter__(self):
-        return ((z.estimate, z.decision) for z, _, _ in self._graph._expand())
-
-    def __len__(self):
-        return len(self._graph.z_states)
-
-
 class _ZYEdges(Mapping):
     """``zy_edges`` as a view: ``(z, obs) -> `` the Y-state ``obs`` leads to."""
 
@@ -274,7 +249,6 @@ class BTSGraph:
     """Bipartite transition system over Y-states and Z-states.
 
     Only the part accessible from the initial frontier is stored.  Every
-    ``yz_edges[(y, c)]`` is structurally ``ZState(y, c)``; every
     ``zy_edges[(z, obs)]`` is the observable reach of ``z`` under ``obs``.
 
     Z-states are stored one ``_Effect`` per enforced event and unobservable
@@ -284,9 +258,9 @@ class BTSGraph:
     inside it.  A ``live`` graph, which ``prune_live`` builds from a
     deadlock view, holds only the members that do not deadlock.  Y-states
     and effects are numbered by position, and the synthesis stages work on
-    those ids.  ``z_states``, ``yz_edges`` and ``zy_edges`` are read-only
-    views: lengths are closed-form counts over the effects, membership is
-    an effect lookup, and members are expanded only when iterated.
+    those ids.  ``z_states`` and ``zy_edges`` are read-only views: lengths
+    are closed-form counts over the effects, membership is an effect
+    lookup, and members are expanded only when iterated.
     """
 
     def __init__(self, y_states: tuple[StateEstimate, ...], initial: frozenset[StateEstimate],
@@ -295,7 +269,6 @@ class BTSGraph:
         self.y_states, self.initial, self.marked = y_states, initial, marked
         self._y_effects, self._effects, self._live = y_effects, effects, live
         self.z_states: AbstractSet[ZState] = _ZSet(self)
-        self.yz_edges: Mapping[tuple[StateEstimate, ControlDecision], ZState] = _YZEdges(self)
         self.zy_edges: Mapping[tuple[ZState, str], StateEstimate] = _ZYEdges(self)
 
     @cached_property
@@ -578,30 +551,21 @@ def find_deadlocks(plant: LabeledPlant, bts: BTSGraph) -> AbstractSet[ZState]:
 def prune_live(bts: BTSGraph, deadlocks: AbstractSet[ZState]) -> BTSGraph:
     """Drop deadlock Z-states and keep the part accessible from the frontier.
 
-    ``deadlocks`` is what ``find_deadlocks`` returns for ``bts``: the result
-    is ``live`` and keeps the effects that some member survives.  An
-    effect view of ``bts`` (such as ``bts.z_states``) drops its effects
-    whole, and an empty set drops nothing; any other set raises
-    InvalidArgumentError.  Doing nothing and disabling nothing never
-    deadlocks in a live plant, so no surviving Y-state is left without a
-    decision; InvalidArgumentError otherwise.
+    ``deadlocks`` must be what ``find_deadlocks`` returns for ``bts``, and
+    any other set raises InvalidArgumentError.  The result is ``live``: it
+    keeps the effects whose minimal decision does not deadlock, and of
+    them only the members that do not.  Doing nothing and disabling
+    nothing never deadlocks in a live plant, so no surviving Y-state is
+    left without a decision; InvalidArgumentError otherwise.
     """
+    if not (isinstance(deadlocks, _Deadlocks) and deadlocks._graph is bts):
+        raise InvalidArgumentError("prune_live takes find_deadlocks(plant, bts), "
+                                   "not another set of Z-states")
     ys, effects = bts.y_states, bts._effects
-    live = bts._live
-    if isinstance(deadlocks, _Deadlocks) and deadlocks._graph is bts:
-        gone = {e for e, eff in enumerate(effects) if eff.blocked(0)}
-        live = True
-    elif type(deadlocks) is _ZSet and deadlocks._graph is bts:
-        gone = range(len(effects)) if deadlocks._ids is None else deadlocks._ids
-    elif not deadlocks:
-        gone = ()
-    else:
-        raise InvalidArgumentError("prune_live takes find_deadlocks(plant, bts) or an "
-                                   "effect view of bts, not another set of Z-states")
     kept: list[int] = []  # per kept effect, its id in bts
 
     def live_successors(i):
-        found = [e for e in bts._y_effects[i] if e not in gone]
+        found = [e for e in bts._y_effects[i] if not effects[e].blocked(0)]
         if not found:
             raise InvalidArgumentError(f"estimate {ys[i]} lost all decisions; "
                                        "plant is not live")
@@ -623,7 +587,7 @@ def prune_live(bts: BTSGraph, deadlocks: AbstractSet[ZState]) -> BTSGraph:
             tuple((obs, y_new[i]) for obs, i in eff.edges), eff.blockers))
     return BTSGraph(tuple(ys[i] for i in live_y), bts.initial,
                     frozenset(m for m in bts.marked if bts._y_id[m] in y_new),
-                    y_effects, pruned, live)
+                    y_effects, pruned, live=True)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ from typing import Sequence, Union
 
 from faultiso.automata import active_events, unobservable_reach
 from faultiso.diagnosis import (
-    Diagnoser,
     IsolatabilityReport,
     LabeledPlant,
     StateEstimate,
@@ -226,7 +225,7 @@ def policy_forces(bts_liv: BTSGraph, assignment, start) -> bool:
     marked = bts_liv.marked
 
     def successors(y):
-        z = bts_liv.yz_edges[(y, assignment[y])]
+        z = ZState(y, assignment[y])
         return [dst for _, dst in bts_liv.observations_of(z)]
 
     if start in marked:
@@ -306,7 +305,7 @@ def round_scan_fixpoint(bts_liv: BTSGraph, deadlocks=frozenset(),
     for y in sorted(bts_liv.marked, key=str):
         decs = bts_liv.decisions_of(y)
         policy[y] = min(decs, key=lambda d: _tie_break_key(
-            tie_break, d, targets_of[bts_liv.yz_edges[(y, d)]], rounds))
+            tie_break, d, targets_of[ZState(y, d)], rounds))
 
     r = 0
     changed = True
@@ -323,12 +322,12 @@ def round_scan_fixpoint(bts_liv: BTSGraph, deadlocks=frozenset(),
             if y in good_y:
                 continue
             candidates = [d for d in bts_liv.decisions_of(y)
-                          if bts_liv.yz_edges[(y, d)] in good_z]
+                          if ZState(y, d) in good_z]
             if candidates:
                 good_y.add(y)
                 rounds[y] = r
                 policy[y] = min(candidates, key=lambda d: _tie_break_key(
-                    tie_break, d, targets_of[bts_liv.yz_edges[(y, d)]], rounds))
+                    tie_break, d, targets_of[ZState(y, d)], rounds))
                 changed = True
     solvable = bts_liv.initial <= good_y
     bound = max((rounds[y] for y in bts_liv.initial), default=0) if solvable else None
@@ -424,8 +423,8 @@ def per_decision_prune(bts, dropped) -> PerDecisionBTS:
     kept = []
 
     def successors(y):
-        live = [bts.yz_edges[(y, dec)] for dec in bts.decisions_of(y)
-                if bts.yz_edges[(y, dec)] not in dropped]
+        live = [ZState(y, dec) for dec in bts.decisions_of(y)
+                if ZState(y, dec) not in dropped]
         if not live:
             raise InvalidArgumentError(f"estimate {y} lost all decisions")
         kept.extend(live)
@@ -442,7 +441,7 @@ def per_decision_prune(bts, dropped) -> PerDecisionBTS:
 def per_decision_bad_initials(bts, good_y) -> dict:
     """``SynthesisError.bad_initials`` for a graph and its good Y-states: per
     non-good initial estimate, by name, each decision's non-good successors."""
-    return {y: {dec: tuple(dst for _, dst in bts.observations_of(bts.yz_edges[(y, dec)])
+    return {y: {dec: tuple(dst for _, dst in bts.observations_of(ZState(y, dec))
                            if dst not in good_y)
                 for dec in bts.decisions_of(y)}
             for y in sorted(bts.initial - good_y, key=str)}
@@ -474,11 +473,20 @@ def enumerate_language(aut, max_len: int) -> set[tuple[str, ...]]:
     return out
 
 
-def set_diagnoser(plant: LabeledPlant, max_states: int = 1_000_000) -> Diagnoser:
+@dataclass(frozen=True)
+class SetDiagnoser:
+    """The public fields of a ``Diagnoser``, as ``set_diagnoser`` finds them."""
+
+    states: tuple[StateEstimate, ...]
+    alphabet: frozenset[str]
+    transitions: dict
+    initial: StateEstimate
+
+
+def set_diagnoser(plant: LabeledPlant, max_states: int = 1_000_000) -> SetDiagnoser:
     """The worklist determinisation on sets of state ids: every observable
     event is tried at every estimate, and every successor is rebuilt and
-    hashed as a ``StateEstimate``.  Returned through the public four-field
-    ``Diagnoser`` constructor."""
+    hashed as a ``StateEstimate``."""
     aut = plant.automaton
     initial = plant.initial_estimate
     table = {initial: frozenset([aut.initial])}
@@ -503,10 +511,10 @@ def set_diagnoser(plant: LabeledPlant, max_states: int = 1_000_000) -> Diagnoser
                 table[nxt] = nxt_ids
                 order.append(nxt)
                 queue.append(nxt)
-    return Diagnoser(tuple(order), plant.table.observable_events, trans, initial)
+    return SetDiagnoser(tuple(order), plant.table.observable_events, trans, initial)
 
 
-def set_isolatability(plant: LabeledPlant, diag: Diagnoser = None) -> IsolatabilityReport:
+def set_isolatability(plant: LabeledPlant, diag: SetDiagnoser = None) -> IsolatabilityReport:
     """The mixed-cycle test on estimates: the frontier and "mixed" come from
     ``classify`` and the estimates' fault labels, the graph from the transitions
     of ``diag`` (by default ``set_diagnoser(plant)``)."""

@@ -121,9 +121,8 @@ def test_synth_dot_drops_deadlock_box(tmp_path, capsys):
     assert '"({5F1,9F2},<~,{}>)"' in text
 
 
-def test_bts_dot_full_graph(twin_plant, twin_bts):
-    deadlocks = fi.find_deadlocks(twin_plant, twin_bts)
-    text = dotexport.export_bts_dot(twin_bts, deadlocks=deadlocks)
+def test_bts_dot_full_graph(twin_bts):
+    text = dotexport.export_bts_dot(twin_bts)  # deadlocks red, from the graph's masks
     assert text.count("shape=ellipse") == 6
     assert text.count("shape=box") == 20
     assert text.count("color=red") == 1
@@ -234,6 +233,22 @@ def test_hostile_input_exit_code(supervisor_file, tmp_path, corrupt, command, co
                            str(sup), *command[1:]], capture_output=True, text=True)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("value", [5, None], ids=["number", "null"])
+@pytest.mark.parametrize("command", [["explain", "--obs", "o2"],
+                                     ["simulate", "--seed", "1", "--steps", "3"]],
+                         ids=["explain", "simulate"])
+def test_non_string_model_hash_is_malformed(supervisor_file, tmp_path, value, command):
+    sup = tmp_path / "bad.sup.json"
+    sup.write_bytes(_edited(lambda doc: doc.update(model_hash=value))(
+        Path(supervisor_file).read_text(encoding="utf-8")))
+    proc = subprocess.run([sys.executable, "-m", "faultiso.cli", command[0], TWIN,
+                           str(sup), *command[1:]], capture_output=True, text=True)
+    assert proc.returncode == cli.EXIT_MODEL == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: model: supervisor document is malformed")
+    assert proc.stderr.count("\n") == 1
 
 
 def synth_model(tmp_path, size):

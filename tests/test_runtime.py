@@ -249,8 +249,7 @@ def test_bts_walk_matches_engine(twin_plant, twin_bts, twin_pipeline):
         y = switched[0].estimate
         for st in switched[1:]:
             obs = st.observation
-            z = bts_liv.yz_edges[(y, policy.decision_for(y))]
-            y = bts_liv.zy_edges[(z, obs)]
+            y = bts_liv.zy_edges[(fi.ZState(y, policy.decision_for(y)), obs)]
             assert y == st.estimate
 
 

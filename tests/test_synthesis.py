@@ -136,8 +136,6 @@ def test_bts_shape(twin_bts):
 
 
 def test_bts_structural_audit(twin_plant, twin_bts):
-    for (y, dec), z in twin_bts.yz_edges.items():
-        assert z == ZState(y, dec)
     for (z, obs), dst in twin_bts.zy_edges.items():
         assert obs not in z.decision.disable or obs == z.decision.enforce
         assert fi.observable_reach(twin_plant, z.estimate, z.decision, obs) == dst
@@ -201,12 +199,22 @@ def test_prune_live(twin_plant, twin_bts):
     liv = fi.prune_live(twin_bts, deadlocks)
     assert len(liv.z_states) == len(twin_bts.z_states) - 1
     assert set(liv.y_states) == set(twin_bts.y_states)
-    assert fi.prune_live(twin_bts, frozenset()).z_states == twin_bts.z_states
 
 
-def test_prune_live_rejects_losing_every_decision(twin_bts):
-    with pytest.raises(ValueError, match="lost all decisions"):
-        fi.prune_live(twin_bts, twin_bts.z_states)
+def test_prune_live_rejects_losing_every_decision():
+    # built by hand, past the assumption check: state 2 has no event at all,
+    # so even doing nothing deadlocks at {2F1}
+    table = fi.EventTable((fi.Event("f", fault_type=1),
+                           fi.Event("o1", observable=True),
+                           fi.Event("o2", observable=True)))
+    aut = fi.Automaton(table, frozenset({"0", "1", "2"}), "0",
+                       {("0", "f"): "1", ("0", "o1"): "0", ("1", "o2"): "2"})
+    label = {"0": "N", "1": "F1", "2": "F1"}
+    plant = fi.LabeledPlant(aut, {q: q for q in label}, label,
+                            {(q, lab): q for q, lab in label.items()})
+    bts = fi.build_bts(plant)
+    with pytest.raises(InvalidArgumentError, match="lost all decisions"):
+        fi.prune_live(bts, fi.find_deadlocks(plant, bts))
 
 
 def test_prune_removes_unreachable():
@@ -248,8 +256,7 @@ def test_good_fixpoint_rounds_monotone(twin_pipeline):
     _, bts_liv, result, _ = twin_pipeline
     # every good Y-state's chosen decision leads only to earlier-round states
     for y, dec in result.policy.items():
-        z = bts_liv.yz_edges[(y, dec)]
-        for _, dst in bts_liv.observations_of(z):
+        for _, dst in bts_liv.observations_of(ZState(y, dec)):
             assert result.rounds[dst] <= max(result.rounds[y] - 1, 0)
 
 
@@ -275,9 +282,8 @@ def test_every_good_state_forces_marked_within_its_round(twin_pipeline):
         if y in bts_liv.marked:
             return 0
         assert y not in seen, "cycle before reaching a marked estimate"
-        z = bts_liv.yz_edges[(y, result.policy[y])]
         return 1 + max(depth_to_marked(dst, seen | {y})
-                       for _, dst in bts_liv.observations_of(z))
+                       for _, dst in bts_liv.observations_of(ZState(y, result.policy[y])))
 
     for y in result.good_y:
         assert depth_to_marked(y, frozenset()) <= result.rounds[y]
@@ -411,14 +417,14 @@ def expanded_view(g):
 
 
 def assert_index_matches_edge_maps(g):
-    n_edges = len(g.zy_edges)
-    yz, zy = dict(g.yz_edges), dict(g.zy_edges)
-    assert (len(g.yz_edges), n_edges) == (len(yz), len(zy))
-    assert len(g.z_states) == len(yz) == len(set(g.z_states))
+    n_edges, n_z = len(g.zy_edges), len(g.z_states)
+    zy = dict(g.zy_edges)
+    assert n_edges == len(zy)
+    assert n_z == len(set(g.z_states))
     view = expanded_view(g)
     listed = {}
     for z in g.z_states:
-        assert z in g.z_states and g.yz_edges[(z.estimate, z.decision)] == z
+        assert z in g.z_states
         listed.setdefault(z.estimate, []).append(z.decision)
     # z_states lists each Y-state's Z-states in decision order
     assert {y: tuple(decs) for y, decs in listed.items()} == {
@@ -427,7 +433,7 @@ def assert_index_matches_edge_maps(g):
         assert g.zy_edges[(z, obs)] == dst
     marked = with_marked(g, frozenset(g.y_states[::2]))
     assert expanded_view(marked) == view
-    assert (len(marked.z_states), len(marked.zy_edges)) == (len(yz), n_edges)
+    assert (len(marked.z_states), len(marked.zy_edges)) == (n_z, n_edges)
 
 
 def with_marked(g, marked):
@@ -435,22 +441,10 @@ def with_marked(g, marked):
     return fi.BTSGraph(g.y_states, g.initial, marked, g._y_effects, g._effects, g._live)
 
 
-def random_effect_view(bts, rng):
-    """An effect view of ``bts`` holding every effect but one random effect
-    per Y-state.  Pruning by it also drops the Y-states that only the other
-    effects reach, so the ids get renumbered."""
-    keep = {rng.choice(effects) for effects in bts._y_effects}
-    return synthesis._ZSet(bts, frozenset(range(len(bts._effects))) - keep)
-
-
-def assert_built_and_pruned_index_match(plant, rng):
-    """Returns how many Y-states a random effect pruning dropped."""
+def assert_built_and_pruned_index_match(plant):
     bts = fi.build_bts(plant)
     assert_index_matches_edge_maps(bts)
     assert_index_matches_edge_maps(fi.prune_live(bts, fi.find_deadlocks(plant, bts)))
-    pruned = fi.prune_live(bts, random_effect_view(bts, rng))
-    assert_index_matches_edge_maps(pruned)
-    return len(bts.y_states) - len(pruned.y_states)
 
 
 @settings(max_examples=60, deadline=None)
@@ -461,27 +455,25 @@ def test_id_index_matches_edge_maps(seed):
         plant = fi.build_labeled_plant(random_plant(rng, max_states=8))
         if plant.diagnosability.diagnosable:
             break
-    assert_built_and_pruned_index_match(plant, rng)
+    assert_built_and_pruned_index_match(plant)
 
 
 def test_id_index_matches_edge_maps_three_lamps():
-    assert assert_built_and_pruned_index_match(fi.build_labeled_plant(lamps(3)),
-                                               random.Random(5)) > 0
+    assert_built_and_pruned_index_match(fi.build_labeled_plant(lamps(3)))
 
 
 def test_synthesis_never_materialises_edge_maps(monkeypatch, twin):
     def refuse(self, *args):
         raise AssertionError("edge maps read on the synthesis path")
 
-    for view in (synthesis._YZEdges, synthesis._ZYEdges):
-        monkeypatch.setattr(view, "__iter__", refuse)
-        monkeypatch.setattr(view, "__getitem__", refuse)
+    monkeypatch.setattr(synthesis._ZYEdges, "__iter__", refuse)
+    monkeypatch.setattr(synthesis._ZYEdges, "__getitem__", refuse)
     solved = []
     for aut in (twin, variant_without_enforceable_o3(twin)):
         run = fi.synthesize(fi.build_labeled_plant(aut))
         bts = run.bts
         assert len(bts.zy_edges) == sum(len(bts.observations_of(z)) for z in bts.z_states)
-        export_bts_dot(run.live, run.deadlocks, run.result)
+        export_bts_dot(run.live, result=run.result)
         try:
             run.policy
             solved.append(True)
@@ -494,10 +486,10 @@ def test_synthesis_never_materialises_edge_maps(monkeypatch, twin):
 def test_synthesis_builds_no_zstate(monkeypatch, twin):
     # the stages and the sizes the benchmark reads work on effects; a
     # Z-state object is built only when a caller iterates a view
-    def refuse(self):
+    def refuse(self, *args):
         raise AssertionError("Z-state built on the synthesis path")
 
-    monkeypatch.setattr(ZState, "__post_init__", refuse)
+    monkeypatch.setattr(ZState, "__init__", refuse)
     solved = []
     for aut in (twin, variant_without_enforceable_o3(twin), lamps(3)):
         run = fi.synthesize(fi.build_labeled_plant(aut))
@@ -513,6 +505,9 @@ def test_synthesis_builds_no_zstate(monkeypatch, twin):
             solved.append(False)
     assert solved == [True, False, True]
     assert sizes[1] == 3397 and sizes[3] == 91  # three lamps
+    for view in (bts.z_states, run.deadlocks, result.good_z):  # the guard is armed
+        with pytest.raises(AssertionError, match="Z-state built"):
+            next(iter(view))
 
 
 def test_graph_rejects_states_it_does_not_hold(twin_plant, twin_pipeline):
@@ -527,7 +522,6 @@ def test_graph_rejects_states_it_does_not_hold(twin_plant, twin_pipeline):
         with pytest.raises(InvalidArgumentError):
             call()
     assert ZState(outside, fi.NO_CONTROL) not in liv.z_states
-    assert (outside, fi.NO_CONTROL) not in liv.yz_edges
 
 
 def _live_graph(plant):
@@ -575,9 +569,8 @@ def assert_same_graph(g, ref):
     assert g.y_states == ref.y_states
     assert (g.initial, g.marked) == (ref.initial, ref.marked)
     assert tuple(g.z_states) == ref.z_states and len(g.z_states) == len(ref.z_states)
-    assert list(g.yz_edges.items()) == list(ref.yz_edges.items())
     assert list(g.zy_edges.items()) == list(ref.zy_edges.items())
-    assert (len(g.yz_edges), len(g.zy_edges)) == (len(ref.yz_edges), len(ref.zy_edges))
+    assert len(g.zy_edges) == len(ref.zy_edges)
     for y in ref.y_states:
         assert g.decisions_of(y) == ref.decisions_of(y)
     for z in ref.z_states:
@@ -604,7 +597,7 @@ def assert_same_fixpoint(g, ref, deadlocks, ref_deadlocks):
 
 def assert_matches_per_decision(plant, rng):
     """Build, deadlocks, pruning and fixpoint on effects against the
-    per-decision referee; returns how many Y-states a random effect pruning
+    per-decision referee; returns how many Y-states deadlock pruning
     dropped."""
     bts, ref = fi.build_bts(plant), per_decision_bts(plant)
     assert_same_graph(bts, ref)
@@ -617,12 +610,8 @@ def assert_matches_per_decision(plant, rng):
     marked = frozenset(y for y in ref_live.y_states if rng.random() < 0.3)
     assert_same_fixpoint(with_marked(live, marked), replace(ref_live, marked=marked),
                          deadlocks, ref_deadlocks)
-    dropped = random_effect_view(bts, rng)
-    pruned, ref_pruned = fi.prune_live(bts, dropped), per_decision_prune(ref, frozenset(dropped))
-    assert_same_graph(pruned, ref_pruned)
-    assert fi.find_deadlocks(plant, pruned) == per_decision_deadlocks(plant, ref_pruned)
-    assert not any(z in pruned.z_states for z in dropped)
-    return len(bts.y_states) - len(pruned.y_states)
+    assert not any(z in live.z_states for z in deadlocks)
+    return len(bts.y_states) - len(live.y_states)
 
 
 @settings(max_examples=60, deadline=None)
@@ -639,7 +628,16 @@ def test_classes_match_per_decision_referee(seed):
 def test_classes_match_per_decision_referee_three_lamps():
     plant = fi.build_labeled_plant(lamps(3))
     assert len(fi.build_bts(plant)._effects) < len(per_decision_bts(plant).z_states)
-    assert assert_matches_per_decision(plant, random.Random(3)) > 0
+    assert_matches_per_decision(plant, random.Random(3))
+
+
+def test_deadlock_pruning_renumbers_y_states():
+    # the first generated plant whose deadlock pruning drops Y-states
+    # (9 in 2,240 random diagnosable plants do)
+    plant = fi.build_labeled_plant(random_plant(random.Random(1016), max_states=8))
+    assert plant.diagnosability.diagnosable
+    assert assert_matches_per_decision(plant, random.Random(1016)) > 0
+    assert_built_and_pruned_index_match(plant)
 
 
 @settings(max_examples=200, deadline=None)
@@ -682,9 +680,12 @@ def test_boundary_errors_are_typed(twin_plant, twin_bts, twin_pipeline):
         lambda: fi.observable_reach(twin_plant, est,
                                     fi.ControlDecision("o3", frozenset()), "o3"),
         lambda: fi.prune_live(twin_bts, twin_bts.z_states),
+        lambda: fi.prune_live(twin_bts, frozenset()),
         lambda: fi.prune_live(twin_bts, frozenset(fi.find_deadlocks(twin_plant, twin_bts))),
         lambda: fi.prune_live(bts_liv, fi.find_deadlocks(twin_plant, twin_bts)),
         lambda: fi.prune_live(bts_liv, result.good_z),
+        lambda: export_bts_dot(twin_bts, result=result),
+        lambda: export_bts_dot(bts_liv, result=round_scan_fixpoint(bts_liv)),
         lambda: twin_plant.table.require("zz"),
     ]
     for call in calls:
