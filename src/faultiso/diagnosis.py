@@ -265,25 +265,11 @@ class StateIndex:
         self.faults = tuple(by_label.values())
 
 
-def diagnoser_step_ids(plant: LabeledPlant, ids: frozenset[str], obs: str) -> frozenset[str]:
-    """Uncontrolled estimate update: unobservable closure, then one step."""
-    plant.table.require(obs)
-    if obs not in plant.table.observable_events:
-        raise InvalidArgumentError(f"event {obs} is not observable")
-    trans = plant.automaton.transitions
-    return frozenset(dst for q in unobservable_reach(plant.automaton, ids)
-                     if (dst := trans.get((q, obs))) is not None)
-
-
 def estimate_after(plant: LabeledPlant, t: Sequence[str]) -> StateEstimate:
-    """Estimate after observing ``t``, starting from the labelled initial
-    state.  An empty result means the observation is infeasible."""
-    ids = frozenset([plant.automaton.initial])
-    for obs in t:
-        ids = diagnoser_step_ids(plant, ids, obs)
-        if not ids:
-            return StateEstimate(())
-    return plant.estimate_of(ids)
+    """Estimate after observing ``t``, read from ``plant.diagnoser``.  An
+    empty result means the observation is infeasible."""
+    est, _ = plant.diagnoser._walk(t)
+    return StateEstimate(()) if est is None else est
 
 
 class Diagnoser:
@@ -312,17 +298,23 @@ class Diagnoser:
             raise InvalidArgumentError(f"estimate not in diagnoser: {est}")
         return self._pos[est]
 
-    def walk(self, t: Sequence[str]) -> StateEstimate:
+    def _walk(self, t: Sequence[str]) -> tuple[Optional[StateEstimate], Optional[str]]:
+        """The estimate after ``t``, or ``None`` and the first infeasible
+        observation.  An unknown or unobservable event raises once reached."""
         est = self.initial
         for obs in t:
             if obs not in self.alphabet:
                 self._table.require(obs)
                 raise InvalidArgumentError(f"event {obs} is not observable")
-            nxt = self.transitions.get((est, obs))
-            if nxt is None:
-                raise InvalidArgumentError(
-                    f"observation infeasible: {' '.join(t)} (at {obs})")
-            est = nxt
+            est = self.transitions.get((est, obs))
+            if est is None:
+                return None, obs
+        return est, None
+
+    def walk(self, t: Sequence[str]) -> StateEstimate:
+        est, at = self._walk(t)
+        if est is None:
+            raise InvalidArgumentError(f"observation infeasible: {' '.join(t)} (at {at})")
         return est
 
     def successors(self, est: StateEstimate) -> tuple[tuple[str, StateEstimate], ...]:

@@ -1,4 +1,4 @@
-"""Graphviz DOT rendering for diagnosers, bipartite systems, and supervisors.
+"""Graphviz DOT rendering for diagnosers and bipartite systems.
 
 Y-states (estimates) render as ellipses, Z-states (estimate + decision) as
 boxes.  Initial states are blue, marked states green, deadlocks red; good
@@ -7,11 +7,11 @@ deterministic so output can be used in golden tests.
 """
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Optional
 
-from .diagnosis import Diagnoser, StateEstimate
+from .diagnosis import Diagnoser
 from .errors import InvalidArgumentError
-from .synthesis import BTSGraph, SupervisorPolicy, SynthesisResult, _GoodZ
+from .synthesis import BTSGraph, SynthesisResult, _GoodZ
 
 
 def _quote(s: str) -> str:
@@ -85,27 +85,3 @@ def export_bts_dot(bts: BTSGraph, *, result: Optional[SynthesisResult] = None) -
                 lines.append(f"  {z_name} -> {name_of[j]} [label={_quote(obs)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def export_supervisor_dot(policy: SupervisorPolicy,
-                          graph: Mapping[StateEstimate, tuple] = None,
-                          marked: frozenset[StateEstimate] = frozenset()) -> str:
-    """Render the policy: each estimate annotated with its decision, edges per
-    observation.  ``graph`` comes from ``synthesis.policy_graph``."""
-    graph = graph or {}
-    lines = ["digraph supervisor {", "  rankdir=LR;"]
-    for est in sorted(graph or policy.decisions, key=str):
-        dec = policy.decision_for(est)
-        label = f"{est}\\n{dec}"
-        attrs = [f"label={_quote(label)}", "shape=ellipse"]
-        if est in policy.initial_frontier:
-            attrs.append("color=blue")
-        if est in marked:
-            attrs.append("color=green")
-        lines.append(f"  {_quote(str(est))} [{', '.join(attrs)}];")
-    for est in sorted(graph, key=str):
-        for obs, dst in graph[est]:
-            lines.append(f"  {_quote(str(est))} -> {_quote(str(dst))} [label={_quote(obs)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .automata import Automaton, Event, EventTable
-from .diagnosis import LabeledPlant, LabeledState, StateEstimate
+from .diagnosis import LabeledPlant, LabeledState, StateEstimate, fault_frontier
 from .errors import ModelError
 from .synthesis import ControlDecision, SupervisorPolicy, canonical_decision, policy_graph
 
@@ -238,6 +238,8 @@ def parse_supervisor(text: str) -> SupervisorDocument:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelError(f"supervisor document is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ModelError("supervisor document is malformed: nested too deeply") from None
     if not isinstance(payload, dict) or payload.get("format") != "faultiso-supervisor-v1":
         raise ModelError("not a faultiso supervisor document")
     try:
@@ -274,28 +276,35 @@ def load_supervisor(text: str, plant: LabeledPlant,
                     model_doc: ModelDocument) -> SupervisorPolicy:
     """Parse, bind to the model, and verify the policy is closed.
 
-    The document's hash must match the model and list each estimate at most
-    once; every estimate reachable from the frontier under the policy must
-    carry an explicit decision and its decision must be feasible there.
+    The document's hash must match the model, its frontier must be the
+    model's ``fault_frontier`` (NotDiagnosableError if there is none), and it
+    must list each estimate at most once; every estimate reachable from the
+    frontier under the policy must carry an explicit decision and its
+    decision must be feasible there.
     """
     doc = parse_supervisor(text)
     digest = model_digest(model_doc)
     if doc.model_hash != digest:
         raise ModelError("supervisor was synthesised for a different model "
                          f"(hash {doc.model_hash[:12]}.. != {digest[:12]}..)")
-    for est in doc.frontier + tuple(est for est, _ in doc.decisions):
+    frontier, listed = fault_frontier(plant), frozenset(doc.frontier)
+    if listed != frontier:
+        diff = [f"{word}: " + ", ".join(sorted(map(str, ests))) for word, ests
+                in (("missing", frontier - listed), ("extra", listed - frontier)) if ests]
+        raise ModelError("supervisor frontier is not the model's fault frontier; "
+                         + "; ".join(diff))
+    decisions = {}
+    for est, dec in doc.decisions:
         for m in est:
             if (m.base, m.label) not in plant.id_of:
                 raise ModelError(f"supervisor references unknown labelled state {m}")
-    decisions = {}
-    for est, dec in doc.decisions:
         if est in decisions:
             raise ModelError(f"supervisor lists a decision for {est} twice")
         try:
             decisions[est] = canonical_decision(plant, dec.enforce, dec.disable)
         except (TypeError, ValueError) as exc:
             raise ModelError(f"supervisor decision at {est}: {exc}") from None
-    policy = SupervisorPolicy(frozenset(doc.frontier), decisions)
+    policy = SupervisorPolicy(frontier, decisions)
     reachable = policy_graph(plant, policy)
     missing = sorted((str(e) for e in reachable if e not in decisions))
     if missing:

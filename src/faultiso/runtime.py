@@ -24,7 +24,6 @@ from .diagnosis import (
     StateEstimate,
     check_isolatability,
     classify,
-    diagnoser_step_ids,
 )
 from .errors import (
     InvalidArgumentError,
@@ -33,7 +32,7 @@ from .errors import (
     SchedulerError,
     SupervisorIntegrityError,
 )
-from .synthesis import ControlDecision, SupervisorPolicy, observable_reach
+from .synthesis import NO_CONTROL, ControlDecision, SupervisorPolicy, observable_reach
 
 DETECTION = "detection"
 ISOLATION = "isolation"
@@ -71,10 +70,9 @@ def engine_step(plant: LabeledPlant, policy: SupervisorPolicy,
         raise ProtocolError(f"event {obs} is not observable" if obs in plant.table
                             else f"unknown event: {obs}")
     if state.phase == DETECTION:
-        ids = diagnoser_step_ids(plant, plant.ids_of(state.estimate), obs)
-        if not ids:
+        est = plant.diagnoser.transitions.get((state.estimate, obs))
+        if est is None:
             raise ProtocolError(f"observation {obs} is infeasible at {state.estimate}")
-        est = plant.estimate_of(ids)
         verdict = classify(est)
         if verdict.detection == "F":
             return EngineState(ISOLATION, est, verdict, obs, policy.decision_for(est))
@@ -105,20 +103,20 @@ def replay(plant: LabeledPlant, policy: SupervisorPolicy,
 
 # -- closed-loop automaton -----------------------------------------------------
 
-_AWAIT = "await"
-_FREE = "free"
-
-
 @dataclass(frozen=True)
 class _LoopState:
     plant_state: str
     estimate: StateEstimate
-    certain: bool
     pending: bool  # an enforced event is owed before anything else
 
     def render(self) -> str:
         mark = "!" if self.pending else ""
         return f"{self.plant_state}@{self.estimate}{mark}"
+
+
+def _certain(est: StateEstimate) -> bool:
+    """Fault certainty: the switch from detection to isolation."""
+    return classify(est).detection == "F"
 
 
 @dataclass(frozen=True)
@@ -132,7 +130,6 @@ class ClosedLoopAutomaton:
     automaton: Automaton
     label_of: Mapping[str, str]
     estimate_of: Mapping[str, StateEstimate]
-    certain_of: Mapping[str, bool]
     policy: SupervisorPolicy
 
     def as_labeled_plant(self) -> LabeledPlant:
@@ -151,19 +148,21 @@ def build_closed_loop(plant: LabeledPlant, policy: SupervisorPolicy,
                       max_states: int = 1_000_000) -> ClosedLoopAutomaton:
     """Product of the plant with the estimate-tracking supervisor.
 
-    Before certainty every plant move is admissible.  At certainty, and after
-    every later observation, the decision for the current estimate applies:
-    an enforced event is the sole admissible move at that point (even if
-    disabled), after which undisabled events run until the next observation.
+    The decision in force is ``NO_CONTROL`` before certainty and the policy's
+    decision for the current estimate after it.  Right after an observation
+    that decision's enforced event is the sole admissible move (even if
+    disabled); otherwise every move it does not disable is.  An observation
+    steps the estimate through the diagnoser before certainty and through
+    ``observable_reach`` after it.
     """
     aut = plant.automaton
     obs_events = plant.table.observable_events
+    diagnoser_step = plant.diagnoser.transitions
 
-    def enter(est: StateEstimate, pid: str, certain: bool) -> _LoopState:
-        pending = certain and policy.decision_for(est).enforce is not None
-        return _LoopState(pid, est, certain, pending)
+    def enter(pid: str, est: StateEstimate) -> _LoopState:
+        return _LoopState(pid, est, _certain(est) and policy.decision_for(est).enforce is not None)
 
-    init = _LoopState(aut.initial, plant.initial_estimate, False, False)
+    init = enter(aut.initial, plant.initial_estimate)
     states: dict[_LoopState, str] = {init: init.render()}
     order = [init]
     queue = deque([init])
@@ -182,49 +181,34 @@ def build_closed_loop(plant: LabeledPlant, policy: SupervisorPolicy,
 
     while queue:
         st = queue.popleft()
-        pid = st.plant_state
-        if not st.certain:
-            for ev, dst in aut.outgoing(pid):
-                if ev in obs_events:
-                    ids = diagnoser_step_ids(plant, plant.ids_of(st.estimate), ev)
-                    est = plant.estimate_of(ids)
-                    certain = classify(est).detection == "F"
-                    push(st, ev, enter(est, dst, certain))
-                else:
-                    push(st, ev, _LoopState(dst, st.estimate, False, False))
-            continue
-        dec = policy.decision_for(st.estimate)
+        pid, est = st.plant_state, st.estimate
+        certain = _certain(est)
+        dec = policy.decision_for(est) if certain else NO_CONTROL
         if st.pending:
-            ev = dec.enforce
-            dst = aut.transitions.get((pid, ev))
+            dst = aut.transitions.get((pid, dec.enforce))
             if dst is None:
                 raise SupervisorIntegrityError(
-                    f"supervisor enforces {ev} at {st.estimate} but the plant "
+                    f"supervisor enforces {dec.enforce} at {est} but the plant "
                     f"state {pid} cannot execute it")
-            if ev in obs_events:
-                est = observable_reach(plant, st.estimate, dec, ev)
-                push(st, ev, enter(est, dst, True))
-            else:
-                push(st, ev, _LoopState(dst, st.estimate, True, False))
-            continue
-        for ev, dst in aut.outgoing(pid):
-            if ev in dec.disable:
+            moves = [(dec.enforce, dst)]
+        else:
+            moves = [(ev, dst) for ev, dst in aut.outgoing(pid) if ev not in dec.disable]
+        for ev, dst in moves:
+            if ev not in obs_events:
+                push(st, ev, _LoopState(dst, est, False))
                 continue
-            if ev in obs_events:
-                est = observable_reach(plant, st.estimate, dec, ev)
-                if est is None:  # cannot happen for a true plant successor
-                    raise SupervisorIntegrityError(
-                        f"estimate tracking lost the plant at {pid} under {dec}")
-                push(st, ev, enter(est, dst, True))
-            else:
-                push(st, ev, _LoopState(dst, st.estimate, True, False))
+            nxt = observable_reach(plant, est, dec, ev) if certain \
+                else diagnoser_step.get((est, ev))
+            if nxt is None:  # cannot happen for a true plant successor
+                raise SupervisorIntegrityError(
+                    f"estimate tracking lost the plant at {pid} under {dec}")
+            push(st, ev, enter(dst, nxt))
 
     names = frozenset(states.values())
     cl_aut = Automaton(plant.table, names, states[init], trans)
     label_of = {states[s]: plant.label_of[s.plant_state] for s in order}
     estimate_of = {states[s]: s.estimate for s in order}
-    certain_of = {states[s]: s.certain for s in order}
-    return ClosedLoopAutomaton(cl_aut, label_of, estimate_of, certain_of, policy)
+    return ClosedLoopAutomaton(cl_aut, label_of, estimate_of, policy)
 
 
 @dataclass(frozen=True)
@@ -244,7 +228,7 @@ def verify_closed_loop(cl: ClosedLoopAutomaton) -> ClosedLoopReport:
     ``bound``: longest run of consecutive mixed estimates after certainty.
     """
     nonlive = tuple(q for q in sorted(cl.automaton.states)
-                    if cl.certain_of[q] and not cl.automaton.outgoing(q))
+                    if not cl.automaton.outgoing(q) and _certain(cl.estimate_of[q]))
     iso = check_isolatability(cl.as_labeled_plant())
     return ClosedLoopReport(not nonlive, nonlive, iso.isolatable,
                             iso.witness_cycle, iso.bound)
@@ -292,10 +276,10 @@ def simulate(cl: ClosedLoopAutomaton, max_steps: int,
         if ev in obs_events:
             lines.append(f"OBS {ev}")
             est = cl.estimate_of[state]
-            if cl.certain_of[state]:
+            verdict = classify(est)
+            if verdict.detection == "F":
                 dec = cl.policy.decision_for(est)
                 dis = ",".join(sorted(dec.disable))
                 lines.append(f"DEC enforce={dec.enforce or '~'} disable={{{dis}}}")
-            verdict = classify(est)
             lines.append(f"VERDICT det={verdict.detection} iso={verdict.isolation}")
     return "\n".join(lines) + "\n"

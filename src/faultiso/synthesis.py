@@ -706,10 +706,9 @@ class SupervisorPolicy:
 
     initial_frontier: frozenset[StateEstimate]
     decisions: Mapping[StateEstimate, ControlDecision]
-    default: ControlDecision = NO_CONTROL
 
     def decision_for(self, est: StateEstimate) -> ControlDecision:
-        return self.decisions.get(est, self.default)
+        return self.decisions.get(est, NO_CONTROL)
 
 
 def extract_supervisor(result: SynthesisResult, bts_liv: BTSGraph) -> SupervisorPolicy:

@@ -128,12 +128,6 @@ def test_bts_dot_full_graph(twin_bts):
     assert text.count("color=red") == 1
 
 
-def test_supervisor_dot_empty_policy():
-    empty = fi.SupervisorPolicy(frozenset(), {})
-    text = dotexport.export_supervisor_dot(empty)
-    assert text == "digraph supervisor {\n  rankdir=LR;\n}\n"
-
-
 def test_explain(capsys, supervisor_file):
     code, out, _ = run_cli(capsys, "explain", TWIN, supervisor_file,
                            "--obs", "o2,o3,o2")
@@ -222,8 +216,16 @@ def _edited(change):
     (lambda text: b"\xd0\x00", ["explain", "--obs", "o2"], cli.EXIT_MODEL),
     (_edited(lambda doc: doc["decisions"].append(dict(doc["decisions"][0], enforce=None))),
      ["explain", "--obs", "o2"], cli.EXIT_MODEL),
+    (_edited(lambda doc: doc.update(frontier=[])), ["explain", "--obs", "o2,o3,o2"],
+     cli.EXIT_MODEL),
+    (_edited(lambda doc: doc.update(frontier=[], decisions=[
+        d for d in doc["decisions"] if d["enforce"] != "o3"])),
+     ["explain", "--obs", "o2,o3,o2"], cli.EXIT_MODEL),
+    (lambda text: ("[" * 100000 + "]" * 100000).encode("utf-8"),
+     ["explain", "--obs", "o2"], cli.EXIT_MODEL),
 ], ids=["unknown-observation", "zero-steps", "non-forcible-enforce", "string-disable",
-        "one-element-pair", "unknown-frontier-state", "not-utf8", "estimate-listed-twice"])
+        "one-element-pair", "unknown-frontier-state", "not-utf8", "estimate-listed-twice",
+        "frontier-emptied", "frontier-emptied-decision-dropped", "deeply-nested"])
 def test_hostile_input_exit_code(supervisor_file, tmp_path, corrupt, command, code):
     sup = supervisor_file
     if corrupt is not None:
@@ -233,6 +235,24 @@ def test_hostile_input_exit_code(supervisor_file, tmp_path, corrupt, command, co
                            str(sup), *command[1:]], capture_output=True, text=True)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_supervisor_on_non_diagnosable_model_exits_4(supervisor_file, tmp_path):
+    # the document is bound to this model by its digest, but the model has no
+    # fault frontier for it to match
+    text = ("event f fault=1\nevent o1 obs\ninit 0\n"
+            "trans 0 f 1\ntrans 0 o1 0\ntrans 1 o1 1\n")
+    model = tmp_path / "m.des"
+    model.write_text(text, encoding="utf-8")
+    sup = tmp_path / "bad.sup.json"
+    sup.write_bytes(_edited(lambda doc: doc.update(
+        model_hash=modelio.model_digest(modelio.parse_model_document(text))))(
+        Path(supervisor_file).read_text(encoding="utf-8")))
+    proc = subprocess.run([sys.executable, "-m", "faultiso.cli", "explain", str(model),
+                           str(sup), "--obs", "o1"], capture_output=True, text=True)
+    assert proc.returncode == cli.EXIT_NOT_DIAGNOSABLE == 4, proc.stderr
+    assert proc.stderr.startswith("error: not diagnosable")
+    assert proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("value", [5, None], ids=["number", "null"])

@@ -55,3 +55,17 @@ def test_no_function_level_imports(module):
             for node in ast.walk(fn):
                 assert not package_imports(node), \
                     f"{module}.{fn.name} imports the package at line {node.lineno}"
+
+
+def test_unobservable_closure_is_taken_only_by_the_index():
+    # uncontrolled estimate steps read plant.diagnoser, whose closures come
+    # from LabeledPlant.index; the runtime never takes a closure itself
+    callers = set()
+    for module in ("diagnosis", "runtime"):
+        tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callers |= {f"{module}.{fn.name}" for node in ast.walk(fn)
+                            if isinstance(node, ast.Call)
+                            and getattr(node.func, "id", None) == "unobservable_reach"}
+    assert callers == {"diagnosis.index"}

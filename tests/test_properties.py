@@ -15,6 +15,7 @@ from oracles import (
     closed_loop_language,
     enumerate_language,
     exact_uncontrolled_estimates,
+    set_diagnoser,
     split_trace,
 )
 from plantgen import random_plant
@@ -79,12 +80,12 @@ def test_labeled_language_preserved(sample):
 
 
 def test_estimate_step_audit(sample):
-    from faultiso.diagnosis import diagnoser_step_ids
     for plant in sample:
         diag = fi.build_diagnoser(plant)
+        ref = set_diagnoser(plant).transitions
         for (src, obs), dst in diag.transitions.items():
-            ids = diagnoser_step_ids(plant, plant.ids_of(src), obs)
-            assert plant.estimate_of(ids) == dst
+            assert ref.get((src, obs)) == dst, (src, obs)
+        assert len(ref) == len(diag.transitions)
 
 
 def test_closed_loop_language_literal(synthesised):
