@@ -28,7 +28,6 @@ from .diagnosis import (
     LabeledState,
     StateEstimate,
     build_diagnoser,
-    build_label_automaton,
     build_labeled_plant,
     check_diagnosability,
     check_isolatability,

@@ -7,7 +7,6 @@ caches its assumption report on first use.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
@@ -204,58 +203,37 @@ def accessible_part(aut: Automaton) -> Automaton:
     return Automaton(aut.table, frozenset(seen), aut.initial, trans)
 
 
-def compose_with_map(a: Automaton, b: Automaton) -> tuple[Automaton, dict[str, tuple[str, str]]]:
-    """Synchronous composition, returning the accessible product and a map
-    from composite state name back to its ``(a_state, b_state)`` pair.
+def parallel_compose(a: Automaton, b: Automaton) -> Automaton:
+    """Synchronous composition on shared events, interleaving on private ones.
 
-    Shared events synchronise, private events interleave.  Composite names
-    render as ``(a,b)`` in canonical component order; ModelError when two
-    pairs render to the same name.
+    The result is the accessible product.  Composite states are named
+    ``(a,b)``; ModelError when two state pairs render to the same name.
     """
     table = a.table.merged_with(b.table)
-    a_events = frozenset(a.table.names)
-    b_events = frozenset(b.table.names)
+    events, a_events, b_events = table.names, frozenset(a.table.names), frozenset(b.table.names)
 
     def name(pair):
         return f"({pair[0]},{pair[1]})"
 
-    init = (a.initial, b.initial)
-    pairs = {init}
-    queue = deque([init])
     trans: dict[tuple[str, str], str] = {}
-    while queue:
-        qa, qb = queue.popleft()
-        src = name((qa, qb))
-        moves = []
-        for ev in table.names:
-            in_a, in_b = ev in a_events, ev in b_events
-            if in_a and in_b:
-                da, db = a.transitions.get((qa, ev)), b.transitions.get((qb, ev))
-                if da is not None and db is not None:
-                    moves.append((ev, (da, db)))
-            elif in_a:
-                da = a.transitions.get((qa, ev))
-                if da is not None:
-                    moves.append((ev, (da, qb)))
-            else:
-                db = b.transitions.get((qb, ev))
-                if db is not None:
-                    moves.append((ev, (qa, db)))
-        for ev, dst in moves:
-            trans[(src, ev)] = name(dst)
-            if dst not in pairs:
-                pairs.add(dst)
-                queue.append(dst)
-    pair_of = {name(p): p for p in pairs}
-    if len(pair_of) < len(pairs):
-        clash = min(p for p in pairs if pair_of[name(p)] != p)
-        raise ModelError(f"composite state name {name(clash)} stands for two state pairs")
-    return Automaton(table, frozenset(pair_of), name(init), trans), pair_of
 
+    def moves(pair):
+        qa, qb = pair
+        src = name(pair)
+        out = []
+        for ev in events:
+            da = a.transitions.get((qa, ev)) if ev in a_events else qa
+            db = b.transitions.get((qb, ev)) if ev in b_events else qb
+            if da is not None and db is not None:
+                out.append((ev, (da, db)))
+                trans[(src, ev)] = name((da, db))
+        return out
 
-def parallel_compose(a: Automaton, b: Automaton) -> Automaton:
-    """Synchronous composition on shared events, interleaving on private ones."""
-    return compose_with_map(a, b)[0]
+    pair_of: dict[str, tuple[str, str]] = {}
+    for pair in reach([(a.initial, b.initial)], moves):
+        if pair_of.setdefault(name(pair), pair) != pair:
+            raise ModelError(f"composite state name {name(pair)} stands for two state pairs")
+    return Automaton(table, frozenset(pair_of), name((a.initial, b.initial)), trans)
 
 
 @dataclass(frozen=True)

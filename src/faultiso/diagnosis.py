@@ -14,21 +14,11 @@ from functools import cached_property, reduce
 from operator import or_
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .automata import (
-    Automaton,
-    EventTable,
-    compose_with_map,
-    require_assumptions,
-    unobservable_reach,
-)
+from .automata import Automaton, EventTable, require_assumptions, unobservable_reach
 from .errors import InvalidArgumentError, ModelError, NotDiagnosableError, ResourceLimitError
 from .graph import cyclic_nodes, find_cycle, longest_path, reach, shortest_path
 
 NORMAL = "N"
-
-
-def label_for_type(i: int) -> str:
-    return f"F{i}"
 
 
 @dataclass(frozen=True, order=True)
@@ -132,37 +122,13 @@ def classify(est: StateEstimate) -> DiagnosisVerdict:
     return DiagnosisVerdict(detection, isolation)
 
 
-def build_label_automaton(table: EventTable) -> Automaton:
-    """Fault-tracking automaton over the fault alphabet.
-
-    ``N`` moves to ``Fi`` on any class-``i`` fault and each ``Fi`` absorbs
-    further class-``i`` faults; faults of other classes are undefined there,
-    which leaves the composition with any single-fault-type plant unaffected.
-    """
-    k = table.fault_type_count
-    if k == 0:
-        raise ModelError("no fault events declared; nothing to label")
-    if table.fault_types != tuple(range(1, k + 1)):
-        raise ModelError("a complete model must number its fault types 1..k "
-                         f"without gaps, got {list(table.fault_types)}")
-    events = tuple(table[name] for name in sorted(table.fault_events))
-    fault_table = EventTable(events)
-    states = {NORMAL} | {label_for_type(i) for i in range(1, k + 1)}
-    trans = {}
-    for ev in events:
-        lab = label_for_type(ev.fault_type)
-        trans[(NORMAL, ev.name)] = lab
-        trans[(lab, ev.name)] = lab
-    return Automaton(fault_table, frozenset(states), NORMAL, trans)
-
-
 @dataclass(frozen=True)
 class LabeledPlant:
     """A plant whose states carry fault labels.
 
-    ``automaton`` is the composed system; ``base_of``/``label_of`` decompose
-    each composite state; ``id_of`` inverts the pair back to the composite
-    state identifier.
+    ``automaton`` is the labelled system; ``base_of``/``label_of`` decompose
+    each of its states into plant state and label; ``id_of`` maps the pair
+    back to the state identifier.
     """
 
     automaton: Automaton
@@ -175,13 +141,20 @@ class LabeledPlant:
         return self.automaton.table
 
     def member_of(self, state_id: str) -> LabeledState:
-        return LabeledState(self.base_of[state_id], self.label_of[state_id])
+        try:
+            return LabeledState(self.base_of[state_id], self.label_of[state_id])
+        except KeyError:
+            raise InvalidArgumentError(f"unknown labelled state: {state_id}") from None
 
     def estimate_of(self, state_ids: Iterable[str]) -> StateEstimate:
         return StateEstimate.of(self.member_of(s) for s in state_ids)
 
     def ids_of(self, est: StateEstimate) -> frozenset[str]:
-        return frozenset(self.id_of[(m.base, m.label)] for m in est)
+        try:
+            return frozenset(self.id_of[(m.base, m.label)] for m in est)
+        except KeyError as exc:
+            raise InvalidArgumentError(
+                f"unknown labelled state: {LabeledState(*exc.args[0])}") from None
 
     @property
     def initial_estimate(self) -> StateEstimate:
@@ -211,30 +184,42 @@ class LabeledPlant:
 
 
 def build_labeled_plant(g: Automaton) -> LabeledPlant:
-    """Compose the plant with the label automaton.
+    """Pair every plant state with the label of the fault class seen so far.
 
-    The composition preserves the plant language (the label component never
-    blocks a plant move under the standing assumptions, which are checked
-    first).  Composite states are renamed ``<state><label>`` when that is
-    unambiguous, matching the conventional rendering of labelled states.
+    A class-``i`` fault moves ``N`` to ``Fi`` and ``Fi`` keeps class-``i``
+    faults; a fault of another class is undefined at ``Fi``.  Under the
+    standing assumptions, which are checked first, that never blocks a plant
+    move, so the plant language is preserved.  The pair ``(q, L)`` is named
+    ``<q><L>``: no label is a proper suffix of another, so distinct pairs get
+    distinct names.
     """
     require_assumptions(g)
-    labeller = build_label_automaton(g.table)
-    composed, pair_of = compose_with_map(g, labeller)
+    table = g.table
+    k = table.fault_type_count
+    if k == 0:
+        raise ModelError("no fault events declared; nothing to label")
+    if table.fault_types != tuple(range(1, k + 1)):
+        raise ModelError("a complete model must number its fault types 1..k "
+                         f"without gaps, got {list(table.fault_types)}")
+    fault_label = {e.name: f"F{e.fault_type}" for e in table.events
+                   if e.fault_type is not None}
+    trans: dict[tuple[str, str], str] = {}
 
-    compact = {cid: f"{pair[0]}{pair[1]}" for cid, pair in pair_of.items()}
-    if len(set(compact.values())) == len(compact):
-        renames = compact
-    else:  # pathological state names; keep the explicit pair rendering
-        renames = {cid: cid for cid in pair_of}
+    def moves(pair):
+        q, label = pair
+        out = []
+        for ev, dst in g.outgoing(q):
+            nxt = fault_label.get(ev, label)
+            if label == NORMAL or nxt == label:
+                out.append((ev, (dst, nxt)))
+                trans[(q + label, ev)] = dst + nxt
+        return out
 
-    states = frozenset(renames[c] for c in composed.states)
-    trans = {(renames[s], e): renames[d] for (s, e), d in composed.transitions.items()}
-    aut = Automaton(composed.table, states, renames[composed.initial], trans)
-    base_of = {renames[c]: pair_of[c][0] for c in composed.states}
-    label_of = {renames[c]: pair_of[c][1] for c in composed.states}
-    id_of = {(pair_of[c][0], pair_of[c][1]): renames[c] for c in composed.states}
-    return LabeledPlant(aut, base_of, label_of, id_of)
+    id_of = {pair: pair[0] + pair[1] for pair in reach([(g.initial, NORMAL)], moves)}
+    aut = Automaton(EventTable(tuple(sorted(table.events, key=lambda e: e.name))),
+                    frozenset(id_of.values()), g.initial + NORMAL, trans)
+    return LabeledPlant(aut, {s: q for (q, _), s in id_of.items()},
+                        {s: label for (_, label), s in id_of.items()}, id_of)
 
 
 # -- state estimation ---------------------------------------------------------
@@ -288,16 +273,6 @@ class Diagnoser:
         self.transitions, self._succ, self._masks, self._index = transitions, succ, masks, index
         self._table = table
 
-    @cached_property
-    def _pos(self) -> dict[StateEstimate, int]:
-        return {est: i for i, est in enumerate(self.states)}
-
-    def _position(self, est: StateEstimate) -> int:
-        """The position of ``est`` in ``states``."""
-        if est not in self._pos:
-            raise InvalidArgumentError(f"estimate not in diagnoser: {est}")
-        return self._pos[est]
-
     def _walk(self, t: Sequence[str]) -> tuple[Optional[StateEstimate], Optional[str]]:
         """The estimate after ``t``, or ``None`` and the first infeasible
         observation.  An unknown or unobservable event raises once reached."""
@@ -317,15 +292,11 @@ class Diagnoser:
             raise InvalidArgumentError(f"observation infeasible: {' '.join(t)} (at {at})")
         return est
 
-    def successors(self, est: StateEstimate) -> tuple[tuple[str, StateEstimate], ...]:
-        return tuple((obs, self.states[j]) for obs, j in self._succ[self._position(est)])
-
     def _frontier(self) -> list[int]:
         """Positions first reached with fault certainty (no normal bit), in
         breadth-first order."""
         normal, masks, succ = self._index.normal, self._masks, self._succ
-        nodes = reach([self._position(self.initial)],
-                      lambda i: succ[i] if masks[i] & normal else ())
+        nodes = reach([0], lambda i: succ[i] if masks[i] & normal else ())
         return [i for i in nodes if not masks[i] & normal]
 
 

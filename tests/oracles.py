@@ -12,8 +12,15 @@ from functools import cached_property
 from itertools import product
 from typing import Sequence, Union
 
-from faultiso.automata import active_events, unobservable_reach
+from faultiso.automata import (
+    Automaton,
+    EventTable,
+    active_events,
+    parallel_compose,
+    unobservable_reach,
+)
 from faultiso.diagnosis import (
+    NORMAL,
     IsolatabilityReport,
     LabeledPlant,
     StateEstimate,
@@ -45,6 +52,26 @@ def enumerate_bounded_strings(aut, max_len):
         out += nxt
         layer = nxt
     return out
+
+
+def composed_labeled_plant(g: Automaton) -> LabeledPlant:
+    """The labelled plant as a composition: a label automaton over the fault
+    events, where ``N`` moves to ``Fi`` on a class-``i`` fault and ``Fi``
+    keeps class-``i`` faults, composed with ``g`` by ``parallel_compose``.
+    Its ``(q,L)`` states are renamed ``qL``.  No model checks are made."""
+    faults = tuple(e for e in g.table.events if e.fault_type is not None)
+    trans = {}
+    for e in faults:
+        trans[(NORMAL, e.name)] = trans[(f"F{e.fault_type}", e.name)] = f"F{e.fault_type}"
+    labels = frozenset(trans.values()) | {NORMAL}
+    composed = parallel_compose(g, Automaton(EventTable(faults), labels, NORMAL, trans))
+    pair_of = {c: tuple(c[1:-1].rsplit(",", 1)) for c in composed.states}  # "(q,L)"
+    name = {c: q + label for c, (q, label) in pair_of.items()}
+    aut = Automaton(composed.table, frozenset(name.values()), name[composed.initial],
+                    {(name[c], ev): name[d] for (c, ev), d in composed.transitions.items()})
+    return LabeledPlant(aut, {name[c]: q for c, (q, _) in pair_of.items()},
+                        {name[c]: label for c, (_, label) in pair_of.items()},
+                        {pair: name[c] for c, pair in pair_of.items()})
 
 
 def brute_estimates(plant: LabeledPlant, max_len: int):

@@ -116,12 +116,6 @@ def test_compose_rejects_colliding_names():
         fi.parallel_compose(a, b)
 
 
-def test_compose_labels(twin):
-    labeller = fi.build_label_automaton(twin.table)
-    prod = fi.parallel_compose(twin, labeller)
-    assert fi.run(prod, ["sf1", "o2"]) == "(2,F1)"
-
-
 def test_prefix_closure(twin):
     lang = enumerate_language(twin, 6)
     for s in lang:

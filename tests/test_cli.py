@@ -1,7 +1,9 @@
 """CLI surface: subcommands, exit codes, DOT artifacts, reproducibility."""
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from faultiso import cli, dotexport, modelio
 import faultiso as fi
@@ -58,6 +61,17 @@ def test_check_assumption_failure(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "check", str(model))
     assert code == cli.EXIT_ASSUMPTIONS
     assert "non-live" in out
+
+
+def test_check_rejects_gaps_in_fault_types(tmp_path, capsys):
+    model = tmp_path / "m.des"
+    model.write_text(
+        "event f1 fault=1\nevent f3 fault=3\nevent o obs\ninit 0\n"
+        "trans 0 f1 1\ntrans 0 f3 2\ntrans 0 o 0\ntrans 1 o 1\ntrans 2 o 2\n",
+        encoding="utf-8")
+    code, _, err = run_cli(capsys, "check", str(model))
+    assert code == cli.EXIT_MODEL
+    assert "without gaps, got [1, 3]" in err
 
 
 def test_model_error_exit(tmp_path, capsys):
@@ -269,6 +283,79 @@ def test_non_string_model_hash_is_malformed(supervisor_file, tmp_path, value, co
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: model: supervisor document is malformed")
     assert proc.stderr.count("\n") == 1
+
+
+FUZZ_FLAGS = ["obs", "ctrl", "forc", "fault=1", "fault=2", "fault=0", "fault=x"]
+FUZZ_NUMBERS = ["-1", "0", "-99999", str(2 ** 63), "9" * 40]
+FUZZ_VALUES = [None, True, 0, -1, 1.5, 10 ** 30, -10 ** 30, "", "o2", [], {},
+               [["1", "F1"]], [[["1", "F1"]]]]
+
+
+def fuzz_lines(data, lines):
+    """Drop, duplicate or edit one line: its event flags or one of its words."""
+    lines = list(lines)
+    i = data.draw(st.integers(0, len(lines) - 1))
+    op = data.draw(st.sampled_from(["drop", "duplicate", "flags", "number"]))
+    words = lines[i].split()
+    if op == "drop":
+        del lines[i]
+    elif op == "duplicate":
+        lines.insert(i, lines[i])
+    elif op == "flags" and words[:1] == ["event"]:
+        flags = data.draw(st.lists(st.sampled_from(FUZZ_FLAGS), max_size=3))
+        lines[i] = " ".join(words[:2] + flags)
+    elif words:
+        j = data.draw(st.integers(0, len(words) - 1))
+        number = data.draw(st.sampled_from(FUZZ_NUMBERS))
+        words[j] = words[j].split("=")[0] + "=" + number if "=" in words[j] else number
+        lines[i] = " ".join(words)
+    return lines
+
+
+def fuzz_json(data, doc):
+    """Retype one value of the document, found by walking down from the top."""
+    top = {"doc": doc}
+    node, key = top, "doc"
+    while isinstance(node[key], (dict, list)) and node[key] \
+            and data.draw(st.booleans()):
+        node = node[key]
+        key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                        else range(len(node))))
+    node[key] = data.draw(st.sampled_from(FUZZ_VALUES))
+    return top["doc"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    assert cli.main(["synth", TWIN, "--out", str(path / "twin.sup.json")]) == 0
+    return path
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_inputs_exit_with_documented_codes(fuzz_dir, data):
+    """Mutated twin-branch model text and supervisor JSON, run through
+    ``check``, ``synth``, ``explain`` and ``simulate`` in-process: every run
+    ends with a documented exit code, never with an exception."""
+    model, sup, own_sup = (fuzz_dir / name for name in ("m.des", "s.json", "own.json"))
+    lines = twin_branch_text().splitlines()
+    for _ in range(data.draw(st.integers(1, 3))):
+        lines = fuzz_lines(data, lines)
+    model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    text = (fuzz_dir / "twin.sup.json").read_text(encoding="utf-8")
+    if data.draw(st.booleans()):
+        sup.write_text("\n".join(fuzz_lines(data, text.splitlines())), encoding="utf-8")
+    else:
+        sup.write_text(json.dumps(fuzz_json(data, json.loads(text))), encoding="utf-8")
+    own_sup.unlink(missing_ok=True)
+    runs = [["check", str(model)], ["synth", str(model), "--out", str(own_sup)]]
+    for m, s in ((TWIN, sup), (model, own_sup)):
+        runs += [["explain", str(m), str(s), "--obs", "o2,o3,o1"],
+                 ["simulate", str(m), str(s), "--seed", "3", "--steps", "12"]]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for argv in runs:
+            assert cli.main(argv) in {0, 2, 3, 4, 5, 6}, argv
 
 
 def synth_model(tmp_path, size):

@@ -1,4 +1,4 @@
-"""Label automaton, estimates, diagnoser, diagnosability and isolatability."""
+"""Labelled plant, estimates, diagnoser, diagnosability and isolatability."""
 from __future__ import annotations
 
 import random
@@ -13,7 +13,13 @@ from faultiso.gallery import lamps, twin_branch
 from faultiso.errors import AssumptionError, ModelError, NotDiagnosableError
 
 from conftest import estimate, names
-from oracles import brute_estimates, enumerate_language, set_diagnoser, set_isolatability
+from oracles import (
+    brute_estimates,
+    composed_labeled_plant,
+    enumerate_language,
+    set_diagnoser,
+    set_isolatability,
+)
 from plantgen import random_plant
 
 
@@ -24,25 +30,44 @@ def small_plant(events, transitions, initial="0"):
                         {(s, e): d for s, e, d in transitions})
 
 
-def test_label_automaton_two_types(twin):
-    lab = fi.build_label_automaton(twin.table)
-    assert lab.states == {"N", "F1", "F2"}
-    assert lab.transitions == {
-        ("N", "sf1"): "F1", ("F1", "sf1"): "F1",
-        ("N", "sf2"): "F2", ("F2", "sf2"): "F2",
-    }
-
-
-def test_label_automaton_single_type():
-    table = fi.EventTable((fi.Event("f", fault_type=1), fi.Event("o", observable=True)))
-    lab = fi.build_label_automaton(table)
-    assert lab.states == {"N", "F1"}
-
-
 def test_label_automaton_no_faults():
-    table = fi.EventTable((fi.Event("o", observable=True),))
-    with pytest.raises(ModelError):
-        fi.build_label_automaton(table)
+    aut = small_plant([fi.Event("o", observable=True)], [("0", "o", "0")])
+    with pytest.raises(ModelError, match="no fault events declared"):
+        fi.build_labeled_plant(aut)
+
+
+def assert_matches_composed_referee(g):
+    """``build_labeled_plant`` agrees with the label automaton composed with
+    ``g``, state for state and in the order of its table and transitions."""
+    plant, ref = fi.build_labeled_plant(g), composed_labeled_plant(g)
+    aut, want = plant.automaton, ref.automaton
+    assert (aut.states, aut.initial) == (want.states, want.initial)
+    assert list(aut.transitions.items()) == list(want.transitions.items())
+    assert aut.table.events == want.table.events
+    assert dict(plant.base_of) == dict(ref.base_of)
+    assert dict(plant.label_of) == dict(ref.label_of)
+    assert dict(plant.id_of) == dict(ref.id_of)
+
+
+def test_labeled_plant_matches_composed_referee(twin):
+    assert_matches_composed_referee(twin)
+    assert_matches_composed_referee(lamps(3))
+    rng = random.Random(2023)
+    for _ in range(300):
+        assert_matches_composed_referee(random_plant(rng))
+
+
+def test_labeled_plant_names_never_collide():
+    # plant states that look like labels or like labelled states
+    aut = small_plant(
+        [fi.Event("f1", fault_type=1), fi.Event("f2", fault_type=2),
+         fi.Event("o", observable=True)],
+        [("N", "f1", "F"), ("N", "f2", "1"), ("N", "o", "F1"), ("F1", "o", "F1"),
+         ("F", "o", "FN"), ("FN", "o", "F"), ("1", "o", "1F1"), ("1F1", "o", "1")],
+        initial="N")
+    plant = fi.build_labeled_plant(aut)
+    assert names(plant.automaton.states) == ["1F1F2", "1F2", "F1N", "FF1", "FNF1", "NN"]
+    assert_matches_composed_referee(aut)
 
 
 def test_labeled_plant_states(twin_plant):
@@ -268,10 +293,6 @@ def test_detection_agent_raises_typed_error(twin_diagnoser):
 
 def test_diagnoser_rejects_estimates_it_does_not_hold(twin_diagnoser):
     d = twin_diagnoser
-    missing = fi.StateEstimate(())
-    for call in (lambda: d.successors(missing), lambda: d._position(missing)):
-        with pytest.raises(fi.InvalidArgumentError, match="not in diagnoser"):
-            call()
     with pytest.raises(TypeError):  # only build_diagnoser makes a diagnoser
         fi.Diagnoser(d.states, d.alphabet, d.transitions, d.initial)
 
@@ -303,8 +324,9 @@ def assert_matches_set_referee(plant):
     adj = {est: [] for est in ref.states}
     for (src, obs), dst in ref.transitions.items():
         adj[src].append((obs, dst))
-    for est in ref.states:
-        assert diag.successors(est) == tuple(sorted(adj[est]))
+    assert len(diag._succ) == len(diag.states)
+    for est, succ in zip(ref.states, diag._succ):
+        assert [(obs, diag.states[j]) for obs, j in succ] == sorted(adj[est])
     # each mask lists its estimate's members in order
     assert len(diag._masks) == len(diag.states)
     for est, mask in zip(diag.states, diag._masks):

@@ -288,7 +288,12 @@ def test_closed_loop_keeps_its_labeled_plant(twin_plant, twin_pipeline, monkeypa
 
 
 def test_library_argument_errors_are_typed(twin, twin_plant, closed):
+    foreign = fi.StateEstimate.of([fi.LabeledState("zz", "N")])
     calls = [
+        lambda: fi.observable_reach(twin_plant, foreign, fi.NO_CONTROL, "o1"),
+        lambda: fi.feasible_decisions(twin_plant, foreign),
+        lambda: fi.policy_graph(twin_plant, fi.SupervisorPolicy(frozenset({foreign}), {})),
+        lambda: twin_plant.estimate_of(["nope"]),
         lambda: twin.table["zz"],
         lambda: fi.estimate_after(twin_plant, ["a"]),
         lambda: fi.classify(fi.StateEstimate(())),
