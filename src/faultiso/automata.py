@@ -208,9 +208,10 @@ def parallel_compose(a: Automaton, b: Automaton) -> Automaton:
 
     The result is the accessible product.  Composite states are named
     ``(a,b)``; ModelError when two state pairs render to the same name.
+    Each pair's moves come from its components' outgoing transitions.
     """
     table = a.table.merged_with(b.table)
-    events, a_events, b_events = table.names, frozenset(a.table.names), frozenset(b.table.names)
+    a_events, b_events = frozenset(a.table.names), frozenset(b.table.names)
 
     def name(pair):
         return f"({pair[0]},{pair[1]})"
@@ -219,14 +220,13 @@ def parallel_compose(a: Automaton, b: Automaton) -> Automaton:
 
     def moves(pair):
         qa, qb = pair
+        out = [(ev, (da, qb)) for ev, da in a.outgoing(qa) if ev not in b_events]
+        out += [(ev, (qa, db)) for ev, db in b.outgoing(qb) if ev not in a_events]
+        out += [(ev, (da, db)) for ev, da in a.outgoing(qa) if ev in b_events
+                if (db := b.transitions.get((qb, ev))) is not None]
         src = name(pair)
-        out = []
-        for ev in events:
-            da = a.transitions.get((qa, ev)) if ev in a_events else qa
-            db = b.transitions.get((qb, ev)) if ev in b_events else qb
-            if da is not None and db is not None:
-                out.append((ev, (da, db)))
-                trans[(src, ev)] = name((da, db))
+        for ev, dst in out:
+            trans[(src, ev)] = name(dst)
         return out
 
     pair_of: dict[str, tuple[str, str]] = {}

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import diagnosis, dotexport, modelio, runtime, synthesis
@@ -143,9 +144,19 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _read_observations(path: str):
+    """The observations in ``path`` (``-``: stdin), read a line at a time."""
+    try:
+        with open(path, encoding="utf-8") if path != "-" else nullcontext(sys.stdin) as stream:
+            for line in stream:
+                yield from line.replace(",", " ").split()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FaultIsoError(f"cannot read observations {path}: {exc}") from None
+
+
 def _cmd_explain(args) -> int:
     plant, policy = _load_closed_loop(args.model, args.supervisor)
-    observations = args.obs.split(",") if args.obs else []
+    observations = args.obs if args.obs_file is None else _read_observations(args.obs_file)
     st = runtime.initial_engine_state(plant)
     for obs in observations:
         st = runtime.engine_step(plant, policy, st, obs)
@@ -199,7 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explain", help="replay observations through the engine")
     p.add_argument("model")
     p.add_argument("supervisor")
-    p.add_argument("--obs", required=True, help="comma-separated observations")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--obs", type=lambda text: text.split(",") if text else [],
+                       help="comma-separated observations")
+    group.add_argument("--obs-file", metavar="PATH",
+                       help="observations separated by commas or whitespace; - is stdin")
     p.set_defaults(func=_cmd_explain)
     return parser
 

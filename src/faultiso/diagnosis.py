@@ -8,7 +8,6 @@ state with the label of the fault class seen so far; labels never revert.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
@@ -149,13 +148,6 @@ class LabeledPlant:
     def estimate_of(self, state_ids: Iterable[str]) -> StateEstimate:
         return StateEstimate.of(self.member_of(s) for s in state_ids)
 
-    def ids_of(self, est: StateEstimate) -> frozenset[str]:
-        try:
-            return frozenset(self.id_of[(m.base, m.label)] for m in est)
-        except KeyError as exc:
-            raise InvalidArgumentError(
-                f"unknown labelled state: {LabeledState(*exc.args[0])}") from None
-
     @property
     def initial_estimate(self) -> StateEstimate:
         return self.estimate_of([self.automaton.initial])
@@ -173,14 +165,14 @@ class LabeledPlant:
     @cached_property
     def index(self) -> "StateIndex":
         """The labelled states as bits, built once per plant."""
-        aut, observable = self.automaton, self.table.observable_events
+        aut = self.automaton
         ids = sorted(aut.states, key=self.member_of)
         bit = {q: i for i, q in enumerate(ids)}
         return StateIndex(
             tuple(map(self.member_of, ids)),
             tuple(sum(1 << bit[r] for r in unobservable_reach(aut, [q])) for q in ids),
-            tuple(tuple((ev, bit[d]) for ev, d in aut.outgoing(q) if ev in observable)
-                  for q in ids))
+            tuple({ev: bit[d] for ev, d in aut.outgoing(q)} for q in ids),
+            self.table.observable_events)
 
 
 def build_labeled_plant(g: Automaton) -> LabeledPlant:
@@ -235,19 +227,65 @@ def _bits(mask: int):
 class StateIndex:
     """Labelled-state sets as integer masks: bit ``i`` is ``members[i]``, in
     ``LabeledState`` order, so a mask lists its members sorted.  ``normal``
-    and ``faults`` (one per fault label) are label masks.  ``closure`` holds
-    each state's unobservable-closure mask and ``observable_out`` its
-    ``(event, bit)`` observable edges.  A plain class, not a dataclass: the
-    package is imported per CLI process."""
+    and ``faults`` (one per fault label) are label masks.  Per state,
+    ``succ`` maps events to successor bits, ``observable_out`` lists the
+    observable ones and ``closure`` is its unobservable closure.  No
+    reference back to the plant: the plant is freed without the cyclic GC.
+    A plain class, not a dataclass: the package is imported per CLI process."""
 
     def __init__(self, members: tuple[LabeledState, ...], closure: tuple[int, ...],
-                 observable_out: tuple[tuple[tuple[str, int], ...], ...]):
-        self.members, self.closure, self.observable_out = members, closure, observable_out
+                 succ: tuple[dict[str, int], ...], observable: frozenset[str]):
+        self.members, self.closure, self.succ, self.observable = members, closure, succ, observable
+        self.observable_out = tuple(tuple((ev, d) for ev, d in s.items() if ev in observable)
+                                    for s in succ)
         by_label: dict[str, int] = {}
         for i, m in enumerate(members):
             by_label[m.label] = by_label.get(m.label, 0) | 1 << i
         self.normal = by_label.pop(NORMAL, 0)
         self.faults = tuple(by_label.values())
+        self._bit = {m: i for i, m in enumerate(members)}
+        self._closures: dict[frozenset[str], tuple[int, ...]] = {frozenset(): closure}
+        self._estimates: dict[int, StateEstimate] = {}
+        self._mask_of: dict[StateEstimate, int] = {}
+
+    def closure_under(self, disabled: frozenset[str]) -> tuple[int, ...]:
+        """Each state's closure under the unobservable events not in
+        ``disabled``, memoised per part.  With no unobservable cycles a
+        closure strictly contains its successors', so fewest bits go first."""
+        part = disabled - self.observable
+        table = self._closures.get(part)
+        if table is None:
+            built = [0] * len(self.members)
+            for i in sorted(range(len(built)), key=lambda i: self.closure[i].bit_count()):
+                built[i] = reduce(or_, (built[d] for ev, d in self.succ[i].items()
+                                        if ev not in self.observable and ev not in part), 1 << i)
+            table = self._closures[part] = tuple(built)
+        return table
+
+    def observe(self, released: int) -> dict[str, int]:
+        """Each observation possible from ``released``, with the mask it leads to."""
+        out, step = self.observable_out, {}
+        for b in _bits(released):
+            for obs, d in out[b]:
+                step[obs] = step.get(obs, 0) | 1 << d
+        return step
+
+    def estimate(self, mask: int) -> StateEstimate:
+        est = self._estimates.get(mask)
+        if est is None:
+            est = self._estimates[mask] = StateEstimate._of_sorted(
+                tuple(map(self.members.__getitem__, _bits(mask))))
+            self._mask_of[est] = mask
+        return est
+
+    def mask_of(self, est: StateEstimate) -> int:
+        mask = self._mask_of.get(est)
+        if mask is None:
+            try:
+                mask = self._mask_of[est] = sum(1 << self._bit[m] for m in est)
+            except KeyError as exc:
+                raise InvalidArgumentError(f"unknown labelled state: {exc.args[0]}") from None
+        return mask
 
 
 def estimate_after(plant: LabeledPlant, t: Sequence[str]) -> StateEstimate:
@@ -304,16 +342,14 @@ def build_diagnoser(plant: LabeledPlant, max_states: int = 1_000_000) -> Diagnos
     """Worklist determinisation of the labelled plant over observations, on
     masks of ``plant.index``: each state's estimate is built once, and only
     the observations active in its closure are followed, in event order."""
-    closure, out, members = plant.index.closure, plant.index.observable_out, plant.index.members
-    masks = [1 << bisect_left(members, plant.member_of(plant.automaton.initial))]
-    pos, states = {masks[0]: 0}, [plant.initial_estimate]
+    index = plant.index
+    states = [plant.initial_estimate]
+    masks = [index.mask_of(states[0])]
+    pos = {masks[0]: 0}
     succ: list[tuple[tuple[str, int], ...]] = []
     trans: dict[tuple[StateEstimate, str], StateEstimate] = {}
     for i, mask in enumerate(masks):  # masks grows as states are found
-        step: dict[str, int] = {}
-        for b in _bits(reduce(or_, map(closure.__getitem__, _bits(mask)))):
-            for obs, d in out[b]:
-                step[obs] = step.get(obs, 0) | 1 << d
+        step = index.observe(reduce(or_, map(index.closure.__getitem__, _bits(mask))))
         edges = []
         for obs in sorted(step):
             nxt = step[obs]
@@ -325,7 +361,7 @@ def build_diagnoser(plant: LabeledPlant, max_states: int = 1_000_000) -> Diagnos
                         stats={"states": len(masks), "transitions": len(trans) + 1})
                 j = pos[nxt] = len(masks)
                 masks.append(nxt)
-                states.append(StateEstimate._of_sorted(tuple(members[b] for b in _bits(nxt))))
+                states.append(index.estimate(nxt))
             trans[(states[i], obs)] = states[j]
             edges.append((obs, j))
         succ.append(tuple(edges))

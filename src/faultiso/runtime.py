@@ -32,7 +32,7 @@ from .errors import (
     SchedulerError,
     SupervisorIntegrityError,
 )
-from .synthesis import NO_CONTROL, ControlDecision, SupervisorPolicy, observable_reach
+from .synthesis import NO_CONTROL, ControlDecision, SupervisorPolicy, _release, observable_reach
 
 DETECTION = "detection"
 ISOLATION = "isolation"
@@ -79,8 +79,7 @@ def engine_step(plant: LabeledPlant, policy: SupervisorPolicy,
         return EngineState(DETECTION, est, verdict, obs, None)
 
     dec = state.active_decision
-    if dec.enforce is not None and dec.enforce in plant.table.observable_events \
-            and obs != dec.enforce:
+    if dec.enforce in plant.table.observable_events and obs != dec.enforce:
         raise ProtocolError(f"decision {dec} enforces {dec.enforce} "
                             f"but {obs} was observed")
     if obs in dec.disable:
@@ -153,11 +152,12 @@ def build_closed_loop(plant: LabeledPlant, policy: SupervisorPolicy,
     that decision's enforced event is the sole admissible move (even if
     disabled); otherwise every move it does not disable is.  An observation
     steps the estimate through the diagnoser before certainty and through
-    ``observable_reach`` after it.
+    the observable reach after it, released once per estimate.
     """
-    aut = plant.automaton
+    aut, index = plant.automaton, plant.index
     obs_events = plant.table.observable_events
     diagnoser_step = plant.diagnoser.transitions
+    observed: dict[StateEstimate, dict[str, StateEstimate]] = {}  # per certain estimate
 
     def enter(pid: str, est: StateEstimate) -> _LoopState:
         return _LoopState(pid, est, _certain(est) and policy.decision_for(est).enforce is not None)
@@ -197,8 +197,10 @@ def build_closed_loop(plant: LabeledPlant, policy: SupervisorPolicy,
             if ev not in obs_events:
                 push(st, ev, _LoopState(dst, est, False))
                 continue
-            nxt = observable_reach(plant, est, dec, ev) if certain \
-                else diagnoser_step.get((est, ev))
+            if certain and est not in observed:
+                observed[est] = {obs: index.estimate(mask) for obs, mask
+                                 in index.observe(_release(plant, est, dec)).items()}
+            nxt = observed[est].get(ev) if certain else diagnoser_step.get((est, ev))
             if nxt is None:  # cannot happen for a true plant successor
                 raise SupervisorIntegrityError(
                     f"estimate tracking lost the plant at {pid} under {dec}")

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import AbstractSet, Optional
 
-from .automata import EventTable, unobservable_reach
-from .diagnosis import LabeledPlant, StateEstimate, classify, fault_frontier
+from .automata import EventTable
+from .diagnosis import LabeledPlant, StateEstimate, StateIndex, _bits, fault_frontier
 from .errors import InvalidArgumentError, ResourceLimitError, SynthesisError
 from .graph import reach
 
@@ -353,15 +353,15 @@ def feasible_decisions(plant: LabeledPlant, est: StateEstimate) -> tuple[Control
     of the estimate, in canonical form and deterministic order."""
     if est.empty:
         raise InvalidArgumentError("empty estimate has no feasible decisions")
-    return _menu(plant.table, _enforceable(plant, plant.ids_of(est)))
+    return _menu(plant.table, _enforceable(plant.table, plant.index, plant.index.mask_of(est)))
 
 
-def _enforceable(plant: LabeledPlant, ids: frozenset[str]) -> tuple[Optional[str], ...]:
+def _enforceable(table: EventTable, index: StateIndex, mask: int) -> tuple[Optional[str], ...]:
     """``None`` (enforce nothing), then every forcible event defined at all
-    of ``ids``, sorted."""
-    trans = plant.automaton.transitions
-    return (None,) + tuple(ev for ev in sorted(plant.table.enforceable_events)
-                           if all((q, ev) in trans for q in ids))
+    states of ``mask``, sorted."""
+    succ = [index.succ[b] for b in _bits(mask)]
+    return (None,) + tuple(ev for ev in sorted(table.enforceable_events)
+                           if all(ev in s for s in succ))
 
 
 def _menu(table: EventTable, enforceable: Sequence[Optional[str]]) -> tuple[ControlDecision, ...]:
@@ -383,28 +383,49 @@ def _all_subsets(items: Sequence[str]) -> list[frozenset[str]]:
     return subs
 
 
-def _admitted(table: EventTable, dec: ControlDecision, obs_sorted: Sequence[str]) -> list[str]:
-    """Observations ``dec`` admits, in ``obs_sorted`` order."""
-    if dec.enforce in table.observable_events:
-        return [dec.enforce]
-    return [o for o in obs_sorted if o not in dec.disable]
+def _released(index: StateIndex, mask: int, dec: ControlDecision) -> Optional[int]:
+    """The mask of states the plant can be in under ``dec`` before the next
+    observation: an unobservable enforced event fires, then undisabled
+    unobservable events run; an observable one is that observation, so
+    nothing moves first.  ``None`` unless the enforced event is defined at
+    every state of ``mask``."""
+    ev = dec.enforce
+    if ev is not None:
+        succ, after = index.succ, 0
+        for b in _bits(mask):
+            d = succ[b].get(ev)
+            if d is None:
+                return None
+            after |= 1 << d
+        if ev in index.observable:
+            return mask
+        mask = after
+    closure, out = index.closure_under(dec.disable), 0
+    for b in _bits(mask):
+        out |= closure[b]
+    return out
 
 
-def _released(plant: LabeledPlant, ids: frozenset[str],
-              dec: ControlDecision) -> Optional[frozenset[str]]:
-    """States the plant can be in under ``dec`` before the next observation:
-    an unobservable enforced event fires, then undisabled unobservable events
-    run.  An observable enforced event is that observation, so nothing moves
-    first.  ``None`` when the enforced event is not defined at every member."""
-    aut = plant.automaton
-    if dec.enforce is not None:
-        after = frozenset(aut.transitions.get((q, dec.enforce)) for q in ids)
-        if None in after:
-            return None
-        if dec.enforce in plant.table.observable_events:
-            return ids
-        ids = after
-    return unobservable_reach(aut, ids, dec.disable)
+def _step(index: StateIndex, released: int, obs: str) -> int:
+    """The states ``obs`` leads to from ``released``, as a mask (0: none)."""
+    succ, out = index.succ, 0
+    for b in _bits(released):
+        d = succ[b].get(obs)
+        if d is not None:
+            out |= 1 << d
+    return out
+
+
+def _release(plant: LabeledPlant, est: StateEstimate, dec: ControlDecision) -> int:
+    """``_released`` of ``est``, with the decision's events checked first;
+    InvalidArgumentError when one is unknown or the decision is infeasible."""
+    for ev in dec.disable if dec.enforce is None else dec.disable | {dec.enforce}:
+        plant.table.require(ev)
+    released = _released(plant.index, plant.index.mask_of(est), dec)
+    if released is None:
+        raise InvalidArgumentError(f"decision {dec} is infeasible at {est}: "
+                                   f"{dec.enforce} is not defined at every member")
+    return released
 
 
 def observable_reach(plant: LabeledPlant, est: StateEstimate,
@@ -418,23 +439,18 @@ def observable_reach(plant: LabeledPlant, est: StateEstimate,
     nothing enforced, undisabled unobservable events run, then ``obs``.
     An enforced event fires even if listed in the disable set.
     """
-    aut = plant.automaton
     table = plant.table
     if obs not in table.observable_events:
         table.require(obs)
         raise InvalidArgumentError(f"event {obs} is not observable")
-    released = _released(plant, plant.ids_of(est), dec)
-    if released is None:
-        raise InvalidArgumentError(f"decision {dec} is infeasible at {est}: "
-                                   f"{dec.enforce} is not defined at every member")
+    released = _release(plant, est, dec)
     if dec.enforce in table.observable_events:
         if obs != dec.enforce:
             return None
     elif obs in dec.disable:
         raise InvalidArgumentError(f"observation {obs} is disabled by {dec}")
-    after = frozenset(dst for q in released
-                      if (dst := aut.transitions.get((q, obs))) is not None)
-    return plant.estimate_of(after) if after else None
+    nxt = _step(plant.index, released, obs)
+    return plant.index.estimate(nxt) if nxt else None
 
 
 def _antichain(masks: Iterable[int]) -> tuple[int, ...]:
@@ -471,46 +487,42 @@ def build_bts(plant: LabeledPlant, max_states: int = 1_000_000) -> BTSGraph:
     caps the stored states: Y-states plus effects.
     """
     y0 = fault_frontier(plant)
-    table, trans = plant.table, plant.automaton.transitions
+    diag, index, table = plant.diagnoser, plant.index, plant.table
     ctrl, observable = table.controllable_events, table.observable_events
     unobs_ctrl = table.unobservable_events & ctrl
     unobs_parts = _all_subsets(sorted(unobs_ctrl))
-    active_at = {q: frozenset(ev for ev, _ in plant.automaton.outgoing(q))
-                 for q in plant.automaton.states}
+    active_at = [frozenset(s) for s in index.succ]
     # per set of relevant events: the bits of its observable ones and the free events
     kinds: dict[frozenset[str], tuple[dict[str, int], frozenset[str]]] = {}
 
-    y_order: list[StateEstimate] = sorted(y0, key=str)
-    y_id = {y: i for i, y in enumerate(y_order)}
+    y_masks = [diag._masks[j] for j in sorted(diag._frontier(), key=lambda j: str(diag.states[j]))]
+    y_id = {m: i for i, m in enumerate(y_masks)}
     y_effects: list[Sequence[int]] = []
     effects: list[_Effect] = []
 
-    def successor(released, obs) -> int:
-        nxt = plant.estimate_of(dst for q in released
-                                if (dst := trans.get((q, obs))) is not None)
-        i = y_id.get(nxt)
+    def successor(mask: int) -> int:
+        i = y_id.get(mask)
         if i is None:
-            if len(y_order) + len(effects) >= max_states:
+            if len(y_masks) + len(effects) >= max_states:
                 raise ResourceLimitError(
                     f"bipartite system exceeded {max_states} states",
-                    stats={"y_states": len(y_order), "effects": len(effects)})
-            i = y_id[nxt] = len(y_order)
-            y_order.append(nxt)
+                    stats={"y_states": len(y_masks), "effects": len(effects)})
+            i = y_id[mask] = len(y_masks)
+            y_masks.append(mask)
         return i
 
-    for i, y in enumerate(y_order):  # grows as estimates are discovered: breadth-first
-        ids = plant.ids_of(y)
-        # per effect: its record (edges still to come), the released states
-        # and the observations possible from them, in name order
-        found = []
-        for ev in _enforceable(plant, ids):
+    for i, mask in enumerate(y_masks):  # grows as estimates are discovered: breadth-first
+        found = []  # per effect: its record (edges to come) and its observe() steps
+        for ev in _enforceable(table, index, mask):
             if ev in observable:
-                found.append((_Effect(i, ControlDecision(ev), {}, frozenset(), (), ()), ids, [ev]))
+                found.append((_Effect(i, ControlDecision(ev), {}, frozenset(), (), ()),
+                              {ev: _step(index, mask, ev)}))
                 continue
             for part in unobs_parts:
                 dec = ControlDecision(ev, part)
-                released = _released(plant, ids, dec)
-                active = frozenset().union(*map(active_at.__getitem__, released))
+                released = _released(index, mask, dec)
+                states = [active_at[b] for b in _bits(released)]
+                active = frozenset().union(*states)
                 if not part <= active:  # its decisions belong to the effect of part & active
                     continue
                 relevant = active & ctrl
@@ -519,17 +531,18 @@ def build_bts(plant: LabeledPlant, max_states: int = 1_000_000) -> BTSGraph:
                     kinds[relevant] = ({e: 1 << k for k, e in enumerate(watched)}, ctrl - relevant)
                 bits, free = kinds[relevant]
                 blockers = _antichain(sum(bits[e] for e in events - part)
-                                      for q in released if (events := active_at[q]) <= ctrl
+                                      for events in states if events <= ctrl
                                       and events & unobs_ctrl <= part)
-                found.append((_Effect(i, dec, bits, free, (), blockers), released,
-                              sorted(active & observable)))
+                found.append((_Effect(i, dec, bits, free, (), blockers), index.observe(released)))
         found.sort(key=lambda f: f[0].dec.sort_key())
         y_effects.append(range(len(effects), len(effects) + len(found)))
-        for eff, released, possible in found:
+        for eff, steps in found:
             effects.append(eff)
-            eff.edges = tuple((obs, successor(released, obs)) for obs in possible)
-    marked = frozenset(y for y in y_order if classify(y).isolation != "FU")
-    return BTSGraph(tuple(y_order), frozenset(y0), marked, y_effects, effects)
+            eff.edges = tuple((obs, successor(steps[obs])) for obs in sorted(steps))
+    ys = tuple(map(index.estimate, y_masks))  # the frontier's are the diagnoser's
+    marked = frozenset(y for y, m in zip(ys, y_masks) if not m & index.normal
+                       and sum(1 for f in index.faults if m & f) == 1)
+    return BTSGraph(ys, y0, marked, y_effects, effects)
 
 
 def find_deadlocks(plant: LabeledPlant, bts: BTSGraph) -> AbstractSet[ZState]:
@@ -760,16 +773,17 @@ def policy_graph(plant: LabeledPlant, policy: SupervisorPolicy
                  ) -> dict[StateEstimate, tuple[tuple[str, StateEstimate], ...]]:
     """Estimate-transition table of the closed loop after certainty: from each
     reachable estimate, the observations the active decision admits and the
-    estimates they lead to."""
+    estimates they lead to.  Each estimate is released once."""
     graph: dict[StateEstimate, tuple[tuple[str, StateEstimate], ...]] = {}
-    obs_sorted = sorted(plant.table.observable_events)
+    index = plant.index
 
     def successors(y):
         dec = policy.decision_for(y)
-        graph[y] = tuple((obs, nxt) for obs in _admitted(plant.table, dec, obs_sorted)
-                         if (nxt := observable_reach(plant, y, dec, obs)) is not None)
+        steps = index.observe(_release(plant, y, dec))
+        admitted = ([dec.enforce] if dec.enforce in index.observable
+                    else sorted(steps.keys() - dec.disable))
+        graph[y] = tuple((obs, index.estimate(steps[obs])) for obs in admitted)
         return graph[y]
 
     reach(sorted(policy.initial_frontier, key=str), successors)
     return graph
-

@@ -10,7 +10,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from faultiso.automata import (
     Automaton,
@@ -27,7 +27,12 @@ from faultiso.diagnosis import (
     classify,
     fault_frontier,
 )
-from faultiso.errors import InvalidArgumentError, NotDiagnosableError, ResourceLimitError
+from faultiso.errors import (
+    InvalidArgumentError,
+    ModelError,
+    NotDiagnosableError,
+    ResourceLimitError,
+)
 from faultiso.graph import cyclic_nodes, longest_path, reach, shortest_path
 from faultiso.synthesis import (
     BTSGraph,
@@ -36,8 +41,12 @@ from faultiso.synthesis import (
     SynthesisResult,
     ZState,
     feasible_decisions,
-    observable_reach,
 )
+
+
+def ids_of(plant: LabeledPlant, est: StateEstimate) -> frozenset[str]:
+    """The labelled-state ids of an estimate's members."""
+    return frozenset(plant.id_of[(m.base, m.label)] for m in est)
 
 
 def enumerate_bounded_strings(aut, max_len):
@@ -52,6 +61,37 @@ def enumerate_bounded_strings(aut, max_len):
         out += nxt
         layer = nxt
     return out
+
+
+def alphabet_scan_compose(a: Automaton, b: Automaton) -> Automaton:
+    """``parallel_compose`` trying every event of the merged alphabet at
+    every state pair, as it was before it walked the components' outgoing
+    transitions."""
+    table = a.table.merged_with(b.table)
+    events, a_events, b_events = table.names, frozenset(a.table.names), frozenset(b.table.names)
+
+    def name(pair):
+        return f"({pair[0]},{pair[1]})"
+
+    trans: dict[tuple[str, str], str] = {}
+
+    def moves(pair):
+        qa, qb = pair
+        src = name(pair)
+        out = []
+        for ev in events:
+            da = a.transitions.get((qa, ev)) if ev in a_events else qa
+            db = b.transitions.get((qb, ev)) if ev in b_events else qb
+            if da is not None and db is not None:
+                out.append((ev, (da, db)))
+                trans[(src, ev)] = name((da, db))
+        return out
+
+    pair_of: dict[str, tuple[str, str]] = {}
+    for pair in reach([(a.initial, b.initial)], moves):
+        if pair_of.setdefault(name(pair), pair) != pair:
+            raise ModelError(f"composite state name {name(pair)} stands for two state pairs")
+    return Automaton(table, frozenset(pair_of), name((a.initial, b.initial)), trans)
 
 
 def composed_labeled_plant(g: Automaton) -> LabeledPlant:
@@ -113,7 +153,7 @@ def brute_zstate_deadlock(plant: LabeledPlant, est: StateEstimate,
     """
     aut = plant.automaton
     table = plant.table
-    ids = sorted(plant.ids_of(est))
+    ids = sorted(ids_of(plant, est))
     if dec.enforce is not None:
         if any(aut.transitions.get((q, dec.enforce)) is None for q in ids):
             return True
@@ -391,6 +431,47 @@ class PerDecisionBTS:
         return tuple(self._index[1].get(z, ()))
 
 
+def set_released(plant: LabeledPlant, ids: frozenset[str],
+                 dec: ControlDecision) -> Optional[frozenset[str]]:
+    """States the plant can be in under ``dec`` before the next observation:
+    an unobservable enforced event fires, then undisabled unobservable events
+    run.  An observable enforced event is that observation, so nothing moves
+    first.  ``None`` when the enforced event is not defined at every member."""
+    aut = plant.automaton
+    if dec.enforce is not None:
+        after = frozenset(aut.transitions.get((q, dec.enforce)) for q in ids)
+        if None in after:
+            return None
+        if dec.enforce in plant.table.observable_events:
+            return ids
+        ids = after
+    return unobservable_reach(aut, ids, dec.disable)
+
+
+def set_observable_reach(plant: LabeledPlant, est: StateEstimate,
+                         dec: ControlDecision, obs: str) -> Optional[StateEstimate]:
+    """``observable_reach`` on sets of state ids, as it was before the step
+    ran on ``plant.index`` masks: the released states come from
+    ``unobservable_reach`` and the result is rebuilt with ``estimate_of``."""
+    aut = plant.automaton
+    table = plant.table
+    if obs not in table.observable_events:
+        table.require(obs)
+        raise InvalidArgumentError(f"event {obs} is not observable")
+    released = set_released(plant, ids_of(plant, est), dec)
+    if released is None:
+        raise InvalidArgumentError(f"decision {dec} is infeasible at {est}: "
+                                   f"{dec.enforce} is not defined at every member")
+    if dec.enforce in table.observable_events:
+        if obs != dec.enforce:
+            return None
+    elif obs in dec.disable:
+        raise InvalidArgumentError(f"observation {obs} is disabled by {dec}")
+    after = frozenset(dst for q in released
+                      if (dst := aut.transitions.get((q, obs))) is not None)
+    return plant.estimate_of(after) if after else None
+
+
 def per_decision_bts(plant: LabeledPlant) -> PerDecisionBTS:
     """``build_bts`` one Z-state per feasible decision, as it was built
     before effect classes: Y-states in breadth-first discovery order from
@@ -409,7 +490,7 @@ def per_decision_bts(plant: LabeledPlant) -> PerDecisionBTS:
             admitted = ([dec.enforce] if dec.enforce in observable
                         else sorted(observable - dec.disable))
             for obs in admitted:
-                nxt = observable_reach(plant, y, dec, obs)
+                nxt = set_observable_reach(plant, y, dec, obs)
                 if nxt is None:
                     continue
                 if nxt not in y_id:
@@ -428,7 +509,7 @@ def per_decision_deadlocks(plant: LabeledPlant, bts) -> frozenset[ZState]:
     aut, observable = plant.automaton, plant.table.observable_events
     out = set()
     for z in bts.z_states:
-        dec, ids = z.decision, plant.ids_of(z.estimate)
+        dec, ids = z.decision, ids_of(plant, z.estimate)
         if dec.enforce is not None:
             after = [aut.transitions.get((q, dec.enforce)) for q in ids]
             if None in after:

@@ -1,13 +1,15 @@
 """Automaton core: attributes, composition, reachability, assumptions."""
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 import faultiso as fi
 from faultiso.errors import ModelError
 
-from oracles import enumerate_language
+from oracles import alphabet_scan_compose, enumerate_language
 
 
 def test_active_events_on_fixture(twin):
@@ -104,6 +106,28 @@ def test_parallel_compose_attribute_conflict():
     b = fi.Automaton(t2, frozenset({"y"}), "y", {("y", "e"): "y"})
     with pytest.raises(ModelError):
         fi.parallel_compose(a, b)
+
+
+def random_component(rng, pool, tag):
+    """A small deterministic automaton over a random slice of ``pool``."""
+    events = rng.sample(pool, rng.randint(1, len(pool)))
+    states = [f"{tag}{i}" for i in range(rng.randint(1, 4))]
+    trans = {(q, e.name): rng.choice(states) for q in states for e in events
+             if rng.random() < 0.6}
+    return fi.Automaton(fi.EventTable(tuple(events)), frozenset(states), states[0], trans)
+
+
+def test_parallel_compose_matches_alphabet_scan_referee():
+    # shared events synchronise, private ones interleave; one attribute
+    # table for all, so the alphabets always merge
+    pool = [fi.Event("o1", observable=True), fi.Event("o2", observable=True, controllable=True),
+            fi.Event("u1"), fi.Event("u2", forcible=True), fi.Event("f", fault_type=1)]
+    rng = random.Random(15)
+    for _ in range(300):
+        a, b = random_component(rng, pool, "a"), random_component(rng, pool, "b")
+        got, want = fi.parallel_compose(a, b), alphabet_scan_compose(a, b)
+        assert (got.table, got.states, got.initial) == (want.table, want.states, want.initial)
+        assert list(got.transitions.items()) == list(want.transitions.items())
 
 
 def test_compose_rejects_colliding_names():

@@ -160,6 +160,77 @@ def test_explain_protocol_error(capsys, supervisor_file):
                    "decision=<o3,{}> verdict=F/FU\n")
 
 
+def test_explain_obs_file_matches_obs(capsys, supervisor_file, tmp_path, monkeypatch):
+    _, want, _ = run_cli(capsys, "explain", TWIN, supervisor_file, "--obs", "o2,o3,o2")
+    path = tmp_path / "obs.txt"
+    path.write_text("o2\n o3,o2\n\n", encoding="utf-8")
+    assert run_cli(capsys, "explain", TWIN, supervisor_file, "--obs-file", str(path)) \
+        == (0, want, "")
+    monkeypatch.setattr(sys, "stdin", io.StringIO("o2,o3 o2"))
+    assert run_cli(capsys, "explain", TWIN, supervisor_file, "--obs-file", "-") \
+        == (0, want, "")
+
+
+@pytest.mark.parametrize("content", [None, b"\xd0\x00"], ids=["missing", "not-utf8"])
+def test_explain_bad_obs_file_exits_2_with_one_line(supervisor_file, tmp_path, content):
+    path = tmp_path / "obs.txt"
+    if content is not None:
+        path.write_bytes(content)
+    proc = subprocess.run([sys.executable, "-m", "faultiso.cli", "explain", TWIN,
+                           supervisor_file, "--obs-file", str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == cli.EXIT_MODEL == 2, proc.stderr
+    assert proc.stderr.startswith(f"error: cannot read observations {path}")
+    assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+
+
+def test_explain_obs_and_obs_file_are_exclusive(supervisor_file, tmp_path):
+    proc = subprocess.run([sys.executable, "-m", "faultiso.cli", "explain", TWIN,
+                           supervisor_file, "--obs", "o2", "--obs-file", "-"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2 and "not allowed with" in proc.stderr
+
+
+# runs the CLI in-process and reports its peak RSS in KiB on stderr: VmHWM
+# belongs to the new process image, where ru_maxrss would keep the RSS of
+# the forked test process
+RSS_PROBE = ("import sys\n"
+             "from faultiso import cli\n"
+             "code = cli.main(sys.argv[1:])\n"
+             "sys.stdout.flush()\n"
+             "with open('/proc/self/status') as status:\n"
+             "    print(next(line.split()[1] for line in status\n"
+             "               if line.startswith('VmHWM:')), file=sys.stderr)\n"
+             "sys.exit(code)\n")
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+def test_explain_streams_50000_observations_in_flat_memory(tmp_path, capsys):
+    model, sup = str(MODELS / "three_lamps.des"), tmp_path / "lamps.sup.json"
+    assert run_cli(capsys, "synth", model, "--out", str(sup))[0] == 0
+    plant, policy = cli._load_closed_loop(model, str(sup))
+    trace = fi.simulate(fi.build_closed_loop(plant, policy), 60_000, seed=5)
+    observations = [line[4:] for line in trace.splitlines() if line.startswith("OBS ")]
+    assert len(observations) >= 50_000
+    final = fi.replay(plant, policy, observations[:50_000])[-1]
+    assert final.phase == "isolation" and final.verdict.isolation != "FU"
+
+    def explain(count):
+        path = tmp_path / f"obs{count}.txt"
+        path.write_text("\n".join(observations[:count]) + "\n", encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-c", RSS_PROBE, "explain", model, str(sup),
+                               "--obs-file", "-"], stdin=path.open("rb"),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == count + 1
+        assert lines[-1] == f"final verdict: {final.verdict.isolation}"
+        return int(proc.stderr)
+
+    small, large = explain(5_000), explain(50_000)
+    assert large - small < 2048, (small, large)
+
+
 def test_simulate_script_and_seed(capsys, supervisor_file):
     code, out, _ = run_cli(capsys, "simulate", TWIN, supervisor_file,
                            "--script", "sf1,o2,o3,o1")

@@ -2,7 +2,9 @@
 supervisor extraction."""
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -18,6 +20,7 @@ from faultiso.synthesis import TIE_BREAK_MODES, ZState
 from conftest import estimate, names
 from oracles import (
     brute_zstate_deadlock,
+    ids_of,
     oracle_good_states,
     oracle_solvable,
     per_decision_bad_initials,
@@ -25,6 +28,8 @@ from oracles import (
     per_decision_deadlocks,
     per_decision_prune,
     round_scan_fixpoint,
+    set_observable_reach,
+    set_released,
     split_trace,
 )
 from plantgen import random_plant
@@ -125,6 +130,115 @@ def test_observable_reach_ignores_disable_under_observable_enforce(twin_plant):
     noisy = fi.ControlDecision("o3", frozenset({"o3"}))
     assert fi.observable_reach(twin_plant, est, plain, "o3") \
         == fi.observable_reach(twin_plant, est, noisy, "o3")
+
+
+def test_observable_reach_checks_decision_events(twin_plant):
+    # an unknown event is reported as such, whether enforced or disabled
+    est = estimate(twin_plant, "2:F1", "7:F2")
+    for dec in (fi.ControlDecision("o3", frozenset({"bogus"})), fi.ControlDecision("bogus")):
+        with pytest.raises(InvalidArgumentError, match="^unknown event: bogus$"):
+            fi.observable_reach(twin_plant, est, dec, "o3")
+
+
+def outcome(step, *args):
+    """What ``step(*args)`` returns, or the type and message it raises."""
+    try:
+        return step(*args)
+    except InvalidArgumentError as exc:
+        return type(exc), str(exc)
+
+
+def assert_mask_step_matches_set_step(plant):
+    """For every Y-state, feasible decision and observation: the released
+    states and the observable reach equal the set-based referee's."""
+    index, observable = plant.index, sorted(plant.table.observable_events)
+    for y in fi.build_bts(plant).y_states:
+        for dec in fi.feasible_decisions(plant, y):
+            released = synthesis._released(index, index.mask_of(y), dec)
+            assert ids_of(plant, index.estimate(released)) \
+                == set_released(plant, ids_of(plant, y), dec)
+            for obs in observable:
+                assert outcome(fi.observable_reach, plant, y, dec, obs) \
+                    == outcome(set_observable_reach, plant, y, dec, obs)
+
+
+def test_mask_step_matches_set_step(twin_plant):
+    assert_mask_step_matches_set_step(twin_plant)
+    assert_mask_step_matches_set_step(fi.build_labeled_plant(lamps(3)))
+    rng, checked = random.Random(2023), 0
+    for _ in range(200):
+        plant = fi.build_labeled_plant(random_plant(rng))
+        if plant.diagnosability.diagnosable:
+            assert_mask_step_matches_set_step(plant)
+            checked += 1
+    assert checked >= 100
+
+
+def fifteenth_seed_2023_plant():
+    rng = random.Random(2023)
+    for _ in range(14):
+        random_plant(rng)
+    return random_plant(rng)  # control reaches 8 estimates the diagnoser never does
+
+
+@pytest.mark.parametrize("aut, fresh", [(lamps(3), 0), (fifteenth_seed_2023_plant(), 8)],
+                         ids=["three-lamps", "seed-2023-plant-15"])
+def test_build_bts_builds_one_estimate_per_y_state(monkeypatch, aut, fresh):
+    # every estimate is built once, by the diagnoser or by build_bts, and
+    # build_bts builds Y-states only, none from state ids
+    plant = fi.build_labeled_plant(aut)
+    built = []
+    real = fi.StateEstimate._of_sorted.__func__
+
+    def spy(cls, members):
+        built.append(real(cls, members))
+        return built[-1]
+
+    def forbidden(*args):
+        raise AssertionError("build_bts builds no estimate from state ids")
+
+    monkeypatch.setattr(fi.StateEstimate, "_of_sorted", classmethod(spy))
+    known = set(plant.diagnoser.states)
+    before = len(built)
+    monkeypatch.setattr(fi.LabeledPlant, "estimate_of", forbidden)
+    bts = fi.build_bts(plant)
+    assert len(set(built)) == len(built)
+    assert {id(y) for y in bts.y_states} <= set(map(id, built))
+    new = [y for y in bts.y_states if y not in known]
+    assert len(new) == fresh and list(map(id, built[before:])) == list(map(id, new))
+
+
+def test_policy_graph_releases_once_per_estimate(monkeypatch):
+    plant = fi.build_labeled_plant(lamps(3))
+    policy = fi.synthesize(plant).policy
+    calls = []
+    real = synthesis._release
+
+    def spy(plant, est, dec):
+        calls.append(est)
+        return real(plant, est, dec)
+
+    monkeypatch.setattr(synthesis, "_release", spy)
+    graph = fi.policy_graph(plant, policy)
+    assert sorted(calls, key=str) == sorted(graph, key=str)
+
+
+def test_synthesised_plant_is_freed_without_the_cyclic_gc():
+    # the mask tables live on the plant's index, which points back at
+    # nothing: dropping the plant frees it at once
+    gc.disable()
+    try:
+        plant = fi.build_labeled_plant(lamps(3))
+        policy = fi.synthesize(plant).policy
+        fi.policy_graph(plant, policy)
+        cl = fi.build_closed_loop(plant, policy)
+        fi.replay(plant, policy, ["a_on", "e1", "a_off", "e0"])
+        refs = weakref.ref(plant), weakref.ref(plant.index), weakref.ref(plant.diagnoser)
+        del plant
+        assert [ref() for ref in refs] == [None, None, None]
+        assert cl.policy is policy
+    finally:
+        gc.enable()
 
 
 def test_bts_shape(twin_bts):
