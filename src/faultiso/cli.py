@@ -138,8 +138,7 @@ def _load_closed_loop(model_path: str, supervisor_path: str):
 def _cmd_simulate(args) -> int:
     plant, policy = _load_closed_loop(args.model, args.supervisor)
     cl = runtime.build_closed_loop(plant, policy)
-    script = args.script.split(",") if args.script else None
-    trace = runtime.simulate(cl, args.steps, script=script, seed=args.seed)
+    trace = runtime.simulate(cl, args.steps, script=args.script, seed=args.seed)
     sys.stdout.write(trace)
     return EXIT_OK
 
@@ -202,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("supervisor")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--script", help="comma-separated plant events to execute")
+    group.add_argument("--script", type=lambda text: text.split(",") if text else [],
+                       help="comma-separated plant events to execute")
     group.add_argument("--seed", type=int, help="seed for the random scheduler")
     p.add_argument("--steps", type=_positive_int, default=20)
     p.set_defaults(func=_cmd_simulate)

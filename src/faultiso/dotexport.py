@@ -11,7 +11,7 @@ from typing import Optional
 
 from .diagnosis import Diagnoser
 from .errors import InvalidArgumentError
-from .synthesis import BTSGraph, SynthesisResult, _GoodZ
+from .synthesis import BTSGraph, SynthesisResult
 
 
 def _quote(s: str) -> str:
@@ -41,7 +41,7 @@ def export_bts_dot(bts: BTSGraph, *, result: Optional[SynthesisResult] = None) -
     with ``result``, good states filled and policy edges bold.  ``result``
     must come from ``good_fixpoint`` on ``bts``; InvalidArgumentError
     otherwise."""
-    if result and not (isinstance(result.good_z, _GoodZ) and result.good_z._graph is bts):
+    if result and getattr(result.good_z, "_graph", None) is not bts:
         raise InvalidArgumentError("export_bts_dot takes a result computed on the same graph")
     good_y = result.good_y if result else frozenset()
     policy = dict(result.policy) if result else {}

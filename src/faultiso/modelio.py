@@ -48,7 +48,7 @@ class ModelDocument:
         return tuple(seen)
 
 
-_EVENT_FLAGS = ("obs", "ctrl", "forc")
+_EVENT_FLAGS = {"obs": "observable", "ctrl": "controllable", "forc": "forcible"}
 
 
 def parse_model_document(text: str) -> ModelDocument:
@@ -82,15 +82,11 @@ def parse_model_document(text: str) -> ModelDocument:
             ev_name, flags = args[0], args[1:]
             if ev_name in declared_events:
                 raise ModelError(f"{where}: event {ev_name} declared twice")
-            observable = controllable = forcible = False
+            attrs = {}
             fault_type = None
             for flag in flags:
-                if flag == "obs":
-                    observable = True
-                elif flag == "ctrl":
-                    controllable = True
-                elif flag == "forc":
-                    forcible = True
+                if flag in _EVENT_FLAGS:
+                    attrs[_EVENT_FLAGS[flag]] = True
                 elif flag.startswith("fault="):
                     try:
                         fault_type = int(flag.split("=", 1)[1])
@@ -98,10 +94,10 @@ def parse_model_document(text: str) -> ModelDocument:
                         raise ModelError(f"{where}: bad fault index in {flag!r}") from None
                 else:
                     raise ModelError(f"{where}: unknown event flag {flag!r}")
-            if fault_type is not None and observable:
+            if fault_type is not None and attrs.get("observable"):
                 raise ModelError(f"{where}: fault event {ev_name} cannot be observable")
             declared_events.add(ev_name)
-            events.append(Event(ev_name, observable, controllable, forcible, fault_type))
+            events.append(Event(ev_name, fault_type=fault_type, **attrs))
         elif kind == "state":
             if len(args) != 1:
                 raise ModelError(f"{where}: state takes exactly one name")
@@ -139,13 +135,7 @@ def serialize_model(doc: ModelDocument) -> str:
     if doc.description is not None:
         lines.append(f"desc {doc.description}")
     for e in doc.events:
-        flags = []
-        if e.observable:
-            flags.append("obs")
-        if e.controllable:
-            flags.append("ctrl")
-        if e.forcible:
-            flags.append("forc")
+        flags = [flag for flag, attr in _EVENT_FLAGS.items() if getattr(e, attr)]
         if e.fault_type is not None:
             flags.append(f"fault={e.fault_type}")
         lines.append(" ".join(["event", e.name] + flags))

@@ -88,21 +88,14 @@ class ZState:
         return f"({self.estimate},{self.decision})"
 
 
-def _count_subsets(n: int, blockers: Sequence[int], must: int = 0,
-                   blocked: Optional[bool] = None) -> int:
-    """How many subsets of ``n`` bits contain ``must``: all of them
-    (``blocked=None``), those that contain some blocker mask (``True``) or
-    those that contain none (``False``).  Inclusion-exclusion over the
-    blockers, with terms of equal union merged."""
-    total = 1 << (n - must.bit_count())
-    if blocked is None:
-        return total
+def _unblocked(n: int, blockers: Sequence[int], must: int = 0) -> int:
+    """How many subsets of ``n`` bits contain ``must`` and no blocker mask.
+    Inclusion-exclusion over the blockers, with terms of equal union merged."""
     terms = {must: 1}  # union of chosen blockers (and must) -> signed coefficient
     for b in blockers:
         for m, c in list(terms.items()):
             terms[m | b] = terms.get(m | b, 0) - c
-    unblocked = sum(c << (n - m.bit_count()) for m, c in terms.items())
-    return total - unblocked if blocked else unblocked
+    return sum(c << (n - m.bit_count()) for m, c in terms.items())
 
 
 class _Effect:
@@ -127,6 +120,13 @@ class _Effect:
     def blocked(self, mask: int) -> bool:
         return any(b & mask == b for b in self.blockers)
 
+    def count(self, must: int = 0, live: bool = False) -> int:
+        """How many member decisions disable at least the events of ``must``
+        (only those that do not deadlock, for ``live``)."""
+        if live:
+            return _unblocked(len(self.bits), self.blockers, must) << len(self.free)
+        return 1 << (len(self.bits) + len(self.free) - must.bit_count())
+
     def silent(self, mask: int) -> bool:
         """Whether the member admits no observation at all."""
         return len(self.edges) == len(self.bits) and mask == (1 << len(self.bits)) - 1
@@ -142,28 +142,23 @@ class _Effect:
         return [edge for edge in self.edges if not bits.get(edge[0], 0) & mask]
 
 
-class _ZSet(Set):
-    """Read-only set of the Z-states a graph holds in some of its effects
-    (all of them for ``ids=None``).
+class _ZView(Set):
+    """Read-only set of some Z-states of a graph: member ``mask`` of effect
+    ``e`` is in it when ``e`` is among ``ids`` (all for ``None``) and
+    ``take(e, mask)`` holds, and ``count(e)`` says in closed form how many
+    members of ``e`` are.
 
-    Its length comes from closed-form counts per effect and membership is
-    one effect lookup; members are built only when a caller iterates, in
-    ``z_states`` order.  Subclasses narrow the members of each effect.
+    Its length is the sum of those counts and membership is one effect
+    lookup; members are built only when a caller iterates, in ``z_states``
+    order.
     """
 
-    def __init__(self, graph: BTSGraph, ids: Optional[frozenset[int]] = None):
-        self._graph, self._ids = graph, ids
+    def __init__(self, graph: BTSGraph, take, count, ids: Optional[frozenset[int]] = None):
+        self._graph, self._take, self._count, self._ids = graph, take, count, ids
 
     @classmethod
     def _from_iterable(cls, items):
         return frozenset(items)
-
-    def _take(self, e: int, mask: int) -> bool:
-        """Whether the graph's member ``mask`` of effect ``e`` is in the set."""
-        return True
-
-    def _count(self, e: int) -> int:
-        return self._graph._count(e)
 
     def _holds(self, e: int, mask: int) -> bool:
         return (self._ids is None or e in self._ids) and self._take(e, mask)
@@ -184,35 +179,6 @@ class _ZSet(Set):
         return (z for z, _, _ in self._graph._expand(self._ids, self._take))
 
     __hash__ = Set._hash
-
-
-class _Deadlocks(_ZSet):
-    """The deadlocked Z-states of a graph."""
-
-    def _take(self, e, mask):
-        return self._graph._effects[e].blocked(mask)
-
-    def _count(self, e):
-        return self._graph._count(e, dead=True)
-
-
-class _GoodZ(_ZSet):
-    """The good Z-states: per good effect, the members that disable at
-    least the relevant events in ``must[e]`` and admit some observation."""
-
-    def __init__(self, graph: BTSGraph, must: dict[int, int]):
-        super().__init__(graph, frozenset(must))
-        self._must = must
-
-    def _take(self, e, mask):
-        must = self._must[e]
-        return mask & must == must and not self._graph._effects[e].silent(mask)
-
-    def _count(self, e):
-        g, eff = self._graph, self._graph._effects[e]
-        full = (1 << len(eff.bits)) - 1
-        silent = eff.silent(full) and g._holds(e, full)
-        return g._count(e, self._must[e]) - (silent << len(eff.free))
 
 
 class _ZYEdges(Mapping):
@@ -237,9 +203,10 @@ class _ZYEdges(Mapping):
     @cached_property
     def _size(self) -> int:
         # every member admits all of its effect's edges but one per event it disables
-        g = self._graph
-        return sum(len(eff.edges) * g._count(e) - sum(g._count(e, b) for b in eff.bits.values())
-                   for e, eff in enumerate(g._effects))
+        live = self._graph._live
+        return sum(len(eff.edges) * eff.count(0, live)
+                   - sum(eff.count(b, live) for b in eff.bits.values())
+                   for eff in self._graph._effects)
 
     def __len__(self):
         return self._size
@@ -268,7 +235,8 @@ class BTSGraph:
                  effects: list[_Effect], live: bool = False):
         self.y_states, self.initial, self.marked = y_states, initial, marked
         self._y_effects, self._effects, self._live = y_effects, effects, live
-        self.z_states: AbstractSet[ZState] = _ZSet(self)
+        self.z_states: AbstractSet[ZState] = _ZView(self, self._holds,
+                                                    lambda e: effects[e].count(0, live))
         self.zy_edges: Mapping[tuple[ZState, str], StateEstimate] = _ZYEdges(self)
 
     @cached_property
@@ -285,14 +253,12 @@ class BTSGraph:
         """Whether member ``mask`` of effect ``e`` is in the graph."""
         return not (self._live and self._effects[e].blocked(mask))
 
-    def _count(self, e: int, must: int = 0, dead: bool = False) -> int:
-        """How many Z-states of effect ``e`` the graph holds whose mask
-        contains ``must`` (only the deadlocked ones for ``dead``)."""
-        eff = self._effects[e]
-        if dead and self._live:
-            return 0
-        blocked = True if dead else False if self._live else None
-        return _count_subsets(len(eff.bits), eff.blockers, must, blocked) << len(eff.free)
+    @cached_property
+    def _deadlocks(self) -> _ZView:
+        """The deadlocked Z-states of the graph (none when ``live``)."""
+        effects = self._effects
+        return _ZView(self, lambda e, mask: effects[e].blocked(mask),
+                      lambda e: effects[e].count(0, self._live) - effects[e].count(0, True))
 
     def _locate(self, z) -> Optional[tuple[int, int]]:
         """``(effect id, mask)`` of ``z``, or ``None`` when ``z`` is not a
@@ -558,7 +524,7 @@ def find_deadlocks(plant: LabeledPlant, bts: BTSGraph) -> AbstractSet[ZState]:
     for an observation to eventually occur on every branch.  ``build_bts``
     records, per effect, the minimal disable sets that break it.
     """
-    return _Deadlocks(bts)
+    return bts._deadlocks
 
 
 def prune_live(bts: BTSGraph, deadlocks: AbstractSet[ZState]) -> BTSGraph:
@@ -571,7 +537,7 @@ def prune_live(bts: BTSGraph, deadlocks: AbstractSet[ZState]) -> BTSGraph:
     nothing never deadlocks in a live plant, so no surviving Y-state is
     left without a decision; InvalidArgumentError otherwise.
     """
-    if not (isinstance(deadlocks, _Deadlocks) and deadlocks._graph is bts):
+    if deadlocks is not bts._deadlocks:
         raise InvalidArgumentError("prune_live takes find_deadlocks(plant, bts), "
                                    "not another set of Z-states")
     ys, effects = bts.y_states, bts._effects
@@ -653,24 +619,9 @@ def good_fixpoint(bts_liv: BTSGraph, deadlocks: AbstractSet[ZState] = frozenset(
         return (len(dec.disable), (dec.enforce is None) == enforce_first,
                 dec.enforce or "", tuple(sorted(dec.disable)))
 
-    round_of: list[Optional[int]] = [None] * len(ys)
     layer = sorted(g._y_id[y] for y in g.marked)
-    for i in layer:
-        round_of[i] = 0
     rounds: dict[StateEstimate, int] = {ys[i]: 0 for i in layer}
     policy: dict[StateEstimate, ControlDecision] = {}
-    for i in sorted(layer, key=lambda i: str(ys[i])):
-        options = []  # per effect, its cheapest decision and whether it leaves the marked set
-        for e in g._y_effects[i]:
-            eff = effects[e]
-            lost = [obs for obs, t in eff.edges if round_of[t] is None]
-            mask = sum(eff.bits.get(obs, 0) for obs in lost)
-            if all(obs in eff.bits for obs in lost) and g._holds(e, mask):
-                options.append((False, eff.decision(mask)))
-            elif g._holds(e, 0):
-                options.append((True, eff.dec))
-        policy[ys[i]] = min(options, key=lambda o: (o[0], preference(o[1])))[1]
-
     preds: list[list[tuple[int, int]]] = [[] for _ in ys]
     fixed = [0] * len(effects)  # per effect, its fixed edges into states not yet good
     waiting = [0] * len(effects)  # per effect, the relevant events whose edge does so
@@ -680,6 +631,10 @@ def good_fixpoint(bts_liv: BTSGraph, deadlocks: AbstractSet[ZState] = frozenset(
             preds[i].append((e, bit))
             waiting[e] |= bit
             fixed[e] += not bit
+
+    def ready(e):  # no fixed edge is waiting, and disabling the waiting events is a member
+        return not fixed[e] and g._holds(e, waiting[e])
+
     r = 0
     while layer:
         r += 1
@@ -691,20 +646,36 @@ def good_fixpoint(bts_liv: BTSGraph, deadlocks: AbstractSet[ZState] = frozenset(
                 else:
                     fixed[e] -= 1
                 touched[e] = None
+        if r == 1:  # marked states: prefer a member keeping every observation among them
+            for i in sorted(layer, key=lambda i: str(ys[i])):
+                options = [(False, effects[e].decision(waiting[e])) if ready(e)
+                           else (True, effects[e].dec)
+                           for e in g._y_effects[i] if ready(e) or g._holds(e, 0)]
+                policy[ys[i]] = min(options, key=lambda o: (o[0], preference(o[1])))[1]
         candidates: dict[int, list[ControlDecision]] = {}
         for e in touched:
             owner = effects[e].owner
-            if round_of[owner] is None and not fixed[e] and g._holds(e, waiting[e]):
+            if ys[owner] not in rounds and ready(e):
                 candidates.setdefault(owner, []).append(effects[e].decision(waiting[e]))
         layer = sorted(candidates)
         for i in layer:
-            round_of[i] = r
             rounds[ys[i]] = r
             policy[ys[i]] = min(candidates[i], key=preference)
     good_y = frozenset(rounds)
     solvable = bts_liv.initial <= good_y
     bound = max((rounds[y] for y in bts_liv.initial), default=0) if solvable else None
-    good_z = _GoodZ(g, {e: waiting[e] for e in range(len(effects)) if not fixed[e]})
+    must = {e: waiting[e] for e in range(len(effects)) if not fixed[e]}
+
+    def good(e, mask):  # disables the waiting events and admits some observation
+        return mask & must[e] == must[e] and not effects[e].silent(mask)
+
+    def count(e):
+        eff = effects[e]
+        full = (1 << len(eff.bits)) - 1
+        silent = eff.silent(full) and g._holds(e, full)
+        return eff.count(must[e], g._live) - (silent << len(eff.free))
+
+    good_z = _ZView(g, good, count, frozenset(must))
     return SynthesisResult(good_y, good_z, policy, solvable, deadlocks, bound, rounds)
 
 

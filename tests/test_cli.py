@@ -244,6 +244,11 @@ def test_simulate_script_and_seed(capsys, supervisor_file):
     assert out1.startswith("SEED 5\n")
 
 
+def test_simulate_empty_script_runs_no_step(capsys, supervisor_file):
+    code, out, err = run_cli(capsys, "simulate", TWIN, supervisor_file, "--script", "")
+    assert (code, out, err) == (0, "\n", "")
+
+
 def test_simulate_bad_script(capsys, supervisor_file):
     code, _, err = run_cli(capsys, "simulate", TWIN, supervisor_file,
                            "--script", "o3")

@@ -762,10 +762,9 @@ def test_count_subsets_matches_enumeration(case):
     n, blockers, must = case
     subsets = [s for s in range(1 << n) if s & must == must]
     hit = sum(any(b & s == b for b in blockers) for s in subsets)
+    assert synthesis._unblocked(n, (), must) == len(subsets)
     for family in (blockers, synthesis._antichain(blockers)):
-        assert synthesis._count_subsets(n, family, must) == len(subsets)
-        assert synthesis._count_subsets(n, family, must, True) == hit
-        assert synthesis._count_subsets(n, family, must, False) == len(subsets) - hit
+        assert synthesis._unblocked(n, family, must) == len(subsets) - hit
 
 
 # |Y|, |Z|, zy_edges, deadlocks, live Z and good Z on the lamp ladder, as
@@ -789,6 +788,10 @@ def test_lamp_ladder_counts(n):
 def test_boundary_errors_are_typed(twin_plant, twin_bts, twin_pipeline):
     _, bts_liv, result, _ = twin_pipeline
     est = estimate(twin_plant, "1:F1", "6:F2")
+    # an equal graph built again: views are tied to their graph by identity
+    other_bts = fi.build_bts(twin_plant)
+    other_deadlocks = fi.find_deadlocks(twin_plant, other_bts)
+    other_result = fi.good_fixpoint(fi.prune_live(other_bts, other_deadlocks))
     calls = [
         lambda: fi.good_fixpoint(bts_liv, tie_break="nonsense"),
         lambda: fi.observable_reach(twin_plant, est,
@@ -798,6 +801,8 @@ def test_boundary_errors_are_typed(twin_plant, twin_bts, twin_pipeline):
         lambda: fi.prune_live(twin_bts, frozenset(fi.find_deadlocks(twin_plant, twin_bts))),
         lambda: fi.prune_live(bts_liv, fi.find_deadlocks(twin_plant, twin_bts)),
         lambda: fi.prune_live(bts_liv, result.good_z),
+        lambda: fi.prune_live(twin_bts, other_deadlocks),
+        lambda: export_bts_dot(bts_liv, result=other_result),
         lambda: export_bts_dot(twin_bts, result=result),
         lambda: export_bts_dot(bts_liv, result=round_scan_fixpoint(bts_liv)),
         lambda: twin_plant.table.require("zz"),
