@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
-from .errors import AssumptionError, InvalidArgumentError, ModelError
-from .graph import find_cycle, reach, shortest_path
+from .errors import AssumptionError, InvalidArgumentError, ModelError, ResourceLimitError
+from .graph import Succ, find_cycle, reach, shortest_path
 
 
 @dataclass(frozen=True)
@@ -196,11 +196,40 @@ def unobservable_reach(aut: Automaton, x: Iterable[str],
     return frozenset(seen)
 
 
+def reachable_automaton(table: EventTable, init: Hashable, moves: Succ,
+                        name: Callable[[Hashable], str],
+                        max_states: Optional[int] = None) -> tuple[Automaton, dict]:
+    """The automaton of the nodes reachable from ``init`` under ``moves``,
+    which returns a node's ``(event, successor)`` pairs.  Each node is named
+    once, by ``name``; ModelError when two nodes get the same name, and
+    ResourceLimitError past ``max_states`` nodes.  Also returns each node's
+    name, in breadth-first discovery order."""
+    names = {init: name(init)}
+    taken = {names[init]}
+    trans: dict[tuple[str, str], str] = {}
+
+    def succ(node):
+        out = moves(node)
+        src = names[node]
+        for ev, dst in out:
+            if dst not in names:
+                if max_states is not None and len(names) >= max_states:
+                    raise ResourceLimitError(f"automaton exceeded {max_states} states",
+                                             stats={"states": len(names)})
+                names[dst] = dst_name = name(dst)
+                if dst_name in taken:
+                    raise ModelError(f"state name {dst_name} stands for two states")
+                taken.add(dst_name)
+            trans[(src, ev)] = names[dst]
+        return out
+
+    reach([init], succ)
+    return Automaton(table, frozenset(taken), names[init], trans), names
+
+
 def accessible_part(aut: Automaton) -> Automaton:
     """Restrict to states reachable from the initial state."""
-    seen = set(reach([aut.initial], aut.outgoing))
-    trans = {(s, e): d for (s, e), d in aut.transitions.items() if s in seen}
-    return Automaton(aut.table, frozenset(seen), aut.initial, trans)
+    return reachable_automaton(aut.table, aut.initial, aut.outgoing, str)[0]
 
 
 def parallel_compose(a: Automaton, b: Automaton) -> Automaton:
@@ -210,13 +239,7 @@ def parallel_compose(a: Automaton, b: Automaton) -> Automaton:
     ``(a,b)``; ModelError when two state pairs render to the same name.
     Each pair's moves come from its components' outgoing transitions.
     """
-    table = a.table.merged_with(b.table)
     a_events, b_events = frozenset(a.table.names), frozenset(b.table.names)
-
-    def name(pair):
-        return f"({pair[0]},{pair[1]})"
-
-    trans: dict[tuple[str, str], str] = {}
 
     def moves(pair):
         qa, qb = pair
@@ -224,16 +247,10 @@ def parallel_compose(a: Automaton, b: Automaton) -> Automaton:
         out += [(ev, (qa, db)) for ev, db in b.outgoing(qb) if ev not in a_events]
         out += [(ev, (da, db)) for ev, da in a.outgoing(qa) if ev in b_events
                 if (db := b.transitions.get((qb, ev))) is not None]
-        src = name(pair)
-        for ev, dst in out:
-            trans[(src, ev)] = name(dst)
         return out
 
-    pair_of: dict[str, tuple[str, str]] = {}
-    for pair in reach([(a.initial, b.initial)], moves):
-        if pair_of.setdefault(name(pair), pair) != pair:
-            raise ModelError(f"composite state name {name(pair)} stands for two state pairs")
-    return Automaton(table, frozenset(pair_of), name((a.initial, b.initial)), trans)
+    return reachable_automaton(a.table.merged_with(b.table), (a.initial, b.initial), moves,
+                               lambda pair: f"({pair[0]},{pair[1]})")[0]
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ from functools import cached_property, reduce
 from operator import or_
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .automata import Automaton, EventTable, require_assumptions, unobservable_reach
+from .automata import (Automaton, EventTable, reachable_automaton, require_assumptions,
+                       unobservable_reach)
 from .errors import InvalidArgumentError, ModelError, NotDiagnosableError, ResourceLimitError
 from .graph import cyclic_nodes, find_cycle, longest_path, reach, shortest_path
 
@@ -183,7 +184,7 @@ def build_labeled_plant(g: Automaton) -> LabeledPlant:
     standing assumptions, which are checked first, that never blocks a plant
     move, so the plant language is preserved.  The pair ``(q, L)`` is named
     ``<q><L>``: no label is a proper suffix of another, so distinct pairs get
-    distinct names.
+    distinct names, and ``reachable_automaton`` checks that they do.
     """
     require_assumptions(g)
     table = g.table
@@ -195,21 +196,15 @@ def build_labeled_plant(g: Automaton) -> LabeledPlant:
                          f"without gaps, got {list(table.fault_types)}")
     fault_label = {e.name: f"F{e.fault_type}" for e in table.events
                    if e.fault_type is not None}
-    trans: dict[tuple[str, str], str] = {}
 
     def moves(pair):
         q, label = pair
-        out = []
-        for ev, dst in g.outgoing(q):
-            nxt = fault_label.get(ev, label)
-            if label == NORMAL or nxt == label:
-                out.append((ev, (dst, nxt)))
-                trans[(q + label, ev)] = dst + nxt
-        return out
+        return [(ev, (dst, nxt)) for ev, dst in g.outgoing(q)
+                if (nxt := fault_label.get(ev, label)) == label or label == NORMAL]
 
-    id_of = {pair: pair[0] + pair[1] for pair in reach([(g.initial, NORMAL)], moves)}
-    aut = Automaton(EventTable(tuple(sorted(table.events, key=lambda e: e.name))),
-                    frozenset(id_of.values()), g.initial + NORMAL, trans)
+    labeled = EventTable(tuple(sorted(table.events, key=lambda e: e.name)))
+    aut, id_of = reachable_automaton(labeled, (g.initial, NORMAL), moves,
+                                     lambda pair: pair[0] + pair[1])
     return LabeledPlant(aut, {s: q for (q, _), s in id_of.items()},
                         {s: label for (_, label), s in id_of.items()}, id_of)
 

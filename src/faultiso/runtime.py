@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
-from .automata import Automaton
+from .automata import Automaton, reachable_automaton
 from .diagnosis import (
     DiagnosisVerdict,
     LabeledPlant,
@@ -28,7 +28,6 @@ from .diagnosis import (
 from .errors import (
     InvalidArgumentError,
     ProtocolError,
-    ResourceLimitError,
     SchedulerError,
     SupervisorIntegrityError,
 )
@@ -102,17 +101,6 @@ def replay(plant: LabeledPlant, policy: SupervisorPolicy,
 
 # -- closed-loop automaton -----------------------------------------------------
 
-@dataclass(frozen=True)
-class _LoopState:
-    plant_state: str
-    estimate: StateEstimate
-    pending: bool  # an enforced event is owed before anything else
-
-    def render(self) -> str:
-        mark = "!" if self.pending else ""
-        return f"{self.plant_state}@{self.estimate}{mark}"
-
-
 def _certain(est: StateEstimate) -> bool:
     """Fault certainty: the switch from detection to isolation."""
     return classify(est).detection == "F"
@@ -149,53 +137,38 @@ def build_closed_loop(plant: LabeledPlant, policy: SupervisorPolicy,
 
     The decision in force is ``NO_CONTROL`` before certainty and the policy's
     decision for the current estimate after it.  Right after an observation
-    that decision's enforced event is the sole admissible move (even if
-    disabled); otherwise every move it does not disable is.  An observation
-    steps the estimate through the diagnoser before certainty and through
-    the observable reach after it, released once per estimate.
+    that decision's enforced event is owed: it is the sole admissible move
+    (even if disabled); otherwise every move it does not disable is.  An
+    observation steps the estimate through the diagnoser before certainty
+    and through the observable reach after it, released once per estimate.
+    A state ``(plant state, estimate, owed)`` is named ``<state>@<estimate>``,
+    with ``!`` when owed; ModelError when two states get one name.
     """
     aut, index = plant.automaton, plant.index
     obs_events = plant.table.observable_events
     diagnoser_step = plant.diagnoser.transitions
     observed: dict[StateEstimate, dict[str, StateEstimate]] = {}  # per certain estimate
 
-    def enter(pid: str, est: StateEstimate) -> _LoopState:
-        return _LoopState(pid, est, _certain(est) and policy.decision_for(est).enforce is not None)
+    def enter(pid: str, est: StateEstimate) -> tuple[str, StateEstimate, bool]:
+        return pid, est, _certain(est) and policy.decision_for(est).enforce is not None
 
-    init = enter(aut.initial, plant.initial_estimate)
-    states: dict[_LoopState, str] = {init: init.render()}
-    order = [init]
-    queue = deque([init])
-    trans: dict[tuple[str, str], str] = {}
-
-    def push(src: _LoopState, ev: str, dst: _LoopState):
-        if dst not in states:
-            if len(states) >= max_states:
-                raise ResourceLimitError(
-                    f"closed loop exceeded {max_states} states",
-                    stats={"states": len(states)})
-            states[dst] = dst.render()
-            order.append(dst)
-            queue.append(dst)
-        trans[(states[src], ev)] = states[dst]
-
-    while queue:
-        st = queue.popleft()
-        pid, est = st.plant_state, st.estimate
+    def moves(node):
+        pid, est, owed = node
         certain = _certain(est)
         dec = policy.decision_for(est) if certain else NO_CONTROL
-        if st.pending:
+        if owed:
             dst = aut.transitions.get((pid, dec.enforce))
             if dst is None:
                 raise SupervisorIntegrityError(
                     f"supervisor enforces {dec.enforce} at {est} but the plant "
                     f"state {pid} cannot execute it")
-            moves = [(dec.enforce, dst)]
+            steps = [(dec.enforce, dst)]
         else:
-            moves = [(ev, dst) for ev, dst in aut.outgoing(pid) if ev not in dec.disable]
-        for ev, dst in moves:
+            steps = [(ev, dst) for ev, dst in aut.outgoing(pid) if ev not in dec.disable]
+        out = []
+        for ev, dst in steps:
             if ev not in obs_events:
-                push(st, ev, _LoopState(dst, est, False))
+                out.append((ev, (dst, est, False)))
                 continue
             if certain and est not in observed:
                 observed[est] = {obs: index.estimate(mask) for obs, mask
@@ -204,12 +177,14 @@ def build_closed_loop(plant: LabeledPlant, policy: SupervisorPolicy,
             if nxt is None:  # cannot happen for a true plant successor
                 raise SupervisorIntegrityError(
                     f"estimate tracking lost the plant at {pid} under {dec}")
-            push(st, ev, enter(dst, nxt))
+            out.append((ev, enter(dst, nxt)))
+        return out
 
-    names = frozenset(states.values())
-    cl_aut = Automaton(plant.table, names, states[init], trans)
-    label_of = {states[s]: plant.label_of[s.plant_state] for s in order}
-    estimate_of = {states[s]: s.estimate for s in order}
+    cl_aut, names = reachable_automaton(
+        plant.table, enter(aut.initial, plant.initial_estimate), moves,
+        lambda node: f"{node[0]}@{node[1]}{'!' if node[2] else ''}", max_states)
+    label_of = {s: plant.label_of[pid] for (pid, _, _), s in names.items()}
+    estimate_of = {s: est for (_, est, _), s in names.items()}
     return ClosedLoopAutomaton(cl_aut, label_of, estimate_of, policy)
 
 
@@ -284,4 +259,4 @@ def simulate(cl: ClosedLoopAutomaton, max_steps: int,
                 dis = ",".join(sorted(dec.disable))
                 lines.append(f"DEC enforce={dec.enforce or '~'} disable={{{dis}}}")
             lines.append(f"VERDICT det={verdict.detection} iso={verdict.isolation}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" if lines else ""

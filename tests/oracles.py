@@ -40,7 +40,6 @@ from faultiso.synthesis import (
     SupervisorPolicy,
     SynthesisResult,
     ZState,
-    feasible_decisions,
 )
 
 
@@ -472,6 +471,26 @@ def set_observable_reach(plant: LabeledPlant, est: StateEstimate,
     return plant.estimate_of(after) if after else None
 
 
+def enumerated_decisions(plant: LabeledPlant, est: StateEstimate) -> tuple[ControlDecision, ...]:
+    """``feasible_decisions`` from the automaton and the event table alone:
+    enforce nothing, or a forcible event defined at every member's labelled
+    state; an observable enforced event disables nothing, any other choice
+    takes every subset of the controllable events.  Sorted by ``sort_key``."""
+    table, trans, ids = plant.table, plant.automaton.transitions, ids_of(plant, est)
+    enforced = [None] + [ev for ev in table.enforceable_events
+                         if all((q, ev) in trans for q in ids)]
+    controllable = sorted(table.controllable_events)
+    subsets = [frozenset(ev for ev, keep in zip(controllable, bits) if keep)
+               for bits in product((False, True), repeat=len(controllable))]
+    out = []
+    for ev in enforced:
+        if ev in table.observable_events:
+            out.append(ControlDecision(ev, frozenset()))
+        else:
+            out += [ControlDecision(ev, sub) for sub in subsets]
+    return tuple(sorted(out, key=ControlDecision.sort_key))
+
+
 def per_decision_bts(plant: LabeledPlant) -> PerDecisionBTS:
     """``build_bts`` one Z-state per feasible decision, as it was built
     before effect classes: Y-states in breadth-first discovery order from
@@ -483,7 +502,7 @@ def per_decision_bts(plant: LabeledPlant) -> PerDecisionBTS:
     y_id = {y: i for i, y in enumerate(y_order)}
     z_order, yz, zy = [], {}, {}
     for y in y_order:  # grows as estimates are discovered
-        for dec in feasible_decisions(plant, y):
+        for dec in enumerated_decisions(plant, y):
             z = ZState(y, dec)
             z_order.append(z)
             yz[(y, dec)] = z

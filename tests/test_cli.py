@@ -246,7 +246,16 @@ def test_simulate_script_and_seed(capsys, supervisor_file):
 
 def test_simulate_empty_script_runs_no_step(capsys, supervisor_file):
     code, out, err = run_cli(capsys, "simulate", TWIN, supervisor_file, "--script", "")
-    assert (code, out, err) == (0, "\n", "")
+    assert (code, out, err) == (0, "", "")
+
+
+def test_simulate_closed_loop_name_collision_exits_2(capsys, tmp_path, colliding_loop_text):
+    model, sup = tmp_path / "m.des", tmp_path / "m.sup.json"
+    model.write_text(colliding_loop_text, encoding="utf-8")
+    assert run_cli(capsys, "synth", str(model), "--out", str(sup))[0] == 0
+    code, out, err = run_cli(capsys, "simulate", str(model), str(sup), "--seed", "1")
+    assert (code, out) == (cli.EXIT_MODEL, "")
+    assert err == "error: model: state name aF1@{bF1@{cF1} stands for two states\n"
 
 
 def test_simulate_bad_script(capsys, supervisor_file):
@@ -412,8 +421,9 @@ def fuzz_dir(tmp_path_factory):
 @given(data=st.data())
 def test_mutated_inputs_exit_with_documented_codes(fuzz_dir, data):
     """Mutated twin-branch model text and supervisor JSON, run through
-    ``check``, ``synth``, ``explain`` and ``simulate`` in-process: every run
-    ends with a documented exit code, never with an exception."""
+    ``check``, ``diagnoser --dot``, ``synth``, ``explain`` and ``simulate``
+    in-process: every run ends with a documented exit code, never with an
+    exception."""
     model, sup, own_sup = (fuzz_dir / name for name in ("m.des", "s.json", "own.json"))
     lines = twin_branch_text().splitlines()
     for _ in range(data.draw(st.integers(1, 3))):
@@ -425,10 +435,42 @@ def test_mutated_inputs_exit_with_documented_codes(fuzz_dir, data):
     else:
         sup.write_text(json.dumps(fuzz_json(data, json.loads(text))), encoding="utf-8")
     own_sup.unlink(missing_ok=True)
-    runs = [["check", str(model)], ["synth", str(model), "--out", str(own_sup)]]
+    runs = [["check", str(model)], ["diagnoser", str(model), "--dot", str(fuzz_dir / "m.dot")],
+            ["synth", str(model), "--out", str(own_sup)]]
     for m, s in ((TWIN, sup), (model, own_sup)):
         runs += [["explain", str(m), str(s), "--obs", "o2,o3,o1"],
                  ["simulate", str(m), str(s), "--seed", "3", "--steps", "12"]]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for argv in runs:
+            assert cli.main(argv) in {0, 2, 3, 4, 5, 6}, argv
+
+
+def fuzz_bytes(data, raw):
+    """Flip one bit, insert one byte, truncate, or put a NUL at one offset."""
+    if not raw:
+        return raw
+    i = data.draw(st.integers(0, len(raw) - 1))
+    op = data.draw(st.sampled_from(["flip", "insert", "truncate", "nul"]))
+    if op == "flip":
+        return raw[:i] + bytes([raw[i] ^ 1 << data.draw(st.integers(0, 7))]) + raw[i + 1:]
+    if op == "insert":
+        return raw[:i] + bytes([data.draw(st.integers(0, 255))]) + raw[i:]
+    return raw[:i] if op == "truncate" else raw[:i] + b"\0" + raw[i + 1:]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_byte_mutated_models_exit_with_documented_codes(fuzz_dir, data):
+    """Twin-branch model text with one to three byte-level mutations, run
+    through ``check``, ``diagnoser --dot`` and ``synth`` in-process: every
+    run ends with a documented exit code, never with an exception."""
+    raw = twin_branch_text().encode("utf-8")
+    for _ in range(data.draw(st.integers(1, 3))):
+        raw = fuzz_bytes(data, raw)
+    model = fuzz_dir / "b.des"
+    model.write_bytes(raw)
+    runs = [["check", str(model)], ["diagnoser", str(model), "--dot", str(fuzz_dir / "b.dot")],
+            ["synth", str(model)]]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         for argv in runs:
             assert cli.main(argv) in {0, 2, 3, 4, 5, 6}, argv

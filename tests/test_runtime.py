@@ -1,6 +1,7 @@
 """Runtime engine, closed-loop construction, verification, simulation."""
 from __future__ import annotations
 
+import re
 import tracemalloc
 
 import pytest
@@ -28,6 +29,22 @@ def trap_disabling_policy(bts):
     y4 = next(y for y in bts.y_states if str(y) == "{5F1,9F2}")
     return fi.SupervisorPolicy(bts.initial,
                                {y4: fi.ControlDecision(None, frozenset({"o3"}))})
+
+
+def test_closed_loop_rejects_colliding_state_names(colliding_loop_text):
+    plant = fi.build_labeled_plant(parse_model(colliding_loop_text)[0])
+    with pytest.raises(fi.ModelError, match=re.escape("aF1@{bF1@{cF1}")):
+        fi.build_closed_loop(plant, fi.synthesize(plant).policy)
+
+
+def test_closed_loop_state_cap(twin_plant, twin_pipeline, closed):
+    _, _, _, policy = twin_pipeline
+    n = len(closed.automaton.states)
+    capped = fi.build_closed_loop(twin_plant, policy, max_states=n)
+    assert capped.automaton.states == closed.automaton.states
+    with pytest.raises(fi.ResourceLimitError) as exc:
+        fi.build_closed_loop(twin_plant, policy, max_states=n - 1)
+    assert exc.value.stats == {"states": n - 1}
 
 
 def test_engine_initial(twin_plant):

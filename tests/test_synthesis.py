@@ -14,12 +14,13 @@ import faultiso as fi
 from faultiso.errors import InvalidArgumentError, NotDiagnosableError, SynthesisError
 from faultiso import synthesis
 from faultiso.dotexport import export_bts_dot
-from faultiso.gallery import lamps
+from faultiso.gallery import lamps, twin_branch
 from faultiso.synthesis import TIE_BREAK_MODES, ZState
 
 from conftest import estimate, names
 from oracles import (
     brute_zstate_deadlock,
+    enumerated_decisions,
     ids_of,
     oracle_good_states,
     oracle_solvable,
@@ -752,6 +753,31 @@ def test_deadlock_pruning_renumbers_y_states():
     assert plant.diagnosability.diagnosable
     assert assert_matches_per_decision(plant, random.Random(1016)) > 0
     assert_built_and_pruned_index_match(plant)
+
+
+def assert_feasible_decisions_match(plant):
+    """The solver's decision menu against the referee's own enumeration, on
+    every Y-state the per-decision referee visits."""
+    for y in per_decision_bts(plant).y_states:
+        assert fi.feasible_decisions(plant, y) == enumerated_decisions(plant, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_feasible_decisions_match_enumeration(seed):
+    rng = random.Random(seed)
+    while True:
+        plant = fi.build_labeled_plant(random_plant(rng, max_states=8))
+        if plant.diagnosability.diagnosable:
+            break
+    assert_feasible_decisions_match(plant)
+
+
+@pytest.mark.parametrize("model", ["twin_branch", "three_lamps", "random_1016"])
+def test_feasible_decisions_match_enumeration_on_fixed_plants(model):
+    aut = {"twin_branch": lambda: twin_branch()[0], "three_lamps": lambda: lamps(3),
+           "random_1016": lambda: random_plant(random.Random(1016), max_states=8)}[model]()
+    assert_feasible_decisions_match(fi.build_labeled_plant(aut))
 
 
 @settings(max_examples=200, deadline=None)
