@@ -15,7 +15,8 @@ from .synthesis import BTSGraph, SynthesisResult
 
 
 def _quote(s: str) -> str:
-    return '"' + s.replace('"', '\\"') + '"'
+    # backslash first, so the backslash that escapes a quote is not doubled
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def export_diagnoser_dot(diag: Diagnoser) -> str:

@@ -5,16 +5,16 @@ estimate; the moment it reports a fault with certainty, the switch flips and
 the isolation supervisor starts issuing decisions, one per observation.
 
 ``engine_step`` is the pure observation-by-observation transition used for
-online execution and replay.  ``build_closed_loop`` materialises the whole
-controlled behaviour as an automaton for model checking, and ``simulate``
-drives it with a scripted or seeded-random scheduler.
+online execution and replay; ``build_closed_loop`` materialises the whole
+controlled behaviour for model checking, and ``simulate`` drives it.  All
+take the switch from ``_engine_state`` and the step from ``_next_estimate``.
 """
 from __future__ import annotations
 
 import random
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Mapping, Optional, Sequence
 
 from .automata import Automaton, reachable_automaton
@@ -31,7 +31,7 @@ from .errors import (
     SchedulerError,
     SupervisorIntegrityError,
 )
-from .synthesis import NO_CONTROL, ControlDecision, SupervisorPolicy, _release, observable_reach
+from .synthesis import NO_CONTROL, ControlDecision, SupervisorPolicy, observable_reach
 
 DETECTION = "detection"
 ISOLATION = "isolation"
@@ -55,39 +55,44 @@ def initial_engine_state(plant: LabeledPlant) -> EngineState:
     return EngineState(DETECTION, est, classify(est), None, None)
 
 
+def _engine_state(policy: SupervisorPolicy, est: StateEstimate,
+                  obs: Optional[str] = None) -> EngineState:
+    """The engine at ``est``: in isolation, with the policy's decision in
+    force, exactly when the verdict is fault-certain; else in detection."""
+    verdict = classify(est)
+    if verdict.detection == "F":
+        return EngineState(ISOLATION, est, verdict, obs, policy.decision_for(est))
+    return EngineState(DETECTION, est, verdict, obs, None)
+
+
+def _next_estimate(plant: LabeledPlant, state: EngineState,
+                   obs: str) -> Optional[StateEstimate]:
+    """The estimate after ``obs`` (``None``: it cannot occur): the diagnoser's
+    step with no decision in force, the observable reach under it otherwise."""
+    if state.active_decision is None:
+        return plant.diagnoser.transitions.get((state.estimate, obs))
+    return observable_reach(plant, state.estimate, state.active_decision, obs)
+
+
 def engine_step(plant: LabeledPlant, policy: SupervisorPolicy,
                 state: EngineState, obs: str) -> EngineState:
-    """Consume one observation.
-
-    In the detection phase the estimate follows the uncontrolled diagnoser;
-    when the verdict turns to certain fault, the phase switches and the
-    policy's decision for the frontier estimate is emitted.  In the isolation
-    phase the estimate follows the observable reach under the decision in
-    force, and the next decision is emitted.
-    """
+    """Consume one observation: one ``_next_estimate`` step, then the engine
+    state there.  A decision in force admits only its observable enforced
+    event, if it has one, and never a disabled event."""
     if obs not in plant.table.observable_events:
         raise ProtocolError(f"event {obs} is not observable" if obs in plant.table
                             else f"unknown event: {obs}")
-    if state.phase == DETECTION:
-        est = plant.diagnoser.transitions.get((state.estimate, obs))
-        if est is None:
-            raise ProtocolError(f"observation {obs} is infeasible at {state.estimate}")
-        verdict = classify(est)
-        if verdict.detection == "F":
-            return EngineState(ISOLATION, est, verdict, obs, policy.decision_for(est))
-        return EngineState(DETECTION, est, verdict, obs, None)
-
-    dec = state.active_decision
+    dec = state.active_decision or NO_CONTROL
     if dec.enforce in plant.table.observable_events and obs != dec.enforce:
         raise ProtocolError(f"decision {dec} enforces {dec.enforce} "
                             f"but {obs} was observed")
     if obs in dec.disable:
         raise ProtocolError(f"disabled event {obs} was observed under {dec}")
-    nxt = observable_reach(plant, state.estimate, dec, obs)
-    if nxt is None:
-        raise ProtocolError(f"observation {obs} is infeasible at "
-                            f"{state.estimate} under {dec}")
-    return EngineState(ISOLATION, nxt, classify(nxt), obs, policy.decision_for(nxt))
+    est = _next_estimate(plant, state, obs)
+    if est is None:
+        raise ProtocolError(f"observation {obs} is infeasible at {state.estimate}"
+                            + ("" if state.active_decision is None else f" under {dec}"))
+    return _engine_state(policy, est, obs)
 
 
 def replay(plant: LabeledPlant, policy: SupervisorPolicy,
@@ -100,11 +105,6 @@ def replay(plant: LabeledPlant, policy: SupervisorPolicy,
 
 
 # -- closed-loop automaton -----------------------------------------------------
-
-def _certain(est: StateEstimate) -> bool:
-    """Fault certainty: the switch from detection to isolation."""
-    return classify(est).detection == "F"
-
 
 @dataclass(frozen=True)
 class ClosedLoopAutomaton:
@@ -135,27 +135,26 @@ def build_closed_loop(plant: LabeledPlant, policy: SupervisorPolicy,
                       max_states: int = 1_000_000) -> ClosedLoopAutomaton:
     """Product of the plant with the estimate-tracking supervisor.
 
-    The decision in force is ``NO_CONTROL`` before certainty and the policy's
-    decision for the current estimate after it.  Right after an observation
-    that decision's enforced event is owed: it is the sole admissible move
-    (even if disabled); otherwise every move it does not disable is.  An
-    observation steps the estimate through the diagnoser before certainty
-    and through the observable reach after it, released once per estimate.
-    A state ``(plant state, estimate, owed)`` is named ``<state>@<estimate>``,
-    with ``!`` when owed; ModelError when two states get one name.
+    The supervisor is the engine, its state taken once per estimate: the
+    decision in force is ``NO_CONTROL`` before certainty and the policy's
+    decision for the estimate after it, and an observation takes one
+    ``_next_estimate`` step.  Right after an observation the decision's
+    enforced event is owed: it is the sole admissible move (even if
+    disabled); otherwise every move it does not disable is.  A state
+    ``(plant state, estimate, owed)`` is named ``<state>@<estimate>``, with
+    ``!`` when owed; ModelError when two states get one name.
     """
-    aut, index = plant.automaton, plant.index
+    aut = plant.automaton
     obs_events = plant.table.observable_events
-    diagnoser_step = plant.diagnoser.transitions
-    observed: dict[StateEstimate, dict[str, StateEstimate]] = {}  # per certain estimate
+    engine_at = cache(lambda est: _engine_state(policy, est))
 
     def enter(pid: str, est: StateEstimate) -> tuple[str, StateEstimate, bool]:
-        return pid, est, _certain(est) and policy.decision_for(est).enforce is not None
+        return pid, est, (engine_at(est).active_decision or NO_CONTROL).enforce is not None
 
     def moves(node):
         pid, est, owed = node
-        certain = _certain(est)
-        dec = policy.decision_for(est) if certain else NO_CONTROL
+        state = engine_at(est)
+        dec = state.active_decision or NO_CONTROL
         if owed:
             dst = aut.transitions.get((pid, dec.enforce))
             if dst is None:
@@ -170,10 +169,7 @@ def build_closed_loop(plant: LabeledPlant, policy: SupervisorPolicy,
             if ev not in obs_events:
                 out.append((ev, (dst, est, False)))
                 continue
-            if certain and est not in observed:
-                observed[est] = {obs: index.estimate(mask) for obs, mask
-                                 in index.observe(_release(plant, est, dec)).items()}
-            nxt = observed[est].get(ev) if certain else diagnoser_step.get((est, ev))
+            nxt = _next_estimate(plant, state, ev)
             if nxt is None:  # cannot happen for a true plant successor
                 raise SupervisorIntegrityError(
                     f"estimate tracking lost the plant at {pid} under {dec}")
@@ -204,8 +200,8 @@ def verify_closed_loop(cl: ClosedLoopAutomaton) -> ClosedLoopReport:
     Isolatability: the diagnosis check, run on the closed loop itself.
     ``bound``: longest run of consecutive mixed estimates after certainty.
     """
-    nonlive = tuple(q for q in sorted(cl.automaton.states)
-                    if not cl.automaton.outgoing(q) and _certain(cl.estimate_of[q]))
+    nonlive = tuple(q for q in sorted(cl.automaton.states) if not cl.automaton.outgoing(q)
+                    and _engine_state(cl.policy, cl.estimate_of[q]).phase == ISOLATION)
     iso = check_isolatability(cl.as_labeled_plant())
     return ClosedLoopReport(not nonlive, nonlive, iso.isolatable,
                             iso.witness_cycle, iso.bound)
@@ -228,10 +224,9 @@ def simulate(cl: ClosedLoopAutomaton, max_steps: int,
     if (script is None) == (seed is None):
         raise InvalidArgumentError("exactly one of script or seed is required")
     rng = random.Random(seed) if seed is not None else None
-    lines: list[str] = []
-    if seed is not None:
-        lines.append(f"SEED {seed}")
+    lines = [] if seed is None else [f"SEED {seed}"]
     obs_events = cl.automaton.table.observable_events
+    engine_at = cache(lambda est: _engine_state(cl.policy, est))
     state = cl.automaton.initial
     scripted = deque(script or ())
     for _ in range(max_steps):
@@ -252,11 +247,10 @@ def simulate(cl: ClosedLoopAutomaton, max_steps: int,
         lines.append(f"EVT {ev}")
         if ev in obs_events:
             lines.append(f"OBS {ev}")
-            est = cl.estimate_of[state]
-            verdict = classify(est)
-            if verdict.detection == "F":
-                dec = cl.policy.decision_for(est)
+            engine = engine_at(cl.estimate_of[state])
+            if (dec := engine.active_decision) is not None:
                 dis = ",".join(sorted(dec.disable))
                 lines.append(f"DEC enforce={dec.enforce or '~'} disable={{{dis}}}")
+            verdict = engine.verdict
             lines.append(f"VERDICT det={verdict.detection} iso={verdict.isolation}")
     return "\n".join(lines) + "\n" if lines else ""

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -140,6 +141,34 @@ def test_bts_dot_full_graph(twin_bts):
     assert text.count("shape=ellipse") == 6
     assert text.count("shape=box") == 20
     assert text.count("color=red") == 1
+
+
+DOT_QUOTED = r'"((?:[^"\\]|\\.)*)"'
+
+
+def dot_strings(pattern, line):
+    """The quoted DOT strings that ``pattern`` finds in ``line``, unescaped."""
+    return {re.sub(r"\\(.)", r"\1", text) for text in re.findall(pattern, line)}
+
+
+def test_dot_escapes_backslashes(tmp_path, capsys):
+    # a backslash is legal in any name; written bare, event o\ would give
+    # label="o\" and the quoted string would never close
+    swap = {"o4": "o\\", "9": "9\\"}
+    model = tmp_path / "m.des"
+    model.write_text("".join(" ".join(swap.get(w, w) for w in line.split()) + "\n"
+                             for line in twin_branch_text().splitlines()), encoding="utf-8")
+    for command in ("diagnoser", "synth"):
+        dot = tmp_path / f"{command}.dot"
+        code, _, _ = run_cli(capsys, command, str(model), "--dot", str(dot))
+        assert code == 0
+        labels, texts = set(), set()
+        for line in dot.read_text(encoding="utf-8").splitlines():
+            assert '"' not in re.sub(DOT_QUOTED, "", line), line
+            labels |= dot_strings("label=" + DOT_QUOTED, line)
+            texts |= dot_strings(DOT_QUOTED, line)
+        assert "o\\" in labels, command
+        assert any("9\\F2" in text for text in texts), command
 
 
 def test_explain(capsys, supervisor_file):
@@ -470,6 +499,24 @@ def test_byte_mutated_models_exit_with_documented_codes(fuzz_dir, data):
     model = fuzz_dir / "b.des"
     model.write_bytes(raw)
     runs = [["check", str(model)], ["diagnoser", str(model), "--dot", str(fuzz_dir / "b.dot")],
+            ["synth", str(model)]]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for argv in runs:
+            assert cli.main(argv) in {0, 2, 3, 4, 5, 6}, argv
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_byte_mutated_lamps_exit_with_documented_codes(fuzz_dir, data):
+    """The three-lamp model with one to three byte-level mutations, run
+    through ``check``, ``diagnoser --dot`` and ``synth`` in-process: every
+    run ends with a documented exit code, never with an exception."""
+    raw = (MODELS / "three_lamps.des").read_bytes()
+    for _ in range(data.draw(st.integers(1, 3))):
+        raw = fuzz_bytes(data, raw)
+    model = fuzz_dir / "lamps.des"
+    model.write_bytes(raw)
+    runs = [["check", str(model)], ["diagnoser", str(model), "--dot", str(fuzz_dir / "lamps.dot")],
             ["synth", str(model)]]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         for argv in runs:

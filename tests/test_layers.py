@@ -69,3 +69,20 @@ def test_unobservable_closure_is_taken_only_by_the_index():
                             if isinstance(node, ast.Call)
                             and getattr(node.func, "id", None) == "unobservable_reach"}
     assert callers == {"diagnosis.index"}
+
+
+def test_runtime_switches_and_steps_in_one_place():
+    # one function decides phase, verdict and decision in force, and one steps
+    # the estimate; the engine, the closed loop, the simulator and the
+    # liveness check read only these two
+    tree = ast.parse((SRC / "runtime.py").read_text(encoding="utf-8"))
+    classifies, steps = set(), set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "classify":
+                classifies.add(getattr(top, "name", "<module>"))
+            if getattr(node, "id", None) == "observable_reach" \
+                    or getattr(node, "attr", None) == "diagnoser":
+                steps.add(getattr(top, "name", "<module>"))
+    assert classifies == {"_engine_state", "initial_engine_state"}
+    assert steps == {"_next_estimate"}

@@ -257,6 +257,40 @@ def test_simulate_stops_at_deadlock(twin_plant, twin_bts):
     assert len(events) == 4  # nothing is admissible afterwards
 
 
+def trace_records(trace):
+    """Per ``OBS`` line of a simulate trace: the observation, the ``DEC``
+    line after it (``None`` when there is none) and its ``VERDICT`` line."""
+    lines, records = trace.splitlines(), []
+    for i, line in enumerate(lines):
+        if line.startswith("OBS "):
+            dec = lines[i + 1] if lines[i + 1].startswith("DEC ") else None
+            records.append((line[4:], dec, lines[i + 1 + (dec is not None)]))
+    return records
+
+
+@pytest.mark.parametrize("case", ["twin-synthesised", "twin-none", "twin-trap", "lamps3"])
+def test_simulate_agrees_with_replay(case, twin_plant, twin_bts, twin_pipeline):
+    # each DEC and VERDICT record is what the engine says after that observation
+    if case == "lamps3":
+        plant = fi.build_labeled_plant(lamps(3))
+        policy = fi.synthesize(plant).policy
+    else:
+        plant = twin_plant
+        policy = {"twin-synthesised": lambda bts: twin_pipeline[3], "twin-none": none_policy,
+                  "twin-trap": trap_disabling_policy}[case](twin_bts)
+    cl = fi.build_closed_loop(plant, policy)
+    for seed in range(1, 6):
+        records = trace_records(fi.simulate(cl, 200, seed=seed))
+        assert records, seed
+        states = fi.replay(plant, policy, [obs for obs, _, _ in records])
+        for (obs, dec_line, verdict_line), st in zip(records, states[1:]):
+            dec, verdict = st.active_decision, st.verdict
+            assert dec_line == (None if dec is None else
+                                f"DEC enforce={dec.enforce or '~'} "
+                                f"disable={{{','.join(sorted(dec.disable))}}}"), (seed, obs)
+            assert verdict_line == f"VERDICT det={verdict.detection} iso={verdict.isolation}"
+
+
 def test_bts_walk_matches_engine(twin_plant, twin_bts, twin_pipeline):
     # the bipartite graph's edge relation reproduces the engine estimates
     _, bts_liv, _, policy = twin_pipeline
