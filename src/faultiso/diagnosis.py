@@ -104,22 +104,18 @@ class DiagnosisVerdict:
 
 
 def classify(est: StateEstimate) -> DiagnosisVerdict:
-    """Classify an estimate: N/F/U detection and FU/F_i isolation."""
-    if est.empty:
-        raise InvalidArgumentError("cannot classify an empty estimate")
-    labels = est.labels()
-    if labels == {NORMAL}:
-        detection = "N"
-    elif NORMAL not in labels:
-        detection = "F"
-    else:
-        detection = "U"
-    fault = est.fault_labels()
-    if detection == "F" and len(fault) == 1:
-        isolation = next(iter(fault))
-    else:
-        isolation = "FU"
-    return DiagnosisVerdict(detection, isolation)
+    """Classify an estimate: N/F/U detection and FU/F_i isolation.  The
+    verdict is kept on the estimate, so it is computed once per estimate."""
+    verdict = est.__dict__.get("_verdict")
+    if verdict is None:
+        if est.empty:
+            raise InvalidArgumentError("cannot classify an empty estimate")
+        fault = est.fault_labels()
+        detection = "N" if not fault else "U" if NORMAL in est.labels() else "F"
+        verdict = DiagnosisVerdict(detection, next(iter(fault))
+                                   if detection == "F" and len(fault) == 1 else "FU")
+        object.__setattr__(est, "_verdict", verdict)
+    return verdict
 
 
 @dataclass(frozen=True)
@@ -242,6 +238,7 @@ class StateIndex:
         self._closures: dict[frozenset[str], tuple[int, ...]] = {frozenset(): closure}
         self._estimates: dict[int, StateEstimate] = {}
         self._mask_of: dict[StateEstimate, int] = {}
+        self._steps: dict[tuple, Optional[StateEstimate]] = {}  # synthesis.observable_reach
 
     def closure_under(self, disabled: frozenset[str]) -> tuple[int, ...]:
         """Each state's closure under the unobservable events not in

@@ -401,22 +401,25 @@ def observable_reach(plant: LabeledPlant, est: StateEstimate,
 
     With an observable enforced event, only that event can be observed and it
     fires from the estimate itself.  With an unobservable enforced event, it
-    fires first, then undisabled unobservable events run, then ``obs``.  With
-    nothing enforced, undisabled unobservable events run, then ``obs``.
-    An enforced event fires even if listed in the disable set.
+    fires first, then undisabled unobservable events run, then ``obs``; with
+    nothing enforced, the same without the first step.  An enforced event fires
+    even if disabled.  Past the checks, each (``est``, ``dec``) is released once
+    per plant, its steps kept on ``plant.index``; a call that raises raises again.
     """
-    table = plant.table
+    key, index, table = (est, dec, obs), plant.index, plant.table
+    if key in index._steps:
+        return index._steps[key]
     if obs not in table.observable_events:
         table.require(obs)
         raise InvalidArgumentError(f"event {obs} is not observable")
     released = _release(plant, est, dec)
-    if dec.enforce in table.observable_events:
-        if obs != dec.enforce:
-            return None
-    elif obs in dec.disable:
+    forced = dec.enforce in table.observable_events
+    if not forced and obs in dec.disable:
         raise InvalidArgumentError(f"observation {obs} is disabled by {dec}")
-    nxt = _step(plant.index, released, obs)
-    return plant.index.estimate(nxt) if nxt else None
+    for o, nxt in index.observe(released).items():
+        if o == dec.enforce or not (forced or o in dec.disable):
+            index._steps[(est, dec, o)] = index.estimate(nxt)
+    return index._steps.setdefault(key, None)
 
 
 def _antichain(masks: Iterable[int]) -> tuple[int, ...]:

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 import faultiso as fi
-from faultiso import diagnosis
+from faultiso import diagnosis, runtime, synthesis
 from faultiso.errors import ProtocolError, SchedulerError, SupervisorIntegrityError
 from faultiso.gallery import lamps
 from faultiso.modelio import parse_model
@@ -142,6 +142,43 @@ def test_replay_memory_is_linear_in_the_observations():
     assert any(st.phase == "isolation" for st in states)
     for st in states:
         assert (st.active_decision is None) == (st.phase == "detection")
+
+
+def test_each_estimate_is_released_once_per_plant(monkeypatch):
+    # observable_reach keeps every admitted step of a released estimate on
+    # plant.index: the four-lamp closed loop asks for 220 steps but releases
+    # each of its 75 (estimate, decision) pairs once, and a 10,000-observation
+    # replay on the same plant releases nothing and leaves the memo bounded
+    asked, released = [], []
+    real_reach, real_release = runtime.observable_reach, synthesis._release
+
+    def reach(plant, est, dec, obs):
+        asked.append(obs)
+        return real_reach(plant, est, dec, obs)
+
+    def release(plant, est, dec):
+        released.append((est, dec, asked[-1]))
+        return real_release(plant, est, dec)
+
+    monkeypatch.setattr(runtime, "observable_reach", reach)
+    monkeypatch.setattr(synthesis, "_release", release)
+    plant = fi.build_labeled_plant(lamps(4))
+    fi.build_closed_loop(plant, fi.synthesize(plant).policy)
+    assert len(asked) == 220
+    assert len({(est, dec) for est, dec, _ in released}) == len(released) == 75
+
+    plant = fi.build_labeled_plant(lamps(3))
+    policy = fi.synthesize(plant).policy
+    trace = fi.simulate(fi.build_closed_loop(plant, policy), 11_000, seed=19)
+    observations = [line[4:] for line in trace.splitlines()
+                    if line.startswith("OBS ")][:10_000]
+    assert len(observations) == 10_000
+    before, state = len(released), fi.initial_engine_state(plant)
+    for obs in observations:
+        state = fi.engine_step(plant, policy, state, obs)
+    assert len(released) == before
+    graph = fi.policy_graph(plant, policy)
+    assert len(plant.index._steps) <= len(graph) * len(plant.table.observable_events)
 
 
 def test_closed_loop_cuts_unobserved_branch(twin_plant, closed):

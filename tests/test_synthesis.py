@@ -151,9 +151,15 @@ def outcome(step, *args):
 
 def assert_mask_step_matches_set_step(plant):
     """For every Y-state, feasible decision and observation: the released
-    states and the observable reach equal the set-based referee's."""
+    states and the observable reach equal the set-based referee's, also when
+    asked again with a fresh copy of the Y-state, which reads the step kept on
+    ``plant.index`` (a raise raises again).  The verdict kept on an interned
+    estimate equals a fresh copy's and stays the same on a second call."""
     index, observable = plant.index, sorted(plant.table.observable_events)
     for y in fi.build_bts(plant).y_states:
+        interned, copy = index.estimate(index.mask_of(y)), fi.StateEstimate.of(y)
+        verdict = fi.classify(interned)
+        assert fi.classify(copy) == verdict == fi.classify(interned)
         for dec in fi.feasible_decisions(plant, y):
             released = synthesis._released(index, index.mask_of(y), dec)
             assert ids_of(plant, index.estimate(released)) \
@@ -161,6 +167,8 @@ def assert_mask_step_matches_set_step(plant):
             for obs in observable:
                 assert outcome(fi.observable_reach, plant, y, dec, obs) \
                     == outcome(set_observable_reach, plant, y, dec, obs)
+                again = outcome(fi.observable_reach, plant, copy, dec, obs)
+                assert again == outcome(set_observable_reach, plant, y, dec, obs)
 
 
 def test_mask_step_matches_set_step(twin_plant):
