@@ -147,7 +147,8 @@ class LabeledPlant:
 
     @property
     def initial_estimate(self) -> StateEstimate:
-        return self.estimate_of([self.automaton.initial])
+        index = self.index
+        return index.estimate(1 << index._bit[self.member_of(self.automaton.initial)])
 
     @cached_property
     def diagnosability(self) -> "DiagnosabilityReport":
@@ -238,7 +239,7 @@ class StateIndex:
         self._closures: dict[frozenset[str], tuple[int, ...]] = {frozenset(): closure}
         self._estimates: dict[int, StateEstimate] = {}
         self._mask_of: dict[StateEstimate, int] = {}
-        self._steps: dict[tuple, Optional[StateEstimate]] = {}  # synthesis.observable_reach
+        self._steps: dict[tuple, dict[str, StateEstimate]] = {}  # synthesis._admitted
 
     def closure_under(self, disabled: frozenset[str]) -> tuple[int, ...]:
         """Each state's closure under the unobservable events not in

@@ -283,11 +283,12 @@ def load_supervisor(text: str, plant: LabeledPlant,
                 in (("missing", frontier - listed), ("extra", listed - frontier)) if ests]
         raise ModelError("supervisor frontier is not the model's fault frontier; "
                          + "; ".join(diff))
-    decisions = {}
+    decisions, index = {}, plant.index
     for est, dec in doc.decisions:
         for m in est:
             if (m.base, m.label) not in plant.id_of:
                 raise ModelError(f"supervisor references unknown labelled state {m}")
+        est = index.estimate(index.mask_of(est))
         if est in decisions:
             raise ModelError(f"supervisor lists a decision for {est} twice")
         try:

@@ -67,11 +67,9 @@ def _engine_state(policy: SupervisorPolicy, est: StateEstimate,
 
 def _next_estimate(plant: LabeledPlant, state: EngineState,
                    obs: str) -> Optional[StateEstimate]:
-    """The estimate after ``obs`` (``None``: it cannot occur): the diagnoser's
-    step with no decision in force, the observable reach under it otherwise."""
-    if state.active_decision is None:
-        return plant.diagnoser.transitions.get((state.estimate, obs))
-    return observable_reach(plant, state.estimate, state.active_decision, obs)
+    """The estimate after ``obs`` (``None``: it cannot occur): the observable
+    reach under the decision in force, ``NO_CONTROL`` during detection."""
+    return observable_reach(plant, state.estimate, state.active_decision or NO_CONTROL, obs)
 
 
 def engine_step(plant: LabeledPlant, policy: SupervisorPolicy,

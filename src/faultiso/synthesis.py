@@ -394,6 +394,21 @@ def _release(plant: LabeledPlant, est: StateEstimate, dec: ControlDecision) -> i
     return released
 
 
+def _admitted(plant: LabeledPlant, est: StateEstimate,
+              dec: ControlDecision) -> dict[str, StateEstimate]:
+    """The observations ``dec`` admits at ``est`` (an observable enforced
+    event, else every possible one not disabled), in event order, with the
+    estimates they lead to; kept on ``plant.index``, released once per plant."""
+    index = plant.index
+    admitted = index._steps.get((est, dec))
+    if admitted is None:
+        steps = index.observe(_release(plant, est, dec))
+        order = [dec.enforce] if dec.enforce in index.observable \
+            else [o for o in sorted(steps) if o not in dec.disable]
+        admitted = index._steps[(est, dec)] = {o: index.estimate(steps[o]) for o in order}
+    return admitted
+
+
 def observable_reach(plant: LabeledPlant, est: StateEstimate,
                      dec: ControlDecision, obs: str) -> Optional[StateEstimate]:
     """Estimate after the next observation under a decision, or ``None`` when
@@ -403,23 +418,16 @@ def observable_reach(plant: LabeledPlant, est: StateEstimate,
     fires from the estimate itself.  With an unobservable enforced event, it
     fires first, then undisabled unobservable events run, then ``obs``; with
     nothing enforced, the same without the first step.  An enforced event fires
-    even if disabled.  Past the checks, each (``est``, ``dec``) is released once
-    per plant, its steps kept on ``plant.index``; a call that raises raises again.
+    even if disabled.  The step is read from ``_admitted``.
     """
-    key, index, table = (est, dec, obs), plant.index, plant.table
-    if key in index._steps:
-        return index._steps[key]
+    table = plant.table
     if obs not in table.observable_events:
         table.require(obs)
         raise InvalidArgumentError(f"event {obs} is not observable")
-    released = _release(plant, est, dec)
-    forced = dec.enforce in table.observable_events
-    if not forced and obs in dec.disable:
+    admitted = _admitted(plant, est, dec)
+    if obs in dec.disable and dec.enforce not in table.observable_events:
         raise InvalidArgumentError(f"observation {obs} is disabled by {dec}")
-    for o, nxt in index.observe(released).items():
-        if o == dec.enforce or not (forced or o in dec.disable):
-            index._steps[(est, dec, o)] = index.estimate(nxt)
-    return index._steps.setdefault(key, None)
+    return admitted.get(obs)
 
 
 def _antichain(masks: Iterable[int]) -> tuple[int, ...]:
@@ -747,17 +755,8 @@ def policy_graph(plant: LabeledPlant, policy: SupervisorPolicy
                  ) -> dict[StateEstimate, tuple[tuple[str, StateEstimate], ...]]:
     """Estimate-transition table of the closed loop after certainty: from each
     reachable estimate, the observations the active decision admits and the
-    estimates they lead to.  Each estimate is released once."""
-    graph: dict[StateEstimate, tuple[tuple[str, StateEstimate], ...]] = {}
-    index = plant.index
+    estimates they lead to, read from ``_admitted``."""
+    def admitted(y):
+        return tuple(_admitted(plant, y, policy.decision_for(y)).items())
 
-    def successors(y):
-        dec = policy.decision_for(y)
-        steps = index.observe(_release(plant, y, dec))
-        admitted = ([dec.enforce] if dec.enforce in index.observable
-                    else sorted(steps.keys() - dec.disable))
-        graph[y] = tuple((obs, index.estimate(steps[obs])) for obs in admitted)
-        return graph[y]
-
-    reach(sorted(policy.initial_frontier, key=str), successors)
-    return graph
+    return {y: admitted(y) for y in reach(sorted(policy.initial_frontier, key=str), admitted)}

@@ -58,8 +58,8 @@ def test_no_function_level_imports(module):
 
 
 def test_unobservable_closure_is_taken_only_by_the_index():
-    # uncontrolled estimate steps read plant.diagnoser, whose closures come
-    # from LabeledPlant.index; the runtime never takes a closure itself
+    # every estimate step reads closures from LabeledPlant.index; the runtime
+    # never takes a closure itself
     callers = set()
     for module in ("diagnosis", "runtime"):
         tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
@@ -73,16 +73,20 @@ def test_unobservable_closure_is_taken_only_by_the_index():
 
 def test_runtime_switches_and_steps_in_one_place():
     # one function decides phase, verdict and decision in force, and one steps
-    # the estimate; the engine, the closed loop, the simulator and the
-    # liveness check read only these two
+    # the estimate, through observable_reach in both phases; the engine, the
+    # closed loop, the simulator and the liveness check read only these two,
+    # and nothing in the runtime names the diagnoser
     tree = ast.parse((SRC / "runtime.py").read_text(encoding="utf-8"))
-    classifies, steps = set(), set()
+    classifies, steps, diagnoser = set(), set(), []
     for top in tree.body:
         for node in ast.walk(top):
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "classify":
                 classifies.add(getattr(top, "name", "<module>"))
-            if getattr(node, "id", None) == "observable_reach" \
-                    or getattr(node, "attr", None) == "diagnoser":
+            if getattr(node, "id", None) == "observable_reach":
                 steps.add(getattr(top, "name", "<module>"))
+            if "diagnoser" in (getattr(node, "id", None), getattr(node, "attr", None),
+                               getattr(node, "name", None)):
+                diagnoser.append(node.lineno)
     assert classifies == {"_engine_state", "initial_engine_state"}
     assert steps == {"_next_estimate"}
+    assert diagnoser == [], f"runtime.py names the diagnoser at lines {diagnoser}"

@@ -161,6 +161,45 @@ def test_supervisor_load(twin_plant, sup_doc, twin_pipeline):
     assert loaded.initial_frontier == policy.initial_frontier
 
 
+def four_lamp_supervisor():
+    """A fresh four-lamp plant, its supervisor's text and its model document."""
+    doc = modelio.parse_model_document(lamps_text(4, "lamps4", "4 lamps"))
+    plant = fi.build_labeled_plant(modelio.to_system(doc)[0])
+    synthesis = fi.synthesize(plant)
+    text = modelio.serialize_supervisor(modelio.supervisor_document(
+        synthesis.policy, doc, "default", synthesis.result.isolation_bound))
+    return fi.build_labeled_plant(modelio.to_system(doc)[0]), text, doc
+
+
+def test_loaded_supervisor_uses_the_plants_estimates():
+    # every key and frontier estimate is the plant's interned estimate, so a
+    # decision lookup is an identity hit
+    plant, text, doc = four_lamp_supervisor()
+    policy = modelio.load_supervisor(text, plant, doc)
+    index = plant.index
+    for est in (*policy.decisions, *policy.initial_frontier):
+        assert est is index.estimate(index.mask_of(est)), est
+    assert plant.initial_estimate is plant.diagnoser.initial
+
+
+def test_load_and_closed_loop_release_each_pair_once(monkeypatch):
+    # load_supervisor's policy graph and the closed loop share the steps kept
+    # on plant.index: the load releases the 75 fault-certain pairs, the closed
+    # loop only the 32 before certainty
+    plant, text, doc = four_lamp_supervisor()
+    released, real = [], fi.synthesis._release
+
+    def release(plant, est, dec):
+        released.append((est, dec))
+        return real(plant, est, dec)
+
+    monkeypatch.setattr(fi.synthesis, "_release", release)
+    policy = modelio.load_supervisor(text, plant, doc)
+    assert len(released) == 75
+    fi.build_closed_loop(plant, policy)
+    assert len(set(released)) == len(released) == 107
+
+
 def test_supervisor_hash_mismatch(twin_plant, sup_doc):
     other = modelio.ModelDocument(
         None, None, twin_branch_document().events, (), "0",

@@ -1,6 +1,7 @@
 """Runtime engine, closed-loop construction, verification, simulation."""
 from __future__ import annotations
 
+import random
 import re
 import tracemalloc
 
@@ -13,6 +14,7 @@ from faultiso.gallery import lamps
 from faultiso.modelio import parse_model
 
 from oracles import closed_loop_estimates, closed_loop_language, enumerate_language
+from plantgen import random_plant
 
 
 @pytest.fixture(scope="module")
@@ -145,10 +147,11 @@ def test_replay_memory_is_linear_in_the_observations():
 
 
 def test_each_estimate_is_released_once_per_plant(monkeypatch):
-    # observable_reach keeps every admitted step of a released estimate on
-    # plant.index: the four-lamp closed loop asks for 220 steps but releases
-    # each of its 75 (estimate, decision) pairs once, and a 10,000-observation
-    # replay on the same plant releases nothing and leaves the memo bounded
+    # every estimate step, with or without a decision in force, reads the
+    # admitted steps kept on plant.index per (estimate, decision): the
+    # four-lamp closed loop asks for 332 steps but releases each of its 107
+    # pairs once (75 fault-certain, 32 before certainty), and on three lamps
+    # neither a 10,000-observation replay nor the policy graph releases more
     asked, released = [], []
     real_reach, real_release = runtime.observable_reach, synthesis._release
 
@@ -164,8 +167,9 @@ def test_each_estimate_is_released_once_per_plant(monkeypatch):
     monkeypatch.setattr(synthesis, "_release", release)
     plant = fi.build_labeled_plant(lamps(4))
     fi.build_closed_loop(plant, fi.synthesize(plant).policy)
-    assert len(asked) == 220
-    assert len({(est, dec) for est, dec, _ in released}) == len(released) == 75
+    assert len(asked) == 332
+    assert len({(est, dec) for est, dec, _ in released}) == len(released) == 107
+    assert sum(fi.classify(est).detection == "F" for est, _, _ in released) == 75
 
     plant = fi.build_labeled_plant(lamps(3))
     policy = fi.synthesize(plant).policy
@@ -176,9 +180,34 @@ def test_each_estimate_is_released_once_per_plant(monkeypatch):
     before, state = len(released), fi.initial_engine_state(plant)
     for obs in observations:
         state = fi.engine_step(plant, policy, state, obs)
-    assert len(released) == before
     graph = fi.policy_graph(plant, policy)
-    assert len(plant.index._steps) <= len(graph) * len(plant.table.observable_events)
+    assert len(released) == before
+    assert len(plant.index._steps) == before - 107 == 44
+    assert {est for est, _ in plant.index._steps
+            if fi.classify(est).detection == "F"} == set(graph)
+
+
+def assert_uncontrolled_step_is_the_diagnosers(plant):
+    diag = plant.diagnoser
+    for est in diag.states:
+        for obs in sorted(plant.table.observable_events):
+            assert fi.observable_reach(plant, est, fi.NO_CONTROL, obs) \
+                is diag.transitions.get((est, obs)), (est, obs)
+
+
+def test_uncontrolled_step_is_the_diagnosers(twin_plant):
+    # the runtime steps detection through observable_reach under NO_CONTROL,
+    # which must give the diagnoser's own estimate objects
+    assert_uncontrolled_step_is_the_diagnosers(twin_plant)
+    for n in (3, 4, 5):
+        assert_uncontrolled_step_is_the_diagnosers(fi.build_labeled_plant(lamps(n)))
+    rng, checked = random.Random(2023), 0
+    for _ in range(2000):
+        plant = fi.build_labeled_plant(random_plant(rng))
+        if plant.diagnosability.diagnosable:
+            assert_uncontrolled_step_is_the_diagnosers(plant)
+            checked += 1
+    assert checked == 1511
 
 
 def test_closed_loop_cuts_unobserved_branch(twin_plant, closed):
