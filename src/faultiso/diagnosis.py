@@ -255,6 +255,16 @@ class StateIndex:
             table = self._closures[part] = tuple(built)
         return table
 
+    def release(self, mask: int, disabled: frozenset[str] = frozenset()) -> int:
+        """The states ``mask`` can reach by unobservable events not in ``disabled``."""
+        closure = self.closure_under(disabled)
+        return reduce(or_, map(closure.__getitem__, _bits(mask)), 0)
+
+    def after(self, mask: int) -> list[tuple[str, int]]:
+        """The uncontrolled step: ``(obs, mask)`` for each observation
+        possible from ``release(mask)``, in event order."""
+        return sorted(self.observe(self.release(mask)).items())
+
     def observe(self, released: int) -> dict[str, int]:
         """Each observation possible from ``released``, with the mask it leads to."""
         out, step = self.observable_out, {}
@@ -290,19 +300,12 @@ def estimate_after(plant: LabeledPlant, t: Sequence[str]) -> StateEstimate:
 
 class Diagnoser:
     """Deterministic estimate automaton over the observable alphabet, built
-    by ``build_diagnoser`` only.
-
-    ``states[0]`` is the initial estimate.  ``_succ[i]`` lists the
-    ``(obs, position)`` successors of ``states[i]`` in event order and
-    ``_masks[i]`` is ``states[i]`` over ``_index``, the plant's index.
-    """
+    by ``build_diagnoser`` only.  ``states[0]`` is the initial estimate."""
 
     def __init__(self, states: tuple[StateEstimate, ...], table: EventTable,
-                 transitions: Mapping[tuple[StateEstimate, str], StateEstimate],
-                 succ: list[tuple[tuple[str, int], ...]], masks: list[int], index: StateIndex):
+                 transitions: Mapping[tuple[StateEstimate, str], StateEstimate]):
         self.states, self.alphabet, self.initial = states, table.observable_events, states[0]
-        self.transitions, self._succ, self._masks, self._index = transitions, succ, masks, index
-        self._table = table
+        self.transitions, self._table = transitions, table
 
     def _walk(self, t: Sequence[str]) -> tuple[Optional[StateEstimate], Optional[str]]:
         """The estimate after ``t``, or ``None`` and the first infeasible
@@ -323,42 +326,28 @@ class Diagnoser:
             raise InvalidArgumentError(f"observation infeasible: {' '.join(t)} (at {at})")
         return est
 
-    def _frontier(self) -> list[int]:
-        """Positions first reached with fault certainty (no normal bit), in
-        breadth-first order."""
-        normal, masks, succ = self._index.normal, self._masks, self._succ
-        nodes = reach([0], lambda i: succ[i] if masks[i] & normal else ())
-        return [i for i in nodes if not masks[i] & normal]
-
 
 def build_diagnoser(plant: LabeledPlant, max_states: int = 1_000_000) -> Diagnoser:
     """Worklist determinisation of the labelled plant over observations, on
-    masks of ``plant.index``: each state's estimate is built once, and only
-    the observations active in its closure are followed, in event order."""
-    index = plant.index
-    states = [plant.initial_estimate]
-    masks = [index.mask_of(states[0])]
-    pos = {masks[0]: 0}
-    succ: list[tuple[tuple[str, int], ...]] = []
+    masks of ``plant.index``: each state's estimate is built once, and each
+    state follows ``index.after``."""
+    index, init = plant.index, plant.initial_estimate
+    states = {index.mask_of(init): init}  # mask -> estimate, in discovery order
+    masks = list(states)
     trans: dict[tuple[StateEstimate, str], StateEstimate] = {}
-    for i, mask in enumerate(masks):  # masks grows as states are found
-        step = index.observe(reduce(or_, map(index.closure.__getitem__, _bits(mask))))
-        edges = []
-        for obs in sorted(step):
-            nxt = step[obs]
-            j = pos.get(nxt)
-            if j is None:
+    for mask in masks:  # grows as states are found
+        src = states[mask]
+        for obs, nxt in index.after(mask):
+            est = states.get(nxt)
+            if est is None:
                 if len(masks) >= max_states:
                     raise ResourceLimitError(
                         f"diagnoser exceeded {max_states} states",
                         stats={"states": len(masks), "transitions": len(trans) + 1})
-                j = pos[nxt] = len(masks)
+                est = states[nxt] = index.estimate(nxt)
                 masks.append(nxt)
-                states.append(index.estimate(nxt))
-            trans[(states[i], obs)] = states[j]
-            edges.append((obs, j))
-        succ.append(tuple(edges))
-    return Diagnoser(tuple(states), plant.table, trans, succ, masks, plant.index)
+            trans[(src, obs)] = est
+    return Diagnoser(tuple(states.values()), plant.table, trans)
 
 
 # -- diagnosability (twin construction) ---------------------------------------
@@ -450,14 +439,16 @@ class IsolatabilityReport:
 
 def fault_frontier(plant: LabeledPlant) -> frozenset[StateEstimate]:
     """Estimates first reached with fault certainty, where supervision starts:
-    breadth-first search on the diagnoser that stops at the first
+    breadth-first search on ``index.after`` that stops at the first
     fault-certain estimate on each path.  Requires a diagnosable plant."""
     report = plant.diagnosability
     if not report.diagnosable:
         raise NotDiagnosableError("plant is not diagnosable; no isolation "
                                   "supervisor can exist", witness=report.witness)
-    diag = plant.diagnoser
-    return frozenset(map(diag.states.__getitem__, diag._frontier()))
+    index = plant.index
+    nodes = reach([index.mask_of(plant.initial_estimate)],
+                  lambda mask: index.after(mask) if mask & index.normal else ())
+    return frozenset(index.estimate(m) for m in nodes if not m & index.normal)
 
 
 def check_isolatability(plant: LabeledPlant) -> IsolatabilityReport:
@@ -472,40 +463,47 @@ def check_isolatability(plant: LabeledPlant) -> IsolatabilityReport:
 
     Fault labels never grow after certainty, so every such cycle is all
     mixed: the plant is isolatable exactly when ``bound``, the longest run
-    of consecutive mixed estimates, is finite.
+    of consecutive mixed estimates, is finite.  Certainty is absorbing, so
+    the masks reachable from the frontier are the fault-certain ones
+    reachable at all; neither the bound nor the witness depends on their
+    order.
     """
     diag_report = plant.diagnosability
     if not diag_report.diagnosable:
         raise NotDiagnosableError(
             "isolatability is only defined for diagnosable systems",
             witness=diag_report.witness)
-    diag = plant.diagnoser  # queried on positions; "mixed" meets two fault masks
-    states, masks, succ, faults = diag.states, diag._masks, diag._succ, diag._index.faults
-    nodes = reach(sorted(diag._frontier(), key=lambda i: str(states[i])), succ.__getitem__)
-    mixed = {i: sum(1 for f in faults if masks[i] & f) >= 2 for i in nodes}
-    if not any(mixed.values()):
+    index, succ = plant.index, {}
+    masks = [m for m in reach([index.mask_of(plant.initial_estimate)],
+                              lambda m: succ.setdefault(m, index.after(m)))
+             if not m & index.normal]
+    pos = {m: i for i, m in enumerate(masks)}  # the queries run on positions: small keys
+    edges = [[(obs, pos[n]) for obs, n in succ[m]] for m in masks]
+    mixed = [sum(1 for f in index.faults if m & f) >= 2 for m in masks]  # meets two classes
+    if not any(mixed):
         return IsolatabilityReport(True, None, 0)
 
     def mixed_succ(i):
-        return [(obs, j) for obs, j in succ[i] if mixed[j]]
+        return [(obs, j) for obs, j in edges[i] if mixed[j]]
 
-    mixed_ids = [i for i in nodes if mixed[i]]
+    ids = range(len(masks))
+    mixed_ids = [i for i in ids if mixed[i]]
     bound = longest_path(mixed_ids, mixed_succ)
     if bound is not None:
         return IsolatabilityReport(True, None, bound)
 
-    cyclic = cyclic_nodes(mixed_ids, mixed_succ)
-    on_cycle = sorted((i for i in nodes if i in cyclic), key=lambda i: str(states[i]))
-    preds: dict[int, list] = {i: [] for i in nodes}
-    for i in nodes:
-        for obs, j in succ[i]:
+    on_cycle = sorted(cyclic_nodes(mixed_ids, mixed_succ),
+                      key=lambda i: str(index.estimate(masks[i])))
+    preds: list[list] = [[] for _ in ids]
+    for i, out in enumerate(edges):
+        for obs, j in out:
             preds[j].append((obs, i))
-    reach_pure = set(reach([i for i in nodes if not mixed[i]], preds.__getitem__))
+    reach_pure = set(reach([i for i in ids if not mixed[i]], preds.__getitem__))
     trapped = [i for i in on_cycle if i not in reach_pure]
     chosen = (trapped or on_cycle)[0]
-    witness = [states[chosen]]
-    for obs, j in shortest_path(chosen, succ.__getitem__, lambda i: i == chosen):
-        witness += [obs, states[j]]
+    witness = [index.estimate(masks[chosen])]
+    for obs, j in shortest_path(chosen, edges.__getitem__, lambda j: j == chosen):
+        witness += [obs, index.estimate(masks[j])]
     return IsolatabilityReport(False, tuple(witness))
 
 

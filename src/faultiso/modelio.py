@@ -10,8 +10,10 @@ Model grammar (one directive per line, ``#`` starts a comment):
     trans <src> <event> <dst>
 
 Duplicate transitions for the same (source, event) are rejected, as are
-undeclared events and observable fault events.  Supervisor documents are
-canonical JSON bound to the model by a content digest.
+undeclared events and observable fault events.  A fault index is ASCII
+digits, given once.  State names may not contain ``@``, ``{`` or ``}``:
+estimate and closed-loop state names are built from them.  Supervisor
+documents are canonical JSON bound to the model by a content digest.
 """
 from __future__ import annotations
 
@@ -51,6 +53,13 @@ class ModelDocument:
 _EVENT_FLAGS = {"obs": "observable", "ctrl": "controllable", "forc": "forcible"}
 
 
+def _state_name(where: str, name: str) -> str:
+    for ch in name:
+        if ch in "@{}":
+            raise ModelError(f"{where}: state {name} contains reserved character {ch!r}")
+    return name
+
+
 def parse_model_document(text: str) -> ModelDocument:
     name = None
     description = None
@@ -88,10 +97,12 @@ def parse_model_document(text: str) -> ModelDocument:
                 if flag in _EVENT_FLAGS:
                     attrs[_EVENT_FLAGS[flag]] = True
                 elif flag.startswith("fault="):
-                    try:
-                        fault_type = int(flag.split("=", 1)[1])
-                    except ValueError:
-                        raise ModelError(f"{where}: bad fault index in {flag!r}") from None
+                    digits = flag[len("fault="):]
+                    if fault_type is not None:
+                        raise ModelError(f"{where}: event {ev_name} gives its fault index twice")
+                    if not (digits.isascii() and digits.isdigit()):
+                        raise ModelError(f"{where}: bad fault index in {flag!r}")
+                    fault_type = int(digits)
                 else:
                     raise ModelError(f"{where}: unknown event flag {flag!r}")
             if fault_type is not None and attrs.get("observable"):
@@ -101,13 +112,13 @@ def parse_model_document(text: str) -> ModelDocument:
         elif kind == "state":
             if len(args) != 1:
                 raise ModelError(f"{where}: state takes exactly one name")
-            states.append(args[0])
+            states.append(_state_name(where, args[0]))
         elif kind == "init":
             if len(args) != 1:
                 raise ModelError(f"{where}: init takes exactly one name")
             if initial is not None:
                 raise ModelError(f"{where}: init declared twice")
-            initial = args[0]
+            initial = _state_name(where, args[0])
         elif kind == "trans":
             if len(args) != 3:
                 raise ModelError(f"{where}: trans takes source, event, target")
@@ -119,7 +130,7 @@ def parse_model_document(text: str) -> ModelDocument:
                     f"{where}: duplicate transition from {src} on {ev} "
                     f"(first at line {seen_pairs[(src, ev)]}); automata are deterministic")
             seen_pairs[(src, ev)] = lineno
-            transitions.append((src, ev, dst))
+            transitions.append((_state_name(where, src), ev, _state_name(where, dst)))
         else:
             raise ModelError(f"{where}: unknown directive {kind!r}")
     if initial is None:

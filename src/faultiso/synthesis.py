@@ -366,20 +366,7 @@ def _released(index: StateIndex, mask: int, dec: ControlDecision) -> Optional[in
         if ev in index.observable:
             return mask
         mask = after
-    closure, out = index.closure_under(dec.disable), 0
-    for b in _bits(mask):
-        out |= closure[b]
-    return out
-
-
-def _step(index: StateIndex, released: int, obs: str) -> int:
-    """The states ``obs`` leads to from ``released``, as a mask (0: none)."""
-    succ, out = index.succ, 0
-    for b in _bits(released):
-        d = succ[b].get(obs)
-        if d is not None:
-            out |= 1 << d
-    return out
+    return index.release(mask, dec.disable)
 
 
 def _release(plant: LabeledPlant, est: StateEstimate, dec: ControlDecision) -> int:
@@ -464,7 +451,7 @@ def build_bts(plant: LabeledPlant, max_states: int = 1_000_000) -> BTSGraph:
     caps the stored states: Y-states plus effects.
     """
     y0 = fault_frontier(plant)
-    diag, index, table = plant.diagnoser, plant.index, plant.table
+    index, table = plant.index, plant.table
     ctrl, observable = table.controllable_events, table.observable_events
     unobs_ctrl = table.unobservable_events & ctrl
     unobs_parts = _all_subsets(sorted(unobs_ctrl))
@@ -472,7 +459,7 @@ def build_bts(plant: LabeledPlant, max_states: int = 1_000_000) -> BTSGraph:
     # per set of relevant events: the bits of its observable ones and the free events
     kinds: dict[frozenset[str], tuple[dict[str, int], frozenset[str]]] = {}
 
-    y_masks = [diag._masks[j] for j in sorted(diag._frontier(), key=lambda j: str(diag.states[j]))]
+    y_masks = [index.mask_of(y) for y in sorted(y0, key=str)]
     y_id = {m: i for i, m in enumerate(y_masks)}
     y_effects: list[Sequence[int]] = []
     effects: list[_Effect] = []
@@ -490,10 +477,11 @@ def build_bts(plant: LabeledPlant, max_states: int = 1_000_000) -> BTSGraph:
 
     for i, mask in enumerate(y_masks):  # grows as estimates are discovered: breadth-first
         found = []  # per effect: its record (edges to come) and its observe() steps
+        direct = index.observe(mask)  # an observable enforced event fires from mask itself
         for ev in _enforceable(table, index, mask):
             if ev in observable:
                 found.append((_Effect(i, ControlDecision(ev), {}, frozenset(), (), ()),
-                              {ev: _step(index, mask, ev)}))
+                              {ev: direct[ev]}))
                 continue
             for part in unobs_parts:
                 dec = ControlDecision(ev, part)
@@ -516,7 +504,7 @@ def build_bts(plant: LabeledPlant, max_states: int = 1_000_000) -> BTSGraph:
         for eff, steps in found:
             effects.append(eff)
             eff.edges = tuple((obs, successor(steps[obs])) for obs in sorted(steps))
-    ys = tuple(map(index.estimate, y_masks))  # the frontier's are the diagnoser's
+    ys = tuple(map(index.estimate, y_masks))  # the frontier's are fault_frontier's
     marked = frozenset(y for y, m in zip(ys, y_masks) if not m & index.normal
                        and sum(1 for f in index.faults if m & f) == 1)
     return BTSGraph(ys, y0, marked, y_effects, effects)

@@ -15,9 +15,9 @@ def twin():
 
 @pytest.fixture(scope="session")
 def colliding_loop_text():
-    """A model whose closed loop has two states with one name: plant state
-    aF1 under estimate {bF1@{cF1}} and plant state aF1@{bF1 under {cF1} both
-    render as aF1@{bF1@{cF1}."""
+    """A model whose closed loop would have two states with one name: plant
+    state aF1 under estimate {bF1@{cF1}} and plant state aF1@{bF1 under {cF1}
+    both render as aF1@{bF1@{cF1}.  The grammar rejects it at line 8."""
     return ("event f fault=1\nevent u\nevent o1 obs\nevent o2 obs\nevent o3 obs\n"
             "init s\ntrans s f t\ntrans t o1 bF1@{c\ntrans t o2 c\n"
             "trans bF1@{c u a\ntrans c u aF1@{b\ntrans a o3 a\n"

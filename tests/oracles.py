@@ -25,7 +25,6 @@ from faultiso.diagnosis import (
     LabeledPlant,
     StateEstimate,
     classify,
-    fault_frontier,
 )
 from faultiso.errors import (
     InvalidArgumentError,
@@ -496,7 +495,7 @@ def per_decision_bts(plant: LabeledPlant) -> PerDecisionBTS:
     before effect classes: Y-states in breadth-first discovery order from
     the frontier sorted by name, each Y-state's Z-states in decision
     ``sort_key`` order, each Z-state's edges in observation order."""
-    y0 = fault_frontier(plant)
+    y0 = set_frontier(plant)
     observable = plant.table.observable_events
     y_order = sorted(y0, key=str)
     y_id = {y: i for i, y in enumerate(y_order)}
@@ -641,22 +640,22 @@ def set_diagnoser(plant: LabeledPlant, max_states: int = 1_000_000) -> SetDiagno
     return SetDiagnoser(tuple(order), plant.table.observable_events, trans, initial)
 
 
-def set_isolatability(plant: LabeledPlant, diag: SetDiagnoser = None) -> IsolatabilityReport:
-    """The mixed-cycle test on estimates: the frontier and "mixed" come from
-    ``classify`` and the estimates' fault labels, the graph from the transitions
-    of ``diag`` (by default ``set_diagnoser(plant)``)."""
-    report = plant.diagnosability
-    if not report.diagnosable:
-        raise NotDiagnosableError(
-            "isolatability is only defined for diagnosable systems",
-            witness=report.witness)
-    diag = diag or set_diagnoser(plant)
+def set_adjacency(diag: SetDiagnoser) -> dict[StateEstimate, list]:
+    """Per estimate of ``diag``, its ``(obs, estimate)`` successors, sorted."""
     adj: dict[StateEstimate, list] = {est: [] for est in diag.states}
     for (src, obs), dst in diag.transitions.items():
         adj[src].append((obs, dst))
     for edges in adj.values():
         edges.sort()
-    frontier = set()
+    return adj
+
+
+def set_frontier(plant: LabeledPlant, diag: SetDiagnoser = None) -> frozenset[StateEstimate]:
+    """``fault_frontier`` on estimates: a search on the transitions of
+    ``diag`` (by default ``set_diagnoser(plant)``) that stops at each estimate
+    ``classify`` finds fault-certain.  No diagnosability check."""
+    diag = diag or set_diagnoser(plant)
+    adj, frontier = set_adjacency(diag), set()
 
     def expand(est):
         if classify(est).detection == "F":
@@ -665,7 +664,21 @@ def set_isolatability(plant: LabeledPlant, diag: SetDiagnoser = None) -> Isolata
         return adj[est]
 
     reach([diag.initial], expand)
-    nodes = reach(sorted(frontier, key=str), adj.__getitem__)
+    return frozenset(frontier)
+
+
+def set_isolatability(plant: LabeledPlant, diag: SetDiagnoser = None) -> IsolatabilityReport:
+    """The mixed-cycle test on estimates: the frontier comes from
+    ``set_frontier``, "mixed" from the estimates' fault labels, and the graph
+    from the transitions of ``diag`` (by default ``set_diagnoser(plant)``)."""
+    report = plant.diagnosability
+    if not report.diagnosable:
+        raise NotDiagnosableError(
+            "isolatability is only defined for diagnosable systems",
+            witness=report.witness)
+    diag = diag or set_diagnoser(plant)
+    adj = set_adjacency(diag)
+    nodes = reach(sorted(set_frontier(plant, diag), key=str), adj.__getitem__)
     mixed = [len(est.fault_labels()) >= 2 for est in nodes]
     if not any(mixed):
         return IsolatabilityReport(True, None, 0)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import faultiso as fi
 from faultiso import diagnosis, synthesis
-from faultiso.diagnosis import NORMAL, _bits
+from faultiso.diagnosis import NORMAL
 from faultiso.gallery import lamps, twin_branch
 from faultiso.errors import AssumptionError, ModelError, NotDiagnosableError
 
@@ -18,6 +18,7 @@ from oracles import (
     composed_labeled_plant,
     enumerate_language,
     set_diagnoser,
+    set_frontier,
     set_isolatability,
 )
 from plantgen import random_plant
@@ -283,7 +284,7 @@ def test_analyses_run_once_per_plant(monkeypatch):
     monkeypatch.setattr(synthesis, "build_diagnoser", spy, raising=False)
     fi.check_isolatability(plant)
     fi.build_bts(plant)
-    assert built == [plant]
+    assert built == []  # both step masks on plant.index; neither needs a diagnoser
 
 
 def test_detection_agent_raises_typed_error(twin_diagnoser):
@@ -315,22 +316,12 @@ def test_walk_reports_unobservable_event(twin_diagnoser):
 
 
 def assert_matches_set_referee(plant):
-    """The mask-built diagnoser and the position-based isolatability test
-    agree with the set-based referees, including their state-cap errors."""
+    """The mask-built diagnoser, fault frontier and isolatability test agree
+    with the set-based referees, including their state-cap errors."""
     diag, ref = fi.build_diagnoser(plant), set_diagnoser(plant)
     assert diag.states == ref.states
     assert list(diag.transitions.items()) == list(ref.transitions.items())
     assert (diag.initial, diag.alphabet) == (ref.initial, ref.alphabet)
-    adj = {est: [] for est in ref.states}
-    for (src, obs), dst in ref.transitions.items():
-        adj[src].append((obs, dst))
-    assert len(diag._succ) == len(diag.states)
-    for est, succ in zip(ref.states, diag._succ):
-        assert [(obs, diag.states[j]) for obs, j in succ] == sorted(adj[est])
-    # each mask lists its estimate's members in order
-    assert len(diag._masks) == len(diag.states)
-    for est, mask in zip(diag.states, diag._masks):
-        assert tuple(diag._index.members[b] for b in _bits(mask)) == est.members
     n = len(ref.states)
     for cap in sorted(c for c in {1, n // 2, n - 1} if 0 < c < n):
         with pytest.raises(fi.ResourceLimitError) as got:
@@ -343,6 +334,7 @@ def assert_matches_set_referee(plant):
         with pytest.raises(NotDiagnosableError):
             fi.check_isolatability(plant)
         return None
+    assert fi.fault_frontier(plant) == set_frontier(plant, ref)
     report, want = fi.check_isolatability(plant), set_isolatability(plant, ref)
     assert report == want
     assert report.witness_text() == want.witness_text()

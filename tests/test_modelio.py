@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import faultiso as fi
-from faultiso import modelio
+from faultiso import cli, modelio
 from faultiso.errors import ModelError
 from faultiso.gallery import lamps, lamps_text, twin_branch_document, twin_branch_text
 
@@ -58,6 +58,34 @@ def test_fault_must_be_unobservable():
     assert modelio.parse_model("event f fault=1\nevent o obs\ninit a\ntrans a f a\n")
     with pytest.raises(ModelError):
         modelio.parse_model("event f obs fault=1\ninit a\ntrans a f a\n")
+
+
+@pytest.mark.parametrize("flags, message", [
+    ("fault=\u0663", "bad fault index in 'fault=\u0663'"),
+    ("fault=1_0", "bad fault index in 'fault=1_0'"),
+    ("fault=+1", "bad fault index in 'fault=+1'"),
+    ("fault=1 fault=2", "event f gives its fault index twice"),
+], ids=["arabic-indic-digit", "underscore", "sign", "twice"])
+def test_fault_index_is_ascii_digits_given_once(capsys, tmp_path, flags, message):
+    # int() reads all of these; the grammar takes none of them
+    path = tmp_path / "m.des"
+    path.write_text(f"event f {flags}\nevent o obs\ninit a\ntrans a f b\ntrans b o b\n",
+                    encoding="utf-8")
+    assert cli.main(["check", str(path)]) == cli.EXIT_MODEL
+    assert capsys.readouterr() == ("", f"error: model: line 1: {message}\n")
+
+
+@pytest.mark.parametrize("line, state, char", [
+    ("state a@b", "a@b", "@"), ("init {a", "{a", "{"), ("trans a e b}", "b}", "}"),
+], ids=["state", "init", "trans"])
+def test_state_names_reject_reserved_characters(line, state, char):
+    # estimate and closed-loop names are built from @, { and }; the
+    # parentheses and commas of composed lamp states stay legal
+    text = f"event e obs\n{line}\n" + ("" if line.startswith("init") else "init a\n")
+    with pytest.raises(ModelError) as info:
+        modelio.parse_model_document(text)
+    assert str(info.value) == f"line 2: state {state} contains reserved character {char!r}"
+    assert modelio.parse_model_document("event e obs\ninit ((a,b),c)\n").initial == "((a,b),c)"
 
 
 def test_undeclared_event_rejected():
@@ -161,9 +189,9 @@ def test_supervisor_load(twin_plant, sup_doc, twin_pipeline):
     assert loaded.initial_frontier == policy.initial_frontier
 
 
-def four_lamp_supervisor():
-    """A fresh four-lamp plant, its supervisor's text and its model document."""
-    doc = modelio.parse_model_document(lamps_text(4, "lamps4", "4 lamps"))
+def lamp_supervisor(n: int = 4):
+    """A fresh ``n``-lamp plant, its supervisor's text and its model document."""
+    doc = modelio.parse_model_document(lamps_text(n, f"lamps{n}", f"{n} lamps"))
     plant = fi.build_labeled_plant(modelio.to_system(doc)[0])
     synthesis = fi.synthesize(plant)
     text = modelio.serialize_supervisor(modelio.supervisor_document(
@@ -174,7 +202,7 @@ def four_lamp_supervisor():
 def test_loaded_supervisor_uses_the_plants_estimates():
     # every key and frontier estimate is the plant's interned estimate, so a
     # decision lookup is an identity hit
-    plant, text, doc = four_lamp_supervisor()
+    plant, text, doc = lamp_supervisor()
     policy = modelio.load_supervisor(text, plant, doc)
     index = plant.index
     for est in (*policy.decisions, *policy.initial_frontier):
@@ -186,7 +214,7 @@ def test_load_and_closed_loop_release_each_pair_once(monkeypatch):
     # load_supervisor's policy graph and the closed loop share the steps kept
     # on plant.index: the load releases the 75 fault-certain pairs, the closed
     # loop only the 32 before certainty
-    plant, text, doc = four_lamp_supervisor()
+    plant, text, doc = lamp_supervisor()
     released, real = [], fi.synthesis._release
 
     def release(plant, est, dec):
@@ -198,6 +226,29 @@ def test_load_and_closed_loop_release_each_pair_once(monkeypatch):
     assert len(released) == 75
     fi.build_closed_loop(plant, policy)
     assert len(set(released)) == len(released) == 107
+
+
+def test_load_closed_loop_and_engine_build_no_diagnoser(monkeypatch):
+    # supervision starts at the fault frontier, found on plant.index masks:
+    # loading a five-lamp supervisor, building its closed loop and replaying
+    # 1,000 observations never build the diagnoser
+    plant, text, doc = lamp_supervisor(5)
+    built, real = [], fi.diagnosis.build_diagnoser
+
+    def spy(p, *args, **kwargs):
+        built.append(p)
+        return real(p, *args, **kwargs)
+
+    monkeypatch.setattr(fi.diagnosis, "build_diagnoser", spy)
+    policy = modelio.load_supervisor(text, plant, doc)
+    trace = fi.simulate(fi.build_closed_loop(plant, policy), 2_500, seed=7)
+    observations = [line[4:] for line in trace.splitlines() if line.startswith("OBS ")]
+    assert len(observations) >= 1_000
+    state = fi.initial_engine_state(plant)
+    for obs in observations[:1_000]:
+        state = fi.engine_step(plant, policy, state, obs)
+    assert built == []
+    assert "diagnoser" not in plant.__dict__
 
 
 def test_supervisor_hash_mismatch(twin_plant, sup_doc):
