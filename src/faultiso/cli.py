@@ -93,7 +93,8 @@ def _cmd_diagnoser(args) -> int:
 
 def _cmd_synth(args) -> int:
     doc, aut, table = _load_model(args.model)
-    run = synthesis.synthesize(diagnosis.build_labeled_plant(aut), args.tie_break)
+    plant = diagnosis.build_labeled_plant(aut)
+    run = synthesis.synthesize(plant, args.tie_break)
     bts, deadlocks, result = run.bts, run.deadlocks, run.result
     print("Y0: " + " ".join(str(y) for y in sorted(bts.initial, key=str)))
     print("Ym: " + " ".join(str(y) for y in sorted(bts.marked, key=str)))
@@ -117,6 +118,8 @@ def _cmd_synth(args) -> int:
     for y in sorted(policy.decisions, key=str):
         print(f"decision {y}: {policy.decisions[y]}")
     if args.out:
+        runtime.build_closed_loop(plant, policy)  # ModelError if two of its states share a name
+        del plant  # released before the document is built, to keep it out of the peak
         sup_doc = modelio.supervisor_document(policy, doc, args.tie_break,
                                               result.isolation_bound)
         _write(args.out, modelio.serialize_supervisor(sup_doc))

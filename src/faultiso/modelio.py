@@ -189,23 +189,8 @@ def model_digest(doc: ModelDocument) -> str:
 
 # -- supervisor documents -------------------------------------------------------
 
-@dataclass(frozen=True)
-class SupervisorDocument:
-    """Serialisable supervisor: a decision table plus provenance."""
-
-    model_hash: str
-    tie_break: str
-    isolation_bound: Optional[int]
-    frontier: tuple[StateEstimate, ...]
-    decisions: tuple[tuple[StateEstimate, ControlDecision], ...]
-
-
 def _estimate_to_json(est: StateEstimate) -> list[list[str]]:
     return [[m.base, m.label] for m in est]
-
-
-def _estimate_from_json(data) -> StateEstimate:
-    return StateEstimate.of(LabeledState(base, label) for base, label in data)
 
 
 def _decision_from_json(data) -> ControlDecision:
@@ -215,26 +200,43 @@ def _decision_from_json(data) -> ControlDecision:
     return ControlDecision(data["enforce"], frozenset(data["disable"]))
 
 
-def serialize_supervisor(doc: SupervisorDocument) -> str:
-    payload = {
+def supervisor_document(policy: SupervisorPolicy, model_doc: ModelDocument,
+                        tie_break: str, isolation_bound: Optional[int]) -> dict:
+    """The JSON payload of ``policy``: its decision table, estimates in name
+    order, plus provenance."""
+    return {
         "format": "faultiso-supervisor-v1",
-        "model_hash": doc.model_hash,
-        "tie_break": doc.tie_break,
-        "isolation_bound": doc.isolation_bound,
-        "frontier": [_estimate_to_json(e) for e in doc.frontier],
+        "model_hash": model_digest(model_doc),
+        "tie_break": tie_break,
+        "isolation_bound": isolation_bound,
+        "frontier": [_estimate_to_json(e)
+                     for e in sorted(policy.initial_frontier, key=str)],
         "decisions": [
             {
                 "estimate": _estimate_to_json(est),
                 "enforce": dec.enforce,
                 "disable": sorted(dec.disable),
             }
-            for est, dec in doc.decisions
+            for est, dec in sorted(policy.decisions.items(), key=lambda p: str(p[0]))
         ],
     }
+
+
+def serialize_supervisor(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def parse_supervisor(text: str) -> SupervisorDocument:
+def load_supervisor(text: str, plant: LabeledPlant,
+                    model_doc: ModelDocument) -> SupervisorPolicy:
+    """Parse straight onto the plant, bind to the model, and verify the policy.
+
+    Each listed ``[base, label]`` pair is its bit on ``plant.index``, and
+    each estimate is interned once.  The hash must match the model, the
+    frontier must be its ``fault_frontier`` (NotDiagnosableError if there is
+    none), each estimate, in name order, must hold plant states only, be
+    listed once and carry a feasible decision, and every estimate reachable
+    from the frontier under the policy must carry a decision.
+    """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -243,63 +245,43 @@ def parse_supervisor(text: str) -> SupervisorDocument:
         raise ModelError("supervisor document is malformed: nested too deeply") from None
     if not isinstance(payload, dict) or payload.get("format") != "faultiso-supervisor-v1":
         raise ModelError("not a faultiso supervisor document")
+    index = plant.index
+    bit_of = {(m.base, m.label): 1 << i for i, m in enumerate(index.members)}
+
+    def estimate(data) -> StateEstimate:
+        try:  # the bits are distinct, so their sum is their union
+            return index.estimate(sum({bit_of[b, l] for b, l in data}))
+        except KeyError:  # not a plant state: built as listed, for the checks to name
+            return StateEstimate.of(LabeledState(b, l) for b, l in data)
+
     try:
-        if not isinstance(payload["model_hash"], str):  # it is sliced for messages
-            raise TypeError(f"model_hash is not a string: {payload['model_hash']!r}")
-        frontier = tuple(sorted((_estimate_from_json(e) for e in payload["frontier"]),
-                                key=str))
-        decisions = tuple(sorted(
-            ((_estimate_from_json(d["estimate"]), _decision_from_json(d))
-             for d in payload["decisions"]), key=lambda p: str(p[0])))
-        return SupervisorDocument(
-            model_hash=payload["model_hash"],
-            tie_break=payload["tie_break"],
-            isolation_bound=payload["isolation_bound"],
-            frontier=frontier,
-            decisions=decisions,
-        )
+        model_hash = payload["model_hash"]
+        if not isinstance(model_hash, str):  # it is sliced for messages
+            raise TypeError(f"model_hash is not a string: {model_hash!r}")
+        listed = frozenset(map(estimate, payload["frontier"]))
+        table = sorted(((estimate(d["estimate"]), _decision_from_json(d))
+                        for d in payload["decisions"]), key=lambda p: str(p[0]))
+        for key in ("tie_break", "isolation_bound"):  # required, though not read
+            if key not in payload:
+                raise KeyError(key)
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"supervisor document is malformed: {exc!r}") from None
-
-
-def supervisor_document(policy: SupervisorPolicy, model_doc: ModelDocument,
-                        tie_break: str, isolation_bound: Optional[int]) -> SupervisorDocument:
-    return SupervisorDocument(
-        model_hash=model_digest(model_doc),
-        tie_break=tie_break,
-        isolation_bound=isolation_bound,
-        frontier=tuple(sorted(policy.initial_frontier, key=str)),
-        decisions=tuple(sorted(policy.decisions.items(), key=lambda p: str(p[0]))),
-    )
-
-
-def load_supervisor(text: str, plant: LabeledPlant,
-                    model_doc: ModelDocument) -> SupervisorPolicy:
-    """Parse, bind to the model, and verify the policy is closed.
-
-    The document's hash must match the model, its frontier must be the
-    model's ``fault_frontier`` (NotDiagnosableError if there is none), and it
-    must list each estimate at most once; every estimate reachable from the
-    frontier under the policy must carry an explicit decision and its
-    decision must be feasible there.
-    """
-    doc = parse_supervisor(text)
+    del payload  # the parsed tree is not kept alive through the checks
     digest = model_digest(model_doc)
-    if doc.model_hash != digest:
+    if model_hash != digest:
         raise ModelError("supervisor was synthesised for a different model "
-                         f"(hash {doc.model_hash[:12]}.. != {digest[:12]}..)")
-    frontier, listed = fault_frontier(plant), frozenset(doc.frontier)
+                         f"(hash {model_hash[:12]}.. != {digest[:12]}..)")
+    frontier = fault_frontier(plant)
     if listed != frontier:
         diff = [f"{word}: " + ", ".join(sorted(map(str, ests))) for word, ests
                 in (("missing", frontier - listed), ("extra", listed - frontier)) if ests]
         raise ModelError("supervisor frontier is not the model's fault frontier; "
                          + "; ".join(diff))
-    decisions, index = {}, plant.index
-    for est, dec in doc.decisions:
+    decisions = {}
+    for est, dec in table:
         for m in est:
-            if (m.base, m.label) not in plant.id_of:
+            if (m.base, m.label) not in bit_of:
                 raise ModelError(f"supervisor references unknown labelled state {m}")
-        est = index.estimate(index.mask_of(est))
         if est in decisions:
             raise ModelError(f"supervisor lists a decision for {est} twice")
         try:

@@ -25,6 +25,20 @@ def colliding_loop_text():
 
 
 @pytest.fixture(scope="session")
+def comma_collision_text():
+    """A model whose closed loop would have two states with one name, from
+    commas alone: after o1 the estimate has members aN and yN,zN, after o2
+    members aN, yN and zN, and both render as {aN,yN,zN}.  Plant state a
+    under either is named aN@{aN,yN,zN}."""
+    return ("event u1\nevent u2\nevent u3\nevent f fault=1\n"
+            "event o1 obs\nevent o2 obs\nevent o3 obs\nevent o4 obs\ninit s\n"
+            "trans s u1 p1\ntrans s u2 p2\ntrans s u3 p3\n"
+            "trans p1 o1 a\ntrans p2 o1 yN,z\ntrans p1 o2 a\ntrans p2 o2 y\n"
+            "trans p3 o2 z\ntrans a f d\ntrans d o4 d\ntrans a o3 a\n"
+            "trans y o3 y\ntrans z o3 z\ntrans yN,z o3 yN,z\n")
+
+
+@pytest.fixture(scope="session")
 def twin_plant(twin):
     return fi.build_labeled_plant(twin)
 

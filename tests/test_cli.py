@@ -291,6 +291,21 @@ def test_simulate_closed_loop_name_collision_exits_2(capsys, tmp_path, colliding
     assert not sup.exists()
 
 
+def test_synth_out_rejects_closed_loop_name_collision(capsys, tmp_path,
+                                                     comma_collision_text):
+    # commas are legal in state names, so only the closed loop's name check
+    # sees the collision: synth --out runs it and writes nothing
+    model, sup = tmp_path / "m.des", tmp_path / "m.sup.json"
+    model.write_text(comma_collision_text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "synth", str(model))
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert out.endswith("solvable: yes\ndecision {dF1}: <~,{}>\n")
+    code, out_with, err = run_cli(capsys, "synth", str(model), "--out", str(sup))
+    assert (code, out_with) == (cli.EXIT_MODEL, out)
+    assert err == "error: model: state name aN@{aN,yN,zN} stands for two states\n"
+    assert not sup.exists()
+
+
 def test_simulate_bad_script(capsys, supervisor_file):
     code, _, err = run_cli(capsys, "simulate", TWIN, supervisor_file,
                            "--script", "o3")
@@ -322,8 +337,7 @@ def test_supervisor_file_is_canonical(supervisor_file, capsys, tmp_path):
     out2 = tmp_path / "again.json"
     run_cli(capsys, "synth", TWIN, "--out", str(out2))
     assert out2.read_text(encoding="utf-8") == first
-    doc = modelio.parse_supervisor(first)
-    assert doc.tie_break == "default"
+    assert json.loads(first)["tie_break"] == "default"
 
 
 def _edited(change):
@@ -384,6 +398,27 @@ def test_supervisor_on_non_diagnosable_model_exits_4(supervisor_file, tmp_path):
                            str(sup), "--obs", "o1"], capture_output=True, text=True)
     assert proc.returncode == cli.EXIT_NOT_DIAGNOSABLE == 4, proc.stderr
     assert proc.stderr.startswith("error: not diagnosable")
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["frontier", "decision"])
+@pytest.mark.parametrize("pairs", [[[1, "F1"], ["3", "F1"]], [["3", "F1"], [1, "F1"]]],
+                         ids=["number-first", "string-first"])
+def test_mixed_type_members_are_malformed(supervisor_file, tmp_path, where, pairs):
+    # members of mixed types cannot be put in order: the document is malformed
+    def change(doc):
+        if where == "frontier":
+            doc["frontier"][0] = pairs
+        else:
+            doc["decisions"][0]["estimate"] = pairs
+    sup = tmp_path / "bad.sup.json"
+    sup.write_bytes(_edited(change)(Path(supervisor_file).read_text(encoding="utf-8")))
+    proc = subprocess.run([sys.executable, "-m", "faultiso.cli", "explain", TWIN,
+                           str(sup), "--obs", "o2"], capture_output=True, text=True)
+    assert proc.returncode == cli.EXIT_MODEL == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: model: supervisor document is malformed: "
+                                  "TypeError(\"'<' not supported")
     assert proc.stderr.count("\n") == 1
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -174,10 +175,11 @@ def sup_doc(twin_pipeline):
                                        "default", result.isolation_bound)
 
 
-def test_supervisor_roundtrip(sup_doc):
+def test_supervisor_roundtrip(twin_plant, sup_doc):
     text = modelio.serialize_supervisor(sup_doc)
-    again = modelio.parse_supervisor(text)
-    assert again == sup_doc
+    loaded = modelio.load_supervisor(text, twin_plant, twin_branch_document())
+    again = modelio.supervisor_document(loaded, twin_branch_document(), sup_doc["tie_break"],
+                                        sup_doc["isolation_bound"])
     assert modelio.serialize_supervisor(again) == text  # bit-exact
 
 
@@ -197,6 +199,55 @@ def lamp_supervisor(n: int = 4):
     text = modelio.serialize_supervisor(modelio.supervisor_document(
         synthesis.policy, doc, "default", synthesis.result.isolation_bound))
     return fi.build_labeled_plant(modelio.to_system(doc)[0]), text, doc
+
+
+def _scrambled(text: str) -> str:
+    """The document with its frontier and decisions reversed, and each
+    estimate's members reversed and its first member listed again."""
+    payload = json.loads(text)
+    for entry in payload["frontier"]:
+        entry[:] = entry[::-1] + entry[:1]
+    for entry in payload["decisions"]:
+        entry["estimate"] = entry["estimate"][::-1] + entry["estimate"][:1]
+    payload["frontier"].reverse()
+    payload["decisions"].reverse()
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("model", ["twin", "lamps4"])
+def test_scrambled_document_loads_to_the_canonical_policy(model, sup_doc):
+    if model == "twin":
+        doc, text = twin_branch_document(), modelio.serialize_supervisor(sup_doc)
+    else:
+        _, text, doc = lamp_supervisor()
+    plant = fi.build_labeled_plant(modelio.to_system(doc)[0])
+    scrambled = _scrambled(text)
+    assert scrambled != text
+    canonical = modelio.load_supervisor(text, plant, doc)
+    policy = modelio.load_supervisor(scrambled, plant, doc)
+    assert policy.decisions == canonical.decisions
+    assert list(policy.decisions) == list(canonical.decisions)
+    assert policy.initial_frontier == canonical.initial_frontier
+    assert all(a is b for a, b in zip(policy.decisions, canonical.decisions))
+
+
+def test_loading_builds_no_intermediate_estimate(monkeypatch):
+    # each listed estimate is read straight onto the plant's masks: no
+    # StateEstimate.of, and every key is the plant's interned estimate
+    plant, text, doc = lamp_supervisor(5)
+    calls, real = [], fi.StateEstimate.of
+
+    def of(cls, members):
+        calls.append(cls)
+        return real(members)
+
+    monkeypatch.setattr(fi.StateEstimate, "of", classmethod(of))
+    policy = modelio.load_supervisor(text, plant, doc)
+    assert calls == []
+    index = plant.index
+    assert len(policy.decisions) > 100
+    for est in (*policy.decisions, *policy.initial_frontier):
+        assert est is index.estimate(index.mask_of(est)), est
 
 
 def test_loaded_supervisor_uses_the_plants_estimates():
@@ -262,20 +313,27 @@ def test_supervisor_hash_mismatch(twin_plant, sup_doc):
 
 def test_supervisor_closure_check(twin_plant, twin_bts, sup_doc):
     # drop one reachable decision: the loader must refuse the document
-    broken = modelio.SupervisorDocument(
-        sup_doc.model_hash, sup_doc.tie_break, sup_doc.isolation_bound,
-        sup_doc.frontier,
-        tuple((est, dec) for est, dec in sup_doc.decisions
-              if str(est) != "{3F1,8F2}"))
+    broken = dict(sup_doc, decisions=[
+        d for d in sup_doc["decisions"] if d["estimate"] != [["3", "F1"], ["8", "F2"]]])
+    assert len(broken["decisions"]) == len(sup_doc["decisions"]) - 1
     text = modelio.serialize_supervisor(broken)
     with pytest.raises(ModelError, match="not closed"):
         modelio.load_supervisor(text, twin_plant, twin_branch_document())
 
 
-def test_supervisor_rejects_garbage():
-    with pytest.raises(ModelError):
-        modelio.parse_supervisor("not json at all")
-    with pytest.raises(ModelError):
-        modelio.parse_supervisor('{"format": "something-else"}')
-    with pytest.raises(ModelError):
-        modelio.parse_supervisor('{"format": "faultiso-supervisor-v1"}')
+@pytest.mark.parametrize("missing", [("tie_break",), ("isolation_bound",),
+                                     ("isolation_bound", "tie_break")])
+def test_unread_keys_are_required(twin_plant, sup_doc, missing):
+    # the loader does not read tie_break or isolation_bound, but a document
+    # without them is malformed, and tie_break is named first
+    payload = {k: v for k, v in sup_doc.items() if k not in missing}
+    with pytest.raises(ModelError, match=r"^supervisor document is malformed: "
+                                         rf"KeyError\('{max(missing)}'\)$"):
+        modelio.load_supervisor(json.dumps(payload), twin_plant, twin_branch_document())
+
+
+def test_supervisor_rejects_garbage(twin_plant):
+    for text in ("not json at all", '{"format": "something-else"}',
+                 '{"format": "faultiso-supervisor-v1"}'):
+        with pytest.raises(ModelError):
+            modelio.load_supervisor(text, twin_plant, twin_branch_document())
