@@ -316,11 +316,7 @@ def _assumption_report(aut: Automaton) -> AssumptionReport:
     states = sorted(aut.states)
     non_live = tuple(q for q in states if not aut.outgoing(q))
     unobs = aut.table.unobservable_events
-    unobs_out: dict[str, list[tuple[str, str]]] = {q: [] for q in states}
-    for (q, ev), dst in aut.transitions.items():
-        if ev in unobs:
-            unobs_out[q].append((ev, dst))
-    cycle = find_cycle(states, unobs_out.__getitem__)
+    cycle = find_cycle(states, lambda q: [(ev, d) for ev, d in aut.outgoing(q) if ev in unobs])
     multi = _find_multi_fault_path(aut)
     return AssumptionReport(
         live=not non_live,

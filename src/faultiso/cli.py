@@ -38,12 +38,15 @@ EXIT_PROTOCOL = 6
 EXIT_BROKEN_PIPE = 141  # as for a process killed by SIGPIPE (128 + 13)
 
 
-def _load_model(path: str):
+def _read(what: str, path: str) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ModelError(f"cannot read model {path}: {exc}") from None
-    doc = modelio.parse_model_document(text)
+        raise ModelError(f"cannot read {what} {path}: {exc}") from None
+
+
+def _load_model(path: str):
+    doc = modelio.parse_model_document(_read("model", path))
     aut, table = modelio.to_system(doc)
     return doc, aut, table
 
@@ -130,11 +133,7 @@ def _cmd_synth(args) -> int:
 def _load_closed_loop(model_path: str, supervisor_path: str):
     doc, aut, table = _load_model(model_path)
     plant = diagnosis.build_labeled_plant(aut)
-    try:
-        text = Path(supervisor_path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ModelError(f"cannot read supervisor {supervisor_path}: {exc}") from None
-    policy = modelio.load_supervisor(text, plant, doc)
+    policy = modelio.load_supervisor(_read("supervisor", supervisor_path), plant, doc)
     return plant, policy
 
 

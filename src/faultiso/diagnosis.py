@@ -236,6 +236,7 @@ class StateIndex:
         self.normal = by_label.pop(NORMAL, 0)
         self.faults = tuple(by_label.values())
         self._bit = {m: i for i, m in enumerate(members)}
+        self._rows: dict[int, dict[str, int]] = {}  # bit -> observe(closure[bit]), on first use
         self._closures: dict[frozenset[str], tuple[int, ...]] = {frozenset(): closure}
         self._estimates: dict[int, StateEstimate] = {}
         self._mask_of: dict[StateEstimate, int] = {}
@@ -261,9 +262,16 @@ class StateIndex:
         return reduce(or_, map(closure.__getitem__, _bits(mask)), 0)
 
     def after(self, mask: int) -> list[tuple[str, int]]:
-        """The uncontrolled step: ``(obs, mask)`` for each observation
-        possible from ``release(mask)``, in event order."""
-        return sorted(self.observe(self.release(mask)).items())
+        """The uncontrolled step: ``(obs, mask)`` for each observation possible
+        from ``release(mask)``, in event order: ``observe`` distributes over
+        union, so it joins the rows of the mask's own bits and releases nothing."""
+        rows, step = self._rows, {}
+        for b in _bits(mask):
+            if b not in rows:
+                rows[b] = self.observe(self.closure[b])
+            for obs, d in rows[b].items():  # a successor one row gives alone is its int
+                step[obs] = step[obs] | d if obs in step else d
+        return sorted(step.items())
 
     def observe(self, released: int) -> dict[str, int]:
         """Each observation possible from ``released``, with the mask it leads to."""

@@ -54,15 +54,14 @@ _EVENT_FLAGS = {"obs": "observable", "ctrl": "controllable", "forc": "forcible"}
 
 
 def _state_name(where: str, name: str) -> str:
-    for ch in name:
-        if ch in "@{}":
-            raise ModelError(f"{where}: state {name} contains reserved character {ch!r}")
+    if "@" in name or "{" in name or "}" in name:  # the scan is for the message
+        ch = next(ch for ch in name if ch in "@{}")
+        raise ModelError(f"{where}: state {name} contains reserved character {ch!r}")
     return name
 
 
 def parse_model_document(text: str) -> ModelDocument:
-    name = None
-    description = None
+    meta: dict[str, str] = {}  # name, desc
     events: list[Event] = []
     states: list[str] = []
     initial = None
@@ -77,14 +76,10 @@ def parse_model_document(text: str) -> ModelDocument:
         parts = line.split()
         kind, args = parts[0], parts[1:]
         where = f"line {lineno}"
-        if kind == "name":
+        if kind in ("name", "desc"):
             if not args:
-                raise ModelError(f"{where}: name needs a value")
-            name = " ".join(args)
-        elif kind == "desc":
-            if not args:
-                raise ModelError(f"{where}: desc needs a value")
-            description = " ".join(args)
+                raise ModelError(f"{where}: {kind} needs a value")
+            meta[kind] = " ".join(args)
         elif kind == "event":
             if not args:
                 raise ModelError(f"{where}: event needs a name")
@@ -135,7 +130,7 @@ def parse_model_document(text: str) -> ModelDocument:
             raise ModelError(f"{where}: unknown directive {kind!r}")
     if initial is None:
         raise ModelError("model has no init line")
-    return ModelDocument(name, description, tuple(events), tuple(states),
+    return ModelDocument(meta.get("name"), meta.get("desc"), tuple(events), tuple(states),
                          initial, tuple(transitions))
 
 
@@ -200,6 +195,10 @@ def _decision_from_json(data) -> ControlDecision:
     return ControlDecision(data["enforce"], frozenset(data["disable"]))
 
 
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")  # json.loads would take NaN, Infinity
+
+
 def supervisor_document(policy: SupervisorPolicy, model_doc: ModelDocument,
                         tie_break: str, isolation_bound: Optional[int]) -> dict:
     """The JSON payload of ``policy``: its decision table, estimates in name
@@ -238,8 +237,8 @@ def load_supervisor(text: str, plant: LabeledPlant,
     from the frontier under the policy must carry a decision.
     """
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+        payload = json.loads(text, parse_constant=_no_constant)
+    except ValueError as exc:
         raise ModelError(f"supervisor document is not valid JSON: {exc}") from None
     except RecursionError:
         raise ModelError("supervisor document is malformed: nested too deeply") from None
@@ -251,7 +250,9 @@ def load_supervisor(text: str, plant: LabeledPlant,
     def estimate(data) -> StateEstimate:
         try:  # the bits are distinct, so their sum is their union
             return index.estimate(sum({bit_of[b, l] for b, l in data}))
-        except KeyError:  # not a plant state: built as listed, for the checks to name
+        except KeyError:  # not a plant state: strings, built as listed, for the checks to name
+            if bad := [[b, l] for b, l in data if not (isinstance(b, str) and isinstance(l, str))]:
+                raise TypeError(f"estimate member is not two strings: {json.dumps(bad[0])}")
             return StateEstimate.of(LabeledState(b, l) for b, l in data)
 
     try:

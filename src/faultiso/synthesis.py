@@ -64,7 +64,7 @@ def canonical_decision(plant: LabeledPlant, enforce: Optional[str],
     """Validate attributes and apply the canonical form."""
     table = plant.table
     disable = frozenset(disable)
-    for ev in disable:
+    for ev in sorted(disable, key=repr):  # not set order: one bad event named in any process
         table.require(ev)
         if ev not in table.controllable_events:
             raise InvalidArgumentError(f"cannot disable uncontrollable event {ev}")

@@ -405,7 +405,8 @@ def test_supervisor_on_non_diagnosable_model_exits_4(supervisor_file, tmp_path):
 @pytest.mark.parametrize("pairs", [[[1, "F1"], ["3", "F1"]], [["3", "F1"], [1, "F1"]]],
                          ids=["number-first", "string-first"])
 def test_mixed_type_members_are_malformed(supervisor_file, tmp_path, where, pairs):
-    # members of mixed types cannot be put in order: the document is malformed
+    # a member that is not two strings is malformed, named as listed, whatever
+    # the order of the members
     def change(doc):
         if where == "frontier":
             doc["frontier"][0] = pairs
@@ -417,8 +418,8 @@ def test_mixed_type_members_are_malformed(supervisor_file, tmp_path, where, pair
                            str(sup), "--obs", "o2"], capture_output=True, text=True)
     assert proc.returncode == cli.EXIT_MODEL == 2, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: model: supervisor document is malformed: "
-                                  "TypeError(\"'<' not supported")
+    assert proc.stderr == ("error: model: supervisor document is malformed: "
+                           "TypeError('estimate member is not two strings: [1, \"F1\"]')\n")
     assert proc.stderr.count("\n") == 1
 
 
@@ -435,6 +436,62 @@ def test_non_string_model_hash_is_malformed(supervisor_file, tmp_path, value, co
     assert proc.returncode == cli.EXIT_MODEL == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: model: supervisor document is malformed")
+    assert proc.stderr.count("\n") == 1
+
+
+def _frontier_member(member):
+    """Edit: the first frontier estimate lists ``member`` before its own members."""
+    return lambda doc: doc["frontier"][0].insert(0, member)
+
+
+def _decision_member(member):
+    """Edit: the first decision's estimate lists ``member`` after its own."""
+    return lambda doc: doc["decisions"][0]["estimate"].append(member)
+
+
+@pytest.mark.parametrize("change, message", [
+    (_frontier_member([float("nan"), "N"]), "document is not valid JSON: NaN is not a JSON number"),
+    (_decision_member([float("inf"), "F1"]),
+     "document is not valid JSON: Infinity is not a JSON number"),
+    (_decision_member(["1", float("-inf")]),
+     "document is not valid JSON: -Infinity is not a JSON number"),
+    (_frontier_member([None, "N"]),
+     "document is malformed: TypeError('estimate member is not two strings: [null, \"N\"]')"),
+    (_decision_member(["zz", None]),
+     "document is malformed: TypeError('estimate member is not two strings: [\"zz\", null]')"),
+    (_decision_member([1.5, "F1"]),
+     "document is malformed: TypeError('estimate member is not two strings: [1.5, \"F1\"]')"),
+    (lambda doc: doc["decisions"][0].update(disable=["zz", "F1", 1]),
+     "decision at {1F1,6F2}: unknown event: F1"),
+], ids=["nan", "infinity", "minus-infinity", "null-base", "null-label", "number-base",
+        "unknown-events"])
+def test_supervisor_errors_do_not_vary_per_process(supervisor_file, tmp_path, change, message):
+    # NaN and Infinity are not JSON; a member that is not two strings is
+    # named as listed, and of unknown events the first by repr.  No message
+    # depends on hash order, so two processes with different hash seeds
+    # print the same line
+    sup = tmp_path / "bad.sup.json"
+    sup.write_bytes(_edited(change)(Path(supervisor_file).read_text(encoding="utf-8")))
+    errors = set()
+    for seed in ("0", "1"):
+        proc = subprocess.run([sys.executable, "-m", "faultiso.cli", "explain", TWIN,
+                               str(sup), "--obs", "o2"], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONHASHSEED=seed))
+        assert proc.returncode == cli.EXIT_MODEL == 2, proc.stderr
+        errors.add(proc.stderr)
+    assert errors == {f"error: model: supervisor {message}\n"}
+
+
+def test_huge_number_in_supervisor_is_one_line(supervisor_file, tmp_path):
+    # past the interpreter's digit limit json.loads raises a plain ValueError;
+    # it is invalid JSON there, and a member that is no string elsewhere
+    sup = tmp_path / "bad.sup.json"
+    sup.write_text(Path(supervisor_file).read_text(encoding="utf-8").replace(
+        '"frontier": [', '"frontier": [[[' + "9" * 5000 + ', "N"]], ', 1), encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "faultiso.cli", "explain", TWIN,
+                           str(sup), "--obs", "o2"], capture_output=True, text=True)
+    assert proc.returncode == cli.EXIT_MODEL == 2, proc.stderr
+    assert proc.stderr.startswith("error: model: supervisor document is ")
     assert proc.stderr.count("\n") == 1
 
 

@@ -2,15 +2,17 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import faultiso as fi
-from faultiso import diagnosis, synthesis
+from faultiso import diagnosis, modelio, synthesis
 from faultiso.diagnosis import NORMAL
-from faultiso.gallery import lamps, twin_branch
+from faultiso.gallery import lamps, lamps_text, twin_branch
 from faultiso.errors import AssumptionError, ModelError, NotDiagnosableError
+from faultiso.graph import reach
 
 from conftest import estimate, names
 from oracles import (
@@ -358,3 +360,84 @@ def test_diagnoser_matches_set_referee_six_lamps():
     diag = plant.diagnoser
     assert (len(diag.states), len(diag.transitions)) == (2723, 9155)
     assert not assert_matches_set_referee(plant).isolatable
+
+
+def referee_after(index, mask):
+    """The uncontrolled step as release, then observe."""
+    return sorted(index.observe(index.release(mask)).items())
+
+
+@pytest.mark.parametrize("aut", [twin_branch()[0], lamps(3), lamps(4), lamps(5)],
+                         ids=["twin", "lamps3", "lamps4", "lamps5"])
+def test_after_matches_release_then_observe(aut):
+    # the step joined from per-state rows equals release-then-observe on
+    # every mask reachable from a single state, asked on a fresh plant
+    referee = fi.build_labeled_plant(aut).index
+    masks = reach([1 << i for i in range(len(referee.members))],
+                  lambda m: referee_after(referee, m))
+    index = fi.build_labeled_plant(aut).index
+    for mask in masks:
+        assert index.after(mask) == referee_after(referee, mask), mask
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_after_matches_release_then_observe_random(seed):
+    aut = random_plant(random.Random(seed))
+    plant, referee = fi.build_labeled_plant(aut), fi.build_labeled_plant(aut).index
+    for mask in reach([plant.index.mask_of(plant.initial_estimate)],
+                      lambda m: referee_after(referee, m)):
+        assert plant.index.after(mask) == referee_after(referee, mask), mask
+
+
+class _Writes(dict):
+    """A dict that counts how often each key is written."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = Counter()
+
+    def __setitem__(self, key, value):
+        self.writes[key] += 1
+        super().__setitem__(key, value)
+
+
+def spy_steps(monkeypatch, index):
+    """Count, on ``index``, the steps per mask and the row writes per bit."""
+    steps, real = Counter(), diagnosis.StateIndex.after
+
+    def after(self, mask):
+        if self is index:
+            steps[mask] += 1
+        return real(self, mask)
+
+    monkeypatch.setattr(diagnosis.StateIndex, "after", after)
+    index._rows = _Writes()
+    return steps, index._rows.writes
+
+
+def test_check_flow_builds_each_row_once(monkeypatch):
+    # the diagnoser and the isolatability test each step a mask once, and
+    # the rows they join are built once per state for both
+    plant = fi.build_labeled_plant(lamps(4))
+    steps, rows = spy_steps(monkeypatch, plant.index)
+    diag = fi.build_diagnoser(plant)
+    assert len(steps) == sum(steps.values()) == len(diag.states) == 237
+    fi.check_isolatability(plant)
+    assert set(steps.values()) == {2} and len(steps) == 237
+    assert len(rows) == sum(rows.values()) == len(plant.index.members) == 96
+
+
+def test_synthesis_and_load_build_each_row_once(monkeypatch):
+    # build_bts and load_supervisor each find the frontier once, on rows
+    # built once per state
+    doc = modelio.parse_model_document(lamps_text(4, "lamps4", "4 lamps"))
+    plant = fi.build_labeled_plant(modelio.to_system(doc)[0])
+    steps, rows = spy_steps(monkeypatch, plant.index)
+    run = fi.synthesize(plant)
+    text = modelio.serialize_supervisor(modelio.supervisor_document(
+        run.policy, doc, "default", run.result.isolation_bound))
+    assert set(steps.values()) == {1} and len(steps) == 32
+    modelio.load_supervisor(text, plant, doc)
+    assert set(steps.values()) == {2} and len(steps) == 32
+    assert len(rows) == sum(rows.values()) == 32

@@ -89,6 +89,13 @@ def test_state_names_reject_reserved_characters(line, state, char):
     assert modelio.parse_model_document("event e obs\ninit ((a,b),c)\n").initial == "((a,b),c)"
 
 
+@pytest.mark.parametrize("state, char", [("a}b@", "}"), ("x{@}", "{"), ("@a{", "@")])
+def test_first_reserved_character_is_named(state, char):
+    with pytest.raises(ModelError) as info:
+        modelio.parse_model_document(f"event e obs\ntrans {state} e a\ninit a\n")
+    assert str(info.value) == f"line 2: state {state} contains reserved character {char!r}"
+
+
 def test_undeclared_event_rejected():
     with pytest.raises(ModelError, match="line 2"):
         modelio.parse_model("init a\ntrans a ghost b\n")
