@@ -145,12 +145,17 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _split_events(text: str) -> list[str]:
+    """Events separated by commas or whitespace: ``--obs``, ``--script``, ``--obs-file`` lines."""
+    return text.replace(",", " ").split()
+
+
 def _read_observations(path: str):
     """The observations in ``path`` (``-``: stdin), read a line at a time."""
     try:
         with open(path, encoding="utf-8") if path != "-" else nullcontext(sys.stdin) as stream:
             for line in stream:
-                yield from line.replace(",", " ").split()
+                yield from _split_events(line)
     except (OSError, UnicodeDecodeError) as exc:
         raise FaultIsoError(f"cannot read observations {path}: {exc}") from None
 
@@ -203,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("supervisor")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--script", type=lambda text: text.split(",") if text else [],
-                       help="comma-separated plant events to execute")
+    group.add_argument("--script", type=_split_events,
+                       help="plant events to execute, separated by commas or whitespace")
     group.add_argument("--seed", type=int, help="seed for the random scheduler")
     p.add_argument("--steps", type=_positive_int, default=20)
     p.set_defaults(func=_cmd_simulate)
@@ -213,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("supervisor")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--obs", type=lambda text: text.split(",") if text else [],
-                       help="comma-separated observations")
+    group.add_argument("--obs", type=_split_events,
+                       help="observations separated by commas or whitespace")
     group.add_argument("--obs-file", metavar="PATH",
                        help="observations separated by commas or whitespace; - is stdin")
     p.set_defaults(func=_cmd_explain)

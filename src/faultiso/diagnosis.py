@@ -241,6 +241,7 @@ class StateIndex:
         self._estimates: dict[int, StateEstimate] = {}
         self._mask_of: dict[StateEstimate, int] = {}
         self._steps: dict[tuple, dict[str, StateEstimate]] = {}  # synthesis._admitted
+        self._engine: dict[tuple, tuple] = {}  # runtime.engine_step
 
     def closure_under(self, disabled: frozenset[str]) -> tuple[int, ...]:
         """Each state's closure under the unobservable events not in
@@ -490,10 +491,7 @@ def check_isolatability(plant: LabeledPlant) -> IsolatabilityReport:
     mixed = [sum(1 for f in index.faults if m & f) >= 2 for m in masks]  # meets two classes
     if not any(mixed):
         return IsolatabilityReport(True, None, 0)
-
-    def mixed_succ(i):
-        return [(obs, j) for obs, j in edges[i] if mixed[j]]
-
+    mixed_succ = [[(obs, j) for obs, j in out if mixed[j]] for out in edges].__getitem__
     ids = range(len(masks))
     mixed_ids = [i for i in ids if mixed[i]]
     bound = longest_path(mixed_ids, mixed_succ)

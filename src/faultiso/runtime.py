@@ -74,9 +74,19 @@ def _next_estimate(plant: LabeledPlant, state: EngineState,
 
 def engine_step(plant: LabeledPlant, policy: SupervisorPolicy,
                 state: EngineState, obs: str) -> EngineState:
-    """Consume one observation: one ``_next_estimate`` step, then the engine
-    state there.  A decision in force admits only its observable enforced
-    event, if it has one, and never a disabled event."""
+    """Consume one observation: ``_step``, kept on ``plant.index`` per policy
+    identity, estimate, decision in force and observation.  The entry holds the
+    policy, so its id is not reused; a step that raises is not kept."""
+    memo, key = plant.index._engine, (id(policy), state.estimate, state.active_decision, obs)
+    if (hit := memo.get(key)) is None:
+        hit = memo[key] = policy, _step(plant, policy, state, obs)
+    return hit[1]
+
+
+def _step(plant: LabeledPlant, policy: SupervisorPolicy,
+          state: EngineState, obs: str) -> EngineState:
+    """One ``_next_estimate`` step, then the engine state there.  A decision in
+    force admits only its observable enforced event, if any, and no disabled one."""
     if obs not in plant.table.observable_events:
         raise ProtocolError(f"event {obs} is not observable" if obs in plant.table
                             else f"unknown event: {obs}")

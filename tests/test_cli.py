@@ -200,6 +200,22 @@ def test_explain_obs_file_matches_obs(capsys, supervisor_file, tmp_path, monkeyp
         == (0, want, "")
 
 
+# the forms that exited 6 with "unknown event:  o3" or "unknown event: "
+# while the same list in an --obs-file ran
+SPLIT_FORMS = {"spaces": "{}, {}, {}", "empty-item": "{},,{},{}", "trailing-comma": "{},{},{},",
+               "whitespace-only": " {}\t{} {} ", "comma-only": "{},{},{}"}
+
+
+@pytest.mark.parametrize("form", SPLIT_FORMS)
+def test_obs_splits_like_obs_file(capsys, supervisor_file, tmp_path, form):
+    text = SPLIT_FORMS[form].format("o2", "o3", "o2")
+    path = tmp_path / "obs.txt"
+    path.write_text(text + "\n", encoding="utf-8")
+    want = run_cli(capsys, "explain", TWIN, supervisor_file, "--obs-file", str(path))
+    assert want == run_cli(capsys, "explain", TWIN, supervisor_file, "--obs", "o2,o3,o2")
+    assert run_cli(capsys, "explain", TWIN, supervisor_file, "--obs", text) == want
+
+
 @pytest.mark.parametrize("content", [None, b"\xd0\x00"], ids=["missing", "not-utf8"])
 def test_explain_bad_obs_file_exits_2_with_one_line(supervisor_file, tmp_path, content):
     path = tmp_path / "obs.txt"
@@ -276,6 +292,18 @@ def test_simulate_script_and_seed(capsys, supervisor_file):
 def test_simulate_empty_script_runs_no_step(capsys, supervisor_file):
     code, out, err = run_cli(capsys, "simulate", TWIN, supervisor_file, "--script", "")
     assert (code, out, err) == (0, "", "")
+
+
+@pytest.mark.parametrize("form", SPLIT_FORMS)
+def test_script_splits_like_obs_file(capsys, supervisor_file, tmp_path, form):
+    text = SPLIT_FORMS[form].format("sf1", "o2", "o3")
+    path = tmp_path / "script.txt"
+    path.write_text(text + "\n", encoding="utf-8")
+    events = list(cli._read_observations(str(path)))
+    assert events == ["sf1", "o2", "o3"]
+    want = run_cli(capsys, "simulate", TWIN, supervisor_file, "--script", ",".join(events))
+    assert want[0] == 0 and "DEC enforce=o3 disable={}" in want[1]
+    assert run_cli(capsys, "simulate", TWIN, supervisor_file, "--script", text) == want
 
 
 def test_simulate_closed_loop_name_collision_exits_2(capsys, tmp_path, colliding_loop_text):

@@ -1,6 +1,7 @@
 """Runtime engine, closed-loop construction, verification, simulation."""
 from __future__ import annotations
 
+import dataclasses
 import random
 import re
 import tracemalloc
@@ -10,7 +11,7 @@ import pytest
 import faultiso as fi
 from faultiso import diagnosis, runtime, synthesis
 from faultiso.errors import ProtocolError, SchedulerError, SupervisorIntegrityError
-from faultiso.gallery import lamps
+from faultiso.gallery import lamps, twin_branch_text
 from faultiso.modelio import parse_model
 
 from oracles import closed_loop_estimates, closed_loop_language, enumerate_language
@@ -193,6 +194,160 @@ def test_each_estimate_is_released_once_per_plant(monkeypatch):
     assert len(plant.index._steps) == before - 107 == 44
     assert {est for est, _ in plant.index._steps
             if fi.classify(est).detection == "F"} == set(graph)
+
+
+# -- the engine memo: one transition per (policy, estimate, decision, observation)
+
+def referee_step(plant, policy, state, obs):
+    """The engine's transition from its two rules, with no memo and no checks."""
+    return runtime._engine_state(policy, runtime._next_estimate(plant, state, obs), obs)
+
+
+def referee_replay(plant, policy, observations):
+    states = [fi.initial_engine_state(plant)]
+    for obs in observations:
+        states.append(referee_step(plant, policy, states[-1], obs))
+    return states
+
+
+def lamp_observations(plant, policy, count, seed):
+    trace = fi.simulate(fi.build_closed_loop(plant, policy), count + 1000, seed=seed)
+    observations = [line[4:] for line in trace.splitlines() if line.startswith("OBS ")]
+    assert len(observations) >= count
+    return observations[:count]
+
+
+def twin_variant_plant():
+    # twin_branch with one transition changed: at plant state 5, o3 -> o1, so
+    # o3 after o2, o4 leaves {5F1,9F2} for {9F2} instead of staying
+    text = twin_branch_text()
+    assert "trans 5 o3 5\n" in text
+    aut, _ = parse_model(text.replace("trans 5 o3 5\n", "trans 5 o1 5\n"))
+    return fi.build_labeled_plant(aut)
+
+
+@pytest.mark.parametrize("case", ["twin", "lamps3", "lamps4"])
+def test_engine_memo_matches_its_rules_on_every_closed_loop_step(case, twin, twin_pipeline):
+    # every (estimate, observation) pair of the closed loop, stepped twice
+    # through engine_step on one plant (a miss, then a hit on the same entry),
+    # against the two rules applied on a fresh plant
+    if case == "twin":
+        aut, policy = twin, twin_pipeline[3]
+    else:
+        aut = lamps(int(case[-1]))
+        policy = fi.synthesize(fi.build_labeled_plant(aut)).policy
+    plant, fresh = fi.build_labeled_plant(aut), fi.build_labeled_plant(aut)
+    cl = fi.build_closed_loop(plant, policy)
+    admitted = {}
+    for src, ev in cl.automaton.transitions:
+        if ev in plant.table.observable_events:
+            admitted.setdefault(cl.estimate_of[src], set()).add(ev)
+    start = fi.initial_engine_state(plant)
+    seen, todo, checked = {start.estimate}, [start], 0
+    while todo:
+        state = todo.pop()
+        for obs in sorted(admitted.get(state.estimate, ())):
+            got = fi.engine_step(plant, policy, state, obs)
+            assert fi.engine_step(plant, policy, state, obs) is got
+            assert got == referee_step(fresh, policy, state, obs), (state.estimate, obs)
+            checked += 1
+            if got.estimate not in seen:
+                seen.add(got.estimate)
+                todo.append(got)
+    assert seen == set(cl.estimate_of.values())
+    assert checked == sum(map(len, admitted.values())) == len(plant.index._engine)
+
+
+def test_engine_memo_keeps_no_error(twin_plant, twin_bts, twin_pipeline):
+    # each failing observation raises the same line again: nothing is stored
+    policy, trap = twin_pipeline[3], trap_disabling_policy(twin_bts)
+    start = fi.initial_engine_state(twin_plant)
+    after_o2 = fi.engine_step(twin_plant, policy, start, "o2")  # <o3,{}> in force
+    trapped = fi.replay(twin_plant, trap, ["o2", "o4"])[-1]  # <~,{o3}> in force
+    cases = [(policy, start, "zz", "unknown event: zz"),
+             (policy, start, "a", "event a is not observable"),
+             (trap, trapped, "o3", "disabled event o3 was observed under <~,{o3}>"),
+             (policy, after_o2, "o4", "decision <o3,{}> enforces o3 but o4 was observed"),
+             (policy, start, "o3", "observation o3 is infeasible at {0N}")]
+    memo = twin_plant.index._engine
+    for pol, state, obs, message in cases:
+        size = len(memo)
+        for _ in range(2):
+            with pytest.raises(ProtocolError) as exc:
+                fi.engine_step(twin_plant, pol, state, obs)
+            assert str(exc.value) == message
+            assert len(memo) == size
+
+
+def test_engine_memo_keys_on_the_decision_in_force(twin, twin_pipeline):
+    # at {2F1,7F2} a state built with no decision in force admits o4; the
+    # engine's own state there, with <o3,{}> in force, still rejects it
+    plant, policy = fi.build_labeled_plant(twin), twin_pipeline[3]
+    state = fi.replay(plant, policy, ["o2"])[-1]
+    free = dataclasses.replace(state, active_decision=None)
+    assert str(fi.engine_step(plant, policy, free, "o4").estimate) == "{5F1,9F2}"
+    with pytest.raises(ProtocolError, match="enforces o3 but o4 was observed"):
+        fi.engine_step(plant, policy, state, "o4")
+
+
+def interleaved_replays(plant, policies, runs):
+    """Each policy's run on one plant, the policies taking turns per observation."""
+    states = [[fi.initial_engine_state(plant)] for _ in policies]
+    for j in range(max(map(len, runs))):
+        for policy, run, out in zip(policies, runs, states):
+            if j < len(run):
+                out.append(fi.engine_step(plant, policy, out[-1], run[j]))
+    return states
+
+
+def test_engine_memo_keeps_policies_apart(twin, twin_bts, twin_pipeline):
+    # both tie-breaks on three lamps (they differ on 12 reachable estimates),
+    # and the synthesised and the trap policy on the twin, interleaved on one
+    # plant, each get the states their own fresh plant gives
+    plant = fi.build_labeled_plant(lamps(3))
+    policies = [fi.synthesize(plant, tie_break).policy
+                for tie_break in ("default", "paper-example")]
+    runs = [lamp_observations(plant, policy, 2000, seed)
+            for policy, seed in zip(policies, (3, 4))]
+    twin_runs = [["o2", "o3", "o1", "o1"], ["o2", "o4"]]  # the trap then disables o3
+    for aut, pols, obs in ((lamps(3), policies, runs),
+                           (twin, [twin_pipeline[3], trap_disabling_policy(twin_bts)],
+                            twin_runs)):
+        wants = [referee_replay(fi.build_labeled_plant(aut), policy, run)
+                 for policy, run in zip(pols, obs)]
+        assert wants[0] != wants[1]
+        assert interleaved_replays(fi.build_labeled_plant(aut), pols, obs) == wants
+
+
+def test_engine_memo_keeps_plants_apart(twin, twin_bts):
+    # one policy, valid on both, stepped on two plants whose models differ in
+    # one transition: each plant keeps its own entries
+    plant, variant = fi.build_labeled_plant(twin), twin_variant_plant()
+    shared = fi.SupervisorPolicy(twin_bts.initial, {})
+    run = ["o2", "o4", "o3", "o3"]
+    got = [fi.replay(p, shared, run) for p in (plant, variant, plant, variant)]
+    assert [str(states[3].estimate) for states in got] == ["{5F1,9F2}", "{9F2}"] * 2
+    assert got[0] == got[2] == referee_replay(fi.build_labeled_plant(twin), shared, run)
+    assert got[1] == got[3] == referee_replay(twin_variant_plant(), shared, run)
+
+
+def test_engine_computes_each_distinct_step_once(monkeypatch):
+    # a 10,000-observation three-lamp replay meets 26 distinct transitions and
+    # computes each once; a second replay on the same plant computes none
+    plant = fi.build_labeled_plant(lamps(3))
+    policy = fi.synthesize(plant).policy
+    observations = lamp_observations(plant, policy, 10_000, seed=19)
+    computed, real = [], runtime._next_estimate
+
+    def spy(plant, state, obs):
+        computed.append((state.estimate, state.active_decision, obs))
+        return real(plant, state, obs)
+
+    monkeypatch.setattr(runtime, "_next_estimate", spy)
+    first = fi.replay(plant, policy, observations)
+    assert len(computed) == len(set(computed)) == len(plant.index._engine) == 26
+    assert fi.replay(plant, policy, observations) == first
+    assert len(computed) == 26
 
 
 def assert_uncontrolled_step_is_the_diagnosers(plant):
