@@ -61,6 +61,9 @@ class StateEstimate:
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):  # hashed again where loaded: str hashes vary per process
+        return StateEstimate._of_sorted, (self.members,)
+
     def __str__(self):
         return "{" + ",".join(str(m) for m in self.members) + "}"
 
@@ -241,7 +244,7 @@ class StateIndex:
         self._estimates: dict[int, StateEstimate] = {}
         self._mask_of: dict[StateEstimate, int] = {}
         self._steps: dict[tuple, dict[str, StateEstimate]] = {}  # synthesis._admitted
-        self._engine: dict[tuple, tuple] = {}  # runtime.engine_step
+        self._engine: dict[tuple, object] = {}  # runtime.engine_step: EngineState
 
     def closure_under(self, disabled: frozenset[str]) -> tuple[int, ...]:
         """Each state's closure under the unobservable events not in

@@ -74,19 +74,13 @@ def _next_estimate(plant: LabeledPlant, state: EngineState,
 
 def engine_step(plant: LabeledPlant, policy: SupervisorPolicy,
                 state: EngineState, obs: str) -> EngineState:
-    """Consume one observation: ``_step``, kept on ``plant.index`` per policy
-    identity, estimate, decision in force and observation.  The entry holds the
-    policy, so its id is not reused; a step that raises is not kept."""
-    memo, key = plant.index._engine, (id(policy), state.estimate, state.active_decision, obs)
-    if (hit := memo.get(key)) is None:
-        hit = memo[key] = policy, _step(plant, policy, state, obs)
-    return hit[1]
-
-
-def _step(plant: LabeledPlant, policy: SupervisorPolicy,
-          state: EngineState, obs: str) -> EngineState:
-    """One ``_next_estimate`` step, then the engine state there.  A decision in
-    force admits only its observable enforced event, if any, and no disabled one."""
+    """Consume one observation: a ``_next_estimate`` step, then the engine state
+    there, kept on ``plant.index`` per (policy, estimate, decision in force,
+    observation) unless it raises.  A decision in force admits only its
+    observable enforced event, if any, and no disabled one."""
+    memo, key = plant.index._engine, (policy, state.estimate, state.active_decision, obs)
+    if (hit := memo.get(key)) is not None:
+        return hit
     if obs not in plant.table.observable_events:
         raise ProtocolError(f"event {obs} is not observable" if obs in plant.table
                             else f"unknown event: {obs}")
@@ -100,7 +94,8 @@ def _step(plant: LabeledPlant, policy: SupervisorPolicy,
     if est is None:
         raise ProtocolError(f"observation {obs} is infeasible at {state.estimate}"
                             + ("" if state.active_decision is None else f" under {dec}"))
-    return _engine_state(policy, est, obs)
+    memo[key] = hit = _engine_state(policy, est, obs)
+    return hit
 
 
 def replay(plant: LabeledPlant, policy: SupervisorPolicy,
@@ -119,12 +114,12 @@ class ClosedLoopAutomaton:
     """The controlled behaviour, with the supervisor memory in the state.
 
     ``label_of`` carries the plant fault labels, so the diagnosis checks run
-    on the closed loop unchanged.
+    on the closed loop unchanged; ``engine_of`` is the engine state at each state.
     """
 
     automaton: Automaton
     label_of: Mapping[str, str]
-    estimate_of: Mapping[str, StateEstimate]
+    engine_of: Mapping[str, EngineState]
     policy: SupervisorPolicy
 
     def as_labeled_plant(self) -> LabeledPlant:
@@ -188,8 +183,8 @@ def build_closed_loop(plant: LabeledPlant, policy: SupervisorPolicy,
         plant.table, enter(aut.initial, plant.initial_estimate), moves,
         lambda node: f"{node[0]}@{node[1]}{'!' if node[2] else ''}", max_states)
     label_of = {s: plant.label_of[pid] for (pid, _, _), s in names.items()}
-    estimate_of = {s: est for (_, est, _), s in names.items()}
-    return ClosedLoopAutomaton(cl_aut, label_of, estimate_of, policy)
+    engine_of = {s: engine_at(est) for (_, est, _), s in names.items()}
+    return ClosedLoopAutomaton(cl_aut, label_of, engine_of, policy)
 
 
 @dataclass(frozen=True)
@@ -209,7 +204,7 @@ def verify_closed_loop(cl: ClosedLoopAutomaton) -> ClosedLoopReport:
     ``bound``: longest run of consecutive mixed estimates after certainty.
     """
     nonlive = tuple(q for q in sorted(cl.automaton.states) if not cl.automaton.outgoing(q)
-                    and _engine_state(cl.policy, cl.estimate_of[q]).phase == ISOLATION)
+                    and cl.engine_of[q].phase == ISOLATION)
     iso = check_isolatability(cl.as_labeled_plant())
     return ClosedLoopReport(not nonlive, nonlive, iso.isolatable,
                             iso.witness_cycle, iso.bound)
@@ -234,7 +229,6 @@ def simulate(cl: ClosedLoopAutomaton, max_steps: int,
     rng = random.Random(seed) if seed is not None else None
     lines = [] if seed is None else [f"SEED {seed}"]
     obs_events = cl.automaton.table.observable_events
-    engine_at = cache(lambda est: _engine_state(cl.policy, est))
     state = cl.automaton.initial
     scripted = deque(script or ())
     for _ in range(max_steps):
@@ -255,7 +249,7 @@ def simulate(cl: ClosedLoopAutomaton, max_steps: int,
         lines.append(f"EVT {ev}")
         if ev in obs_events:
             lines.append(f"OBS {ev}")
-            engine = engine_at(cl.estimate_of[state])
+            engine = cl.engine_of[state]
             if (dec := engine.active_decision) is not None:
                 dis = ",".join(sorted(dec.disable))
                 lines.append(f"DEC enforce={dec.enforce or '~'} disable={{{dis}}}")

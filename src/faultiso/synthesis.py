@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence, Set
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import AbstractSet, Optional
 
 from .automata import EventTable
@@ -46,6 +47,9 @@ class ControlDecision:
 
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):  # hashed again where loaded: str and None hashes vary
+        return ControlDecision, (self.enforce, self.disable)
 
     def __str__(self):
         dis = "{" + ",".join(sorted(self.disable)) + "}"
@@ -680,7 +684,7 @@ def good_fixpoint(bts_liv: BTSGraph, deadlocks: AbstractSet[ZState] = frozenset(
 
 @dataclass(frozen=True)
 class SupervisorPolicy:
-    """A total decision policy over estimates.
+    """A total decision policy over estimates: a value, its decisions read-only.
 
     Explicit decisions cover every estimate reachable from the frontier under
     the policy itself; anywhere else the supervisor enforces nothing and
@@ -689,6 +693,16 @@ class SupervisorPolicy:
 
     initial_frontier: frozenset[StateEstimate]
     decisions: Mapping[StateEstimate, ControlDecision]
+
+    def __post_init__(self):
+        object.__setattr__(self, "decisions", MappingProxyType(dict(self.decisions)))
+        object.__setattr__(self, "_hash", hash(frozenset(self.decisions.items())))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):  # by value: a read-only mapping does not pickle
+        return SupervisorPolicy, (self.initial_frontier, dict(self.decisions))
 
     def decision_for(self, est: StateEstimate) -> ControlDecision:
         return self.decisions.get(est, NO_CONTROL)
@@ -711,7 +725,7 @@ def extract_supervisor(result: SynthesisResult, bts_liv: BTSGraph) -> Supervisor
         raise SynthesisError(
             f"no valid isolation supervisor: initial estimates not good: {names}",
             bad_initials=bad)
-    return SupervisorPolicy(bts_liv.initial, dict(result.policy))
+    return SupervisorPolicy(bts_liv.initial, result.policy)
 
 
 class Synthesis:

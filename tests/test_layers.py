@@ -90,3 +90,12 @@ def test_runtime_switches_and_steps_in_one_place():
     assert classifies == {"_engine_state", "initial_engine_state"}
     assert steps == {"_next_estimate"}
     assert diagnoser == [], f"runtime.py names the diagnoser at lines {diagnoser}"
+
+
+def test_runtime_keys_nothing_by_identity():
+    # a policy is a hashable value, so the engine memo keys on the policy
+    # itself: nothing in the runtime calls id()
+    tree = ast.parse((SRC / "runtime.py").read_text(encoding="utf-8"))
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "id"]
+    assert calls == [], f"runtime.py calls id() at lines {calls}"

@@ -2,16 +2,21 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 import faultiso as fi
-from faultiso import diagnosis, runtime, synthesis
+from faultiso import diagnosis, modelio, runtime, synthesis
 from faultiso.errors import ProtocolError, SchedulerError, SupervisorIntegrityError
-from faultiso.gallery import lamps, twin_branch_text
+from faultiso.gallery import lamps, lamps_text, twin_branch_text
 from faultiso.modelio import parse_model
 
 from oracles import closed_loop_estimates, closed_loop_language, enumerate_language
@@ -241,7 +246,7 @@ def test_engine_memo_matches_its_rules_on_every_closed_loop_step(case, twin, twi
     admitted = {}
     for src, ev in cl.automaton.transitions:
         if ev in plant.table.observable_events:
-            admitted.setdefault(cl.estimate_of[src], set()).add(ev)
+            admitted.setdefault(cl.engine_of[src].estimate, set()).add(ev)
     start = fi.initial_engine_state(plant)
     seen, todo, checked = {start.estimate}, [start], 0
     while todo:
@@ -254,7 +259,7 @@ def test_engine_memo_matches_its_rules_on_every_closed_loop_step(case, twin, twi
             if got.estimate not in seen:
                 seen.add(got.estimate)
                 todo.append(got)
-    assert seen == set(cl.estimate_of.values())
+    assert seen == {engine.estimate for engine in cl.engine_of.values()}
     assert checked == sum(map(len, admitted.values())) == len(plant.index._engine)
 
 
@@ -349,6 +354,132 @@ def test_engine_computes_each_distinct_step_once(monkeypatch):
     assert fi.replay(plant, policy, observations) == first
     assert len(computed) == 26
 
+
+
+# -- the policy is a value: read-only, hashed by its decisions, pickled by value
+
+def test_policy_cannot_change_after_it_is_stepped(twin):
+    # the twin's o2 puts <o3,{}> in force; the policy then refuses to change,
+    # and a caller's own dict, changed after it built a policy, does not
+    # change that policy's replay
+    plant = fi.build_labeled_plant(twin)
+    policy = fi.synthesize(plant).policy
+    start = fi.initial_engine_state(plant)
+    assert str(fi.engine_step(plant, policy, start, "o2").active_decision) == "<o3,{}>"
+    with pytest.raises(AttributeError):
+        policy.decisions.clear()
+    with pytest.raises(TypeError):
+        policy.decisions[start.estimate] = fi.NO_CONTROL
+    assert str(fi.engine_step(plant, policy, start, "o2").active_decision) == "<o3,{}>"
+    own = dict(policy.decisions)
+    copy = fi.SupervisorPolicy(policy.initial_frontier, own)
+    own.clear()
+    assert copy == policy and hash(copy) == hash(policy)
+    want = fi.replay(fi.build_labeled_plant(twin), policy, ["o2", "o3"])
+    assert fi.replay(fi.build_labeled_plant(twin), copy, ["o2", "o3"]) == want
+    assert str(want[1].active_decision) == "<o3,{}>"
+
+
+def test_equal_policies_share_engine_entries(monkeypatch):
+    # two loads of one three-lamp document are equal, hash alike and share
+    # the engine's entries on one plant: a replay under the second computes
+    # no step
+    doc = modelio.parse_model_document(lamps_text(3, "lamps3", "3 lamps"))
+    plant = fi.build_labeled_plant(modelio.to_system(doc)[0])
+    run = fi.synthesize(plant)
+    text = modelio.serialize_supervisor(modelio.supervisor_document(
+        run.policy, doc, "default", run.result.isolation_bound))
+    first, second = (modelio.load_supervisor(text, plant, doc) for _ in range(2))
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    observations = lamp_observations(plant, first, 2000, seed=5)
+    want = fi.replay(plant, first, observations)
+    size = len(plant.index._engine)
+    computed, real = [], runtime._next_estimate
+
+    def spy(plant, state, obs):
+        computed.append(obs)
+        return real(plant, state, obs)
+
+    monkeypatch.setattr(runtime, "_next_estimate", spy)
+    assert fi.replay(plant, second, observations) == want
+    assert computed == [] and len(plant.index._engine) == size
+
+
+def test_closed_loop_takes_each_engine_state_once(monkeypatch):
+    # build_closed_loop takes the engine state once per distinct estimate and
+    # keeps it per closed-loop state; simulate and the liveness check read it
+    plant = fi.build_labeled_plant(lamps(3))
+    policy = fi.synthesize(plant).policy
+    taken, real = [], runtime._engine_state
+
+    def spy(policy, est, obs=None):
+        taken.append(est)
+        return real(policy, est, obs)
+
+    monkeypatch.setattr(runtime, "_engine_state", spy)
+    cl = fi.build_closed_loop(plant, policy)
+    assert len(taken) == len(set(taken)) == len({e.estimate for e in cl.engine_of.values()})
+    assert set(cl.engine_of) == cl.automaton.states
+    assert all(engine == real(policy, engine.estimate) for engine in cl.engine_of.values())
+    taken.clear()
+    trace = fi.simulate(cl, 2000, seed=3)
+    fi.simulate(cl, 50, script=[line[4:] for line in trace.splitlines()
+                                if line.startswith("EVT ")][:50])
+    assert fi.verify_closed_loop(cl).live
+    assert taken == []
+
+
+PICKLE_SIDES = """
+import json, pickle, sys
+import faultiso as fi
+from faultiso.errors import ProtocolError
+from faultiso.gallery import lamps
+
+path, side = sys.argv[1:]
+fresh = fi.synthesize(fi.build_labeled_plant(lamps(3))).policy
+if side == "dump":
+    with open(path, "wb") as out:
+        pickle.dump((fresh, fi.NO_CONTROL), out)
+    sys.exit()
+with open(path, "rb") as src:
+    loaded, no_control = pickle.load(src)
+cl = fi.build_closed_loop(fi.build_labeled_plant(lamps(3)), fresh)
+runs = [[line[4:] for line in fi.simulate(cl, 40, seed=seed).splitlines()
+         if line.startswith("OBS ")] for seed in range(30)]
+
+
+def replay(policy):
+    plant = fi.build_labeled_plant(lamps(3))
+    try:
+        return [fi.replay(plant, policy, run) for run in runs]
+    except ProtocolError as exc:
+        return str(exc)
+
+
+want = replay(fresh)
+print(json.dumps({"equal": loaded == fresh, "decisions": len(fresh.decisions),
+                  "found": sum(est in loaded.decisions for est in fresh.decisions),
+                  "no_control": len({no_control, fi.NO_CONTROL}), "replay": replay(loaded) == want,
+                  "met": len({state.active_decision for states in want for state in states})}))
+"""
+
+
+@pytest.mark.parametrize("seeds", [("1", "2"), ("1", "1")])
+def test_pickled_policy_hashes_where_it_is_loaded(seeds, tmp_path):
+    # pickled in one process and loaded in another, under different hash
+    # seeds and under one (hash(None) still differs per process before 3.12):
+    # estimates, decisions and the policy hash where they are loaded
+    path = tmp_path / "policy.pickle"
+    src = str(Path(fi.__file__).parents[1])
+    for seed, side in zip(seeds, ("dump", "load")):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-c", PICKLE_SIDES, str(path), side], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"equal": True, "decisions": 52, "found": 52,
+                                       "no_control": 1, "replay": True, "met": 6}
 
 def assert_uncontrolled_step_is_the_diagnosers(plant):
     diag = plant.diagnoser
