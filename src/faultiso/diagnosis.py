@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .automata import (Automaton, EventTable, reachable_automaton, require_assumptions,
                        unobservable_reach)
 from .errors import InvalidArgumentError, ModelError, NotDiagnosableError, ResourceLimitError
-from .graph import cyclic_nodes, find_cycle, longest_path, reach, shortest_path
+from .graph import find_cycle, reach, shortest_path, strongly_connected
 
 NORMAL = "N"
 
@@ -222,7 +222,8 @@ def _bits(mask: int):
 class StateIndex:
     """Labelled-state sets as integer masks: bit ``i`` is ``members[i]``, in
     ``LabeledState`` order, so a mask lists its members sorted.  ``normal``
-    and ``faults`` (one per fault label) are label masks.  Per state,
+    and ``faults`` (one per fault label) are label masks, and ``class_of``
+    gives each bit its label's mask.  Per state,
     ``succ`` maps events to successor bits, ``observable_out`` lists the
     observable ones and ``closure`` is its unobservable closure.  No
     reference back to the plant: the plant is freed without the cyclic GC.
@@ -236,6 +237,7 @@ class StateIndex:
         by_label: dict[str, int] = {}
         for i, m in enumerate(members):
             by_label[m.label] = by_label.get(m.label, 0) | 1 << i
+        self.class_of = tuple(by_label[m.label] for m in members)
         self.normal = by_label.pop(NORMAL, 0)
         self.faults = tuple(by_label.values())
         self._bit = {m: i for i, m in enumerate(members)}
@@ -267,14 +269,24 @@ class StateIndex:
 
     def after(self, mask: int) -> list[tuple[str, int]]:
         """The uncontrolled step: ``(obs, mask)`` for each observation possible
-        from ``release(mask)``, in event order: ``observe`` distributes over
-        union, so it joins the rows of the mask's own bits and releases nothing."""
+        from ``release(mask)``, in event order.  ``observe`` distributes over
+        union, so it joins the rows of the mask's own bits, releases nothing and
+        takes a one-bit mask's row, or a successor one row gives alone, as is."""
         rows, step = self._rows, {}
-        for b in _bits(mask):
-            if b not in rows:
-                rows[b] = self.observe(self.closure[b])
-            for obs, d in rows[b].items():  # a successor one row gives alone is its int
-                step[obs] = step[obs] | d if obs in step else d
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            b = low.bit_length() - 1
+            row = rows.get(b)
+            if row is None:
+                row = rows[b] = self.observe(self.closure[b])
+            if step:
+                for obs, d in row.items():
+                    step[obs] = step[obs] | d if obs in step else d
+            elif mask:
+                step = row.copy()
+            else:
+                return sorted(row.items())
         return sorted(step.items())
 
     def observe(self, released: int) -> dict[str, int]:
@@ -477,8 +489,12 @@ def check_isolatability(plant: LabeledPlant) -> IsolatabilityReport:
     mixed: the plant is isolatable exactly when ``bound``, the longest run
     of consecutive mixed estimates, is finite.  Certainty is absorbing, so
     the masks reachable from the frontier are the fault-certain ones
-    reachable at all; neither the bound nor the witness depends on their
-    order.
+    reachable at all.  One ``strongly_connected`` pass over them, sinks
+    first, gives each component whether it reaches purity and whether it is
+    a mixed cycle, and each acyclic mixed position its depth.  The witness
+    starts at the least trapped cyclic estimate, else the least cyclic one,
+    by printed form; distinct estimates that print alike (state names with
+    commas) go by position in the reach.
     """
     diag_report = plant.diagnosability
     if not diag_report.diagnosable:
@@ -491,25 +507,28 @@ def check_isolatability(plant: LabeledPlant) -> IsolatabilityReport:
              if not m & index.normal]
     pos = {m: i for i, m in enumerate(masks)}  # the queries run on positions: small keys
     edges = [[(obs, pos[n]) for obs, n in succ[m]] for m in masks]
-    mixed = [sum(1 for f in index.faults if m & f) >= 2 for m in masks]  # meets two classes
+    class_of = index.class_of  # mixed: a bit outside its lowest bit's class
+    mixed = [m & ~class_of[(m & -m).bit_length() - 1] != 0 for m in masks]
     if not any(mixed):
         return IsolatabilityReport(True, None, 0)
-    mixed_succ = [[(obs, j) for obs, j in out if mixed[j]] for out in edges].__getitem__
-    ids = range(len(masks))
-    mixed_ids = [i for i in ids if mixed[i]]
-    bound = longest_path(mixed_ids, mixed_succ)
-    if bound is not None:
-        return IsolatabilityReport(True, None, bound)
-
-    on_cycle = sorted(cyclic_nodes(mixed_ids, mixed_succ),
-                      key=lambda i: str(index.estimate(masks[i])))
-    preds: list[list] = [[] for _ in ids]
-    for i, out in enumerate(edges):
-        for obs, j in out:
-            preds[j].append((obs, i))
-    reach_pure = set(reach([i for i in ids if not mixed[i]], preds.__getitem__))
-    trapped = [i for i in on_cycle if i not in reach_pure]
-    chosen = (trapped or on_cycle)[0]
+    escapes, depth, on_cycle, trapped = [False] * len(masks), [0] * len(masks), [], []
+    for members in strongly_connected(len(masks), edges.__getitem__):  # sinks first
+        i = members[0]
+        if mixed[i]:  # labels never grow: a component is all mixed or all pure
+            out = [j for k in members for _, j in edges[k]]
+            escape = any(escapes[j] for j in out)  # a member's own mark is still False
+            if len(members) > 1 or i in out:
+                on_cycle += members
+                trapped += [] if escape else members
+            else:
+                depth[i] = max((depth[j] + 1 for j in out if mixed[j]), default=0)
+            if not escape:
+                continue
+        for k in members:
+            escapes[k] = True
+    if not on_cycle:
+        return IsolatabilityReport(True, None, max(depth))
+    chosen = min(trapped or on_cycle, key=lambda i: (str(index.estimate(masks[i])), i))
     witness = [index.estimate(masks[chosen])]
     for obs, j in shortest_path(chosen, edges.__getitem__, lambda j: j == chosen):
         witness += [obs, index.estimate(masks[j])]

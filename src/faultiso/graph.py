@@ -2,7 +2,8 @@
 
 Every function takes the graph as a successor callable: ``succ(node)``
 returns the ``(label, successor)`` pairs leaving ``node`` in a fixed order.
-Nodes only need to be hashable.  Each traversal is iterative, so graph depth
+Nodes only need to be hashable, except in ``strongly_connected``, which
+runs on positions.  Each traversal is iterative, so graph depth
 is bounded by memory, not by the interpreter's recursion limit, and each
 visits a node's successors in ``succ`` order, so results are deterministic.
 """
@@ -83,66 +84,41 @@ def find_cycle(roots: Iterable[Hashable], succ: Succ) -> Optional[list]:
     return None
 
 
-def cyclic_nodes(nodes: Iterable[Hashable], succ: Succ) -> set:
-    """Nodes reachable from ``nodes`` that lie on a cycle: the members of
-    non-trivial strongly connected components and the nodes with a self-loop
-    (Tarjan, SIAM J. Comput. 1972)."""
-    index: dict = {}
-    low: dict = {}
-    component: list = []
-    on_component = set()
-    cyclic = set()
-    for root in nodes:
-        if root in index:
+def strongly_connected(n: int, succ: Callable[[int], Iterable[tuple[Hashable, int]]]) -> list:
+    """The strongly connected components of positions ``0 .. n-1``, sinks
+    first: every component comes after the components it reaches (Tarjan,
+    SIAM J. Comput. 1972).  A position's index is 0 until it is visited and
+    ``n + 1`` once its component is out, so a finished position never lowers
+    a low-link and no on-stack mark is kept."""
+    index, low, component, components = [0] * n, [0] * n, [], []
+    count = 0
+    for root in range(n):
+        if index[root]:
             continue
-        index[root] = low[root] = len(index)
+        count += 1
+        index[root] = low[root] = count
         component.append(root)
-        on_component.add(root)
         stack = [(root, iter(succ(root)))]
         while stack:
             node, edges = stack[-1]
             for _, nxt in edges:
-                if nxt == node:
-                    cyclic.add(node)
-                if nxt not in index:
-                    index[nxt] = low[nxt] = len(index)
+                if not index[nxt]:
+                    count += 1
+                    index[nxt] = low[nxt] = count
                     component.append(nxt)
-                    on_component.add(nxt)
                     stack.append((nxt, iter(succ(nxt))))
                     break
-                if nxt in on_component:
-                    low[node] = min(low[node], index[nxt])
+                if index[nxt] < low[node]:
+                    low[node] = index[nxt]
             else:
                 stack.pop()
-                if stack:
-                    parent = stack[-1][0]
-                    low[parent] = min(low[parent], low[node])
+                if stack and low[node] < low[stack[-1][0]]:
+                    low[stack[-1][0]] = low[node]
                 if low[node] == index[node]:
                     members = [component.pop()]
                     while members[-1] != node:
                         members.append(component.pop())
-                    on_component.difference_update(members)
-                    if len(members) > 1:
-                        cyclic.update(members)
-    return cyclic
-
-
-def longest_path(nodes: Iterable[Hashable], succ: Succ) -> Optional[int]:
-    """Edges on a longest path among the nodes reachable from ``nodes``, or
-    None when they contain a cycle (Kahn's topological order)."""
-    targets = {n: [m for _, m in succ(n)] for n in reach(nodes, succ)}
-    pending = dict.fromkeys(targets, 0)
-    for out in targets.values():
-        for m in out:
-            pending[m] += 1
-    ready = [n for n, count in pending.items() if count == 0]
-    depth = dict.fromkeys(targets, 0)
-    for n in ready:
-        for m in targets[n]:
-            depth[m] = max(depth[m], depth[n] + 1)
-            pending[m] -= 1
-            if pending[m] == 0:
-                ready.append(m)
-    if len(ready) < len(targets):
-        return None
-    return max(depth.values(), default=0)
+                    for m in members:
+                        index[m] = n + 1
+                    components.append(members)
+    return components

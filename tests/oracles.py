@@ -10,7 +10,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Optional, Sequence, Union
+from typing import Hashable, Iterable, Optional, Sequence, Union
 
 from faultiso.automata import (
     Automaton,
@@ -32,7 +32,7 @@ from faultiso.errors import (
     NotDiagnosableError,
     ResourceLimitError,
 )
-from faultiso.graph import cyclic_nodes, longest_path, reach, shortest_path
+from faultiso.graph import Succ, reach, shortest_path
 from faultiso.synthesis import (
     BTSGraph,
     ControlDecision,
@@ -665,6 +665,73 @@ def set_frontier(plant: LabeledPlant, diag: SetDiagnoser = None) -> frozenset[St
 
     reach([diag.initial], expand)
     return frozenset(frontier)
+
+
+# the referee's own cycle and path queries, independent of graph.strongly_connected
+
+def cyclic_nodes(nodes: Iterable[Hashable], succ: Succ) -> set:
+    """Nodes reachable from ``nodes`` that lie on a cycle: the members of
+    non-trivial strongly connected components and the nodes with a self-loop
+    (Tarjan, SIAM J. Comput. 1972)."""
+    index: dict = {}
+    low: dict = {}
+    component: list = []
+    on_component = set()
+    cyclic = set()
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        component.append(root)
+        on_component.add(root)
+        stack = [(root, iter(succ(root)))]
+        while stack:
+            node, edges = stack[-1]
+            for _, nxt in edges:
+                if nxt == node:
+                    cyclic.add(node)
+                if nxt not in index:
+                    index[nxt] = low[nxt] = len(index)
+                    component.append(nxt)
+                    on_component.add(nxt)
+                    stack.append((nxt, iter(succ(nxt))))
+                    break
+                if nxt in on_component:
+                    low[node] = min(low[node], index[nxt])
+            else:
+                stack.pop()
+                if stack:
+                    parent = stack[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    members = [component.pop()]
+                    while members[-1] != node:
+                        members.append(component.pop())
+                    on_component.difference_update(members)
+                    if len(members) > 1:
+                        cyclic.update(members)
+    return cyclic
+
+
+def longest_path(nodes: Iterable[Hashable], succ: Succ) -> Optional[int]:
+    """Edges on a longest path among the nodes reachable from ``nodes``, or
+    None when they contain a cycle (Kahn's topological order)."""
+    targets = {n: [m for _, m in succ(n)] for n in reach(nodes, succ)}
+    pending = dict.fromkeys(targets, 0)
+    for out in targets.values():
+        for m in out:
+            pending[m] += 1
+    ready = [n for n, count in pending.items() if count == 0]
+    depth = dict.fromkeys(targets, 0)
+    for n in ready:
+        for m in targets[n]:
+            depth[m] = max(depth[m], depth[n] + 1)
+            pending[m] -= 1
+            if pending[m] == 0:
+                ready.append(m)
+    if len(ready) < len(targets):
+        return None
+    return max(depth.values(), default=0)
 
 
 def set_isolatability(plant: LabeledPlant, diag: SetDiagnoser = None) -> IsolatabilityReport:

@@ -19,6 +19,7 @@ from oracles import (
     brute_estimates,
     composed_labeled_plant,
     enumerate_language,
+    set_adjacency,
     set_diagnoser,
     set_frontier,
     set_isolatability,
@@ -362,6 +363,53 @@ def test_diagnoser_matches_set_referee_six_lamps():
     assert not assert_matches_set_referee(plant).isolatable
 
 
+def witness_branch(plant, report):
+    """The branch of ``check_isolatability`` that ``report`` came from, told
+    by the set referee: the bound when isolatable, else whether the witness
+    starts at a trapped estimate (no pure estimate reachable) or one that is
+    only on a cycle."""
+    if report.isolatable:
+        return f"bound {report.bound}"
+    adj = set_adjacency(set_diagnoser(plant))
+    ahead = reach([report.witness_cycle[0]], adj.__getitem__)
+    return "on cycle" if any(len(est.fault_labels()) == 1 for est in ahead) else "trapped"
+
+
+def test_set_referee_covers_every_witness_branch(twin):
+    # a trapped witness (twin branch), on-cycle witnesses with no trap
+    # (lamps 3-6) and a bound of 2 (the twin branch's closed loop) each
+    # agree with the referee; 200 random plants add to the tally
+    plant = fi.build_labeled_plant(twin)
+    loop = fi.build_closed_loop(plant, fi.synthesize(plant).policy).as_labeled_plant()
+    cases = {"twin": plant, "twin loop": loop} | {
+        f"lamps{n}": fi.build_labeled_plant(lamps(n)) for n in (3, 4, 5, 6)}
+    got = {name: witness_branch(p, assert_matches_set_referee(p)) for name, p in cases.items()}
+    assert got == {"twin": "trapped", "twin loop": "bound 2", "lamps3": "on cycle",
+                   "lamps4": "on cycle", "lamps5": "on cycle", "lamps6": "on cycle"}
+    rng, tally = random.Random(2023), Counter()
+    for _ in range(200):
+        p = fi.build_labeled_plant(random_plant(rng))
+        report = assert_matches_set_referee(p)
+        tally[None if report is None else witness_branch(p, report)] += 1
+    assert {"trapped", "on cycle", "bound 0", "bound 2"} <= tally.keys(), tally
+
+
+def test_mixed_is_one_mask_test():
+    # a fault-certain mask meets two fault classes exactly when it has a bit
+    # outside the class of its lowest bit, on lamps 3-6 and 200 random plants
+    rng = random.Random(2023)
+    auts = [lamps(n) for n in (3, 4, 5, 6)] + [random_plant(rng) for _ in range(200)]
+    for aut in auts:
+        plant = fi.build_labeled_plant(aut)
+        index = plant.index
+        for b, m in enumerate(index.class_of):  # the label masks are disjoint
+            assert m >> b & 1 and m in (index.normal, *index.faults)
+        for m in reach([index.mask_of(plant.initial_estimate)], index.after):
+            if not m & index.normal:
+                mixed = m & ~index.class_of[(m & -m).bit_length() - 1] != 0
+                assert mixed == (sum(1 for f in index.faults if m & f) >= 2), m
+
+
 def referee_after(index, mask):
     """The uncontrolled step as release, then observe."""
     return sorted(index.observe(index.release(mask)).items())
@@ -441,3 +489,20 @@ def test_synthesis_and_load_build_each_row_once(monkeypatch):
     modelio.load_supervisor(text, plant, doc)
     assert set(steps.values()) == {2} and len(steps) == 32
     assert len(rows) == sum(rows.values()) == 32
+
+
+def test_isolatability_is_one_pass(monkeypatch):
+    # one reach that steps each mask once, then one component pass over the
+    # fault-certain masks
+    plant = fi.build_labeled_plant(lamps(6))
+    steps, _ = spy_steps(monkeypatch, plant.index)
+    passes, real = [], diagnosis.strongly_connected
+
+    def strongly_connected(n, succ):
+        passes.append(n)
+        return real(n, succ)
+
+    monkeypatch.setattr(diagnosis, "strongly_connected", strongly_connected)
+    assert not fi.check_isolatability(plant).isolatable
+    assert set(steps.values()) == {1} and len(steps) == 2723
+    assert passes == [sum(1 for m in steps if not m & plant.index.normal)]

@@ -3,7 +3,8 @@ from __future__ import annotations
 
 from hypothesis import given, strategies as st
 
-from faultiso.graph import cyclic_nodes, find_cycle, longest_path, reach, shortest_path
+from faultiso.graph import find_cycle, reach, shortest_path, strongly_connected
+from oracles import cyclic_nodes, longest_path
 
 
 @st.composite
@@ -147,6 +148,20 @@ def test_find_cycle(case):
         assert nodes[0] == nodes[-1] and nodes[0] in reachable
         assert len(set(nodes[:-1])) == len(nodes) - 1
         assert is_walk(graph, nodes, labels)
+
+
+@given(digraphs())
+def test_strongly_connected(case):
+    graph, _ = case
+    components = strongly_connected(len(graph), succ_of(graph))
+    assert all(components) and sorted(v for c in components for v in c) == list(graph)
+    where = {v: k for k, c in enumerate(components) for v in c}
+    reaches = {v: naive_reach(graph, [v]) for v in graph}
+    for v in graph:
+        for w in graph:
+            assert (where[v] == where[w]) == (w in reaches[v] and v in reaches[w])
+        # sinks first: an edge stays in its component or enters an earlier one
+        assert all(where[w] <= where[v] for _, w in graph[v])
 
 
 @given(digraphs())
