@@ -247,6 +247,7 @@ class StateIndex:
         self._mask_of: dict[StateEstimate, int] = {}
         self._steps: dict[tuple, dict[str, StateEstimate]] = {}  # synthesis._admitted
         self._engine: dict[tuple, object] = {}  # runtime.engine_step: EngineState
+        self._graph: Optional[tuple] = None  # estimate_graph, once complete
 
     def closure_under(self, disabled: frozenset[str]) -> tuple[int, ...]:
         """Each state's closure under the unobservable events not in
@@ -351,27 +352,60 @@ class Diagnoser:
         return est
 
 
-def build_diagnoser(plant: LabeledPlant, max_states: int = 1_000_000) -> Diagnoser:
-    """Worklist determinisation of the labelled plant over observations, on
-    masks of ``plant.index``: each state's estimate is built once, and each
-    state follows ``index.after``."""
-    index, init = plant.index, plant.initial_estimate
-    states = {index.mask_of(init): init}  # mask -> estimate, in discovery order
-    masks = list(states)
-    trans: dict[tuple[StateEstimate, str], StateEstimate] = {}
-    for mask in masks:  # grows as states are found
-        src = states[mask]
+def estimate_graph(plant: LabeledPlant, max_states: Optional[int] = None) -> tuple:
+    """``(masks, edges, count)``: the masks reachable on ``index.after`` in
+    breadth-first order, each position's ``(obs, position)`` list and the
+    edge count.  Kept on ``plant.index`` once complete, so each mask is
+    stepped once per plant; a kept graph over ``max_states`` is walked again."""
+    index, graph = plant.index, plant.index._graph
+    if graph is not None and (max_states is None or len(graph[0]) <= max_states):
+        return graph
+    pos = {index.mask_of(plant.initial_estimate): 0}
+    masks, edges = list(pos), []
+    for mask in masks:  # grows as masks are found
+        edges.append(out := [])
         for obs, nxt in index.after(mask):
-            est = states.get(nxt)
-            if est is None:
-                if len(masks) >= max_states:
+            j = pos.get(nxt)
+            if j is None:
+                if max_states is not None and len(masks) >= max_states:
                     raise ResourceLimitError(
                         f"diagnoser exceeded {max_states} states",
-                        stats={"states": len(masks), "transitions": len(trans) + 1})
-                est = states[nxt] = index.estimate(nxt)
+                        stats={"states": len(masks), "transitions": sum(map(len, edges)) + 1})
+                j = pos[nxt] = len(masks)
                 masks.append(nxt)
-            trans[(src, obs)] = est
-    return Diagnoser(tuple(states.values()), plant.table, trans)
+            out.append((obs, j))
+    index._graph = graph = (masks, edges, sum(map(len, edges)))
+    return graph
+
+
+class _Transitions(Mapping):
+    """``(estimate, obs) -> estimate`` read from the estimate graph's edges,
+    not a copy of them: by source in discovery order, then by observation."""
+
+    def __init__(self, states: tuple[StateEstimate, ...], edges: list, count: int):
+        self._states, self._edges, self._count = states, edges, count
+        self._pos = {est: i for i, est in enumerate(states)}
+
+    def __getitem__(self, key):
+        i = self._pos.get(key[0])
+        for obs, j in () if i is None else self._edges[i]:
+            if obs == key[1]:
+                return self._states[j]
+        raise KeyError(key)
+
+    def __iter__(self):
+        return ((est, obs) for est, out in zip(self._states, self._edges) for obs, _ in out)
+
+    def __len__(self):
+        return self._count
+
+
+def build_diagnoser(plant: LabeledPlant, max_states: int = 1_000_000) -> Diagnoser:
+    """The labelled plant determinised over observations: a view of
+    ``estimate_graph``, its estimates interned on ``plant.index``."""
+    masks, edges, count = estimate_graph(plant, max_states)
+    states = tuple(map(plant.index.estimate, masks))
+    return Diagnoser(states, plant.table, _Transitions(states, edges, count))
 
 
 # -- diagnosability (twin construction) ---------------------------------------
@@ -489,31 +523,30 @@ def check_isolatability(plant: LabeledPlant) -> IsolatabilityReport:
     mixed: the plant is isolatable exactly when ``bound``, the longest run
     of consecutive mixed estimates, is finite.  Certainty is absorbing, so
     the masks reachable from the frontier are the fault-certain ones
-    reachable at all.  One ``strongly_connected`` pass over them, sinks
-    first, gives each component whether it reaches purity and whether it is
-    a mixed cycle, and each acyclic mixed position its depth.  The witness
-    starts at the least trapped cyclic estimate, else the least cyclic one,
-    by printed form; distinct estimates that print alike (state names with
-    commas) go by position in the reach.
+    reachable at all, and they never reach a mask with a normal bit.  One
+    ``strongly_connected`` pass over ``estimate_graph``, sinks first, skips
+    components with a normal bit and gives each other one whether it
+    reaches purity and whether it is a mixed cycle, and each acyclic mixed
+    position its depth.  The witness starts at the least trapped cyclic
+    estimate, else the least cyclic one, by printed form; distinct estimates
+    that print alike (state names with commas) go by position in the graph.
     """
     diag_report = plant.diagnosability
     if not diag_report.diagnosable:
         raise NotDiagnosableError(
             "isolatability is only defined for diagnosable systems",
             witness=diag_report.witness)
-    index, succ = plant.index, {}
-    masks = [m for m in reach([index.mask_of(plant.initial_estimate)],
-                              lambda m: succ.setdefault(m, index.after(m)))
-             if not m & index.normal]
-    pos = {m: i for i, m in enumerate(masks)}  # the queries run on positions: small keys
-    edges = [[(obs, pos[n]) for obs, n in succ[m]] for m in masks]
-    class_of = index.class_of  # mixed: a bit outside its lowest bit's class
-    mixed = [m & ~class_of[(m & -m).bit_length() - 1] != 0 for m in masks]
+    index, (masks, edges, _) = plant.index, estimate_graph(plant)
+    normal, class_of = index.normal, index.class_of
+    # mixed: no normal bit, and a bit outside its lowest bit's class
+    mixed = [not m & normal and m & ~class_of[(m & -m).bit_length() - 1] != 0 for m in masks]
     if not any(mixed):
         return IsolatabilityReport(True, None, 0)
     escapes, depth, on_cycle, trapped = [False] * len(masks), [0] * len(masks), [], []
     for members in strongly_connected(len(masks), edges.__getitem__):  # sinks first
         i = members[0]
+        if masks[i] & normal:
+            continue
         if mixed[i]:  # labels never grow: a component is all mixed or all pure
             out = [j for k in members for _, j in edges[k]]
             escape = any(escapes[j] for j in out)  # a member's own mark is still False

@@ -127,7 +127,7 @@ class _Effect:
     def count(self, must: int = 0, live: bool = False) -> int:
         """How many member decisions disable at least the events of ``must``
         (only those that do not deadlock, for ``live``)."""
-        if live:
+        if live and self.blockers:
             return _unblocked(len(self.bits), self.blockers, must) << len(self.free)
         return 1 << (len(self.bits) + len(self.free) - must.bit_count())
 
@@ -509,8 +509,8 @@ def build_bts(plant: LabeledPlant, max_states: int = 1_000_000) -> BTSGraph:
             effects.append(eff)
             eff.edges = tuple((obs, successor(steps[obs])) for obs in sorted(steps))
     ys = tuple(map(index.estimate, y_masks))  # the frontier's are fault_frontier's
-    marked = frozenset(y for y, m in zip(ys, y_masks) if not m & index.normal
-                       and sum(1 for f in index.faults if m & f) == 1)
+    marked = frozenset(y for y, m in zip(ys, y_masks) if not m & index.normal  # pure: one class
+                       and not m & ~index.class_of[(m & -m).bit_length() - 1])
     return BTSGraph(ys, y0, marked, y_effects, effects)
 
 

@@ -465,14 +465,14 @@ def spy_steps(monkeypatch, index):
 
 
 def test_check_flow_builds_each_row_once(monkeypatch):
-    # the diagnoser and the isolatability test each step a mask once, and
-    # the rows they join are built once per state for both
+    # the diagnoser and the isolatability test read one estimate graph that
+    # steps each mask once, and the rows it joins are built once per state
     plant = fi.build_labeled_plant(lamps(4))
     steps, rows = spy_steps(monkeypatch, plant.index)
     diag = fi.build_diagnoser(plant)
     assert len(steps) == sum(steps.values()) == len(diag.states) == 237
     fi.check_isolatability(plant)
-    assert set(steps.values()) == {2} and len(steps) == 237
+    assert set(steps.values()) == {1} and len(steps) == 237
     assert len(rows) == sum(rows.values()) == len(plant.index.members) == 96
 
 
@@ -492,8 +492,8 @@ def test_synthesis_and_load_build_each_row_once(monkeypatch):
 
 
 def test_isolatability_is_one_pass(monkeypatch):
-    # one reach that steps each mask once, then one component pass over the
-    # fault-certain masks
+    # one walk of the estimate graph that steps each mask once, then one
+    # component pass over all of its positions
     plant = fi.build_labeled_plant(lamps(6))
     steps, _ = spy_steps(monkeypatch, plant.index)
     passes, real = [], diagnosis.strongly_connected
@@ -505,4 +505,42 @@ def test_isolatability_is_one_pass(monkeypatch):
     monkeypatch.setattr(diagnosis, "strongly_connected", strongly_connected)
     assert not fi.check_isolatability(plant).isolatable
     assert set(steps.values()) == {1} and len(steps) == 2723
-    assert passes == [sum(1 for m in steps if not m & plant.index.normal)]
+    assert passes == [len(steps)]
+
+
+@pytest.mark.parametrize("aut", [twin_branch()[0], lamps(3), lamps(4)],
+                         ids=["twin", "lamps3", "lamps4"])
+def test_check_and_diagnoser_share_one_walk_in_either_order(monkeypatch, aut):
+    # the isolatability test before or after the diagnoser gives the same
+    # report and the same diagnoser, and the estimate graph is walked once
+    got = []
+    for check_first in (False, True):
+        plant = fi.build_labeled_plant(aut)
+        steps, _ = spy_steps(monkeypatch, plant.index)
+        report = fi.check_isolatability(plant) if check_first else None
+        diag = fi.build_diagnoser(plant)
+        report = report or fi.check_isolatability(plant)
+        assert set(steps.values()) == {1} and len(steps) == len(diag.states)
+        got.append((report, report.witness_text(), diag.states,
+                    list(diag.transitions.items()), len(diag.transitions)))
+    assert got[0] == got[1]
+
+
+@pytest.mark.parametrize("aut", [twin_branch()[0], lamps(3), lamps(5)],
+                         ids=["twin", "lamps3", "lamps5"])
+def test_diagnoser_table_is_the_referees_dict(aut):
+    # the read-only table copies into the set referee's dict, in its order
+    plant = fi.build_labeled_plant(aut)
+    table, ref = dict(fi.build_diagnoser(plant).transitions), set_diagnoser(plant).transitions
+    assert table == ref and list(table) == list(ref)
+
+
+def test_diagnoser_table_misses_return_none(twin_plant, twin_diagnoser):
+    table = twin_diagnoser.transitions
+    init, foreign = twin_diagnoser.initial, estimate(twin_plant, "0:N", "6:F2")
+    assert foreign not in twin_diagnoser.states
+    for key in [(foreign, "o2"), (init, "zzz"), (init, "a"), (foreign, "zzz")]:
+        assert table.get(key) is None and key not in table
+        with pytest.raises(KeyError):
+            table[key]
+    assert table.get((init, "o2")) == fi.estimate_after(twin_plant, ["o2"])

@@ -801,6 +801,39 @@ def test_count_subsets_matches_enumeration(case):
         assert synthesis._unblocked(n, family, must) == len(subsets) - hit
 
 
+def diagnosable_pool(n):
+    """The diagnosable plants among the first ``n`` of the seed-2023 pool."""
+    rng = random.Random(2023)
+    plants = [fi.build_labeled_plant(random_plant(rng)) for _ in range(n)]
+    return [p for p in plants if p.diagnosability.diagnosable]
+
+
+def test_effect_counts_match_enumeration():
+    # each effect's closed-form count of member decisions that disable at
+    # least ``must`` (and, for live, do not deadlock), against enumerating
+    # its masks, with ``must`` empty and each single bit
+    plants = [fi.build_labeled_plant(lamps(n)) for n in (3, 4)] + diagnosable_pool(200)
+    for plant in plants:
+        for e in fi.build_bts(plant)._effects:
+            n = len(e.bits)
+            for must in [0] + [1 << k for k in range(n)]:
+                members = [m for m in range(1 << n) if m & must == must]
+                live = [m for m in members if not e.blocked(m)]
+                assert e.count(must) == len(members) * 2 ** len(e.free)
+                assert e.count(must, live=True) == len(live) * 2 ** len(e.free)
+
+
+def test_marked_is_the_old_pure_test():
+    # build_bts marks a Y-state exactly when its mask has no normal bit and
+    # meets one fault class, on lamps 3-6 and the diagnosable pool plants
+    plants = [fi.build_labeled_plant(lamps(n)) for n in (3, 4, 5, 6)] + diagnosable_pool(200)
+    for plant in plants:
+        index, bts = plant.index, fi.build_bts(plant)
+        pure = [y for y in bts.y_states if not index.mask_of(y) & index.normal
+                and sum(1 for f in index.faults if index.mask_of(y) & f) == 1]
+        assert bts.marked == frozenset(pure)
+
+
 # |Y|, |Z|, zy_edges, deadlocks, live Z and good Z on the lamp ladder, as
 # the pipeline with one stored record per effect class counted them; four
 # lamps are the synth_lamps4 known answers
