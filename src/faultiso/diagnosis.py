@@ -159,11 +159,6 @@ class LabeledPlant:
         return _twin_construction(self)
 
     @cached_property
-    def diagnoser(self) -> "Diagnoser":
-        """The uncapped diagnoser, built once per plant."""
-        return build_diagnoser(self)
-
-    @cached_property
     def index(self) -> "StateIndex":
         """The labelled states as bits, built once per plant."""
         aut = self.automaton
@@ -317,10 +312,25 @@ class StateIndex:
 
 
 def estimate_after(plant: LabeledPlant, t: Sequence[str]) -> StateEstimate:
-    """Estimate after observing ``t``, read from ``plant.diagnoser``.  An
-    empty result means the observation is infeasible."""
-    est, _ = plant.diagnoser._walk(t)
-    return StateEstimate(()) if est is None else est
+    """Estimate after observing ``t``, walked on ``estimate_graph``'s
+    positions.  An empty result means the observation is infeasible."""
+    masks, rows, _ = estimate_graph(plant)
+    i, _ = _walk(rows, plant.table, t)
+    return StateEstimate(()) if i is None else plant.index.estimate(masks[i])
+
+
+def _walk(rows: list, table: EventTable, t: Sequence[str]) -> tuple[Optional[int], Optional[str]]:
+    """The position after ``t``, or ``None`` and the first infeasible
+    observation.  An unknown or unobservable event, in no row, raises once reached."""
+    i = 0
+    for obs in t:
+        i = rows[i].get(obs)
+        if i is None:
+            if obs not in table.observable_events:
+                table.require(obs)
+                raise InvalidArgumentError(f"event {obs} is not observable")
+            return None, obs
+    return i, None
 
 
 class Diagnoser:
@@ -332,69 +342,57 @@ class Diagnoser:
         self.states, self.alphabet, self.initial = states, table.observable_events, states[0]
         self.transitions, self._table = transitions, table
 
-    def _walk(self, t: Sequence[str]) -> tuple[Optional[StateEstimate], Optional[str]]:
-        """The estimate after ``t``, or ``None`` and the first infeasible
-        observation.  An unknown or unobservable event raises once reached."""
-        est = self.initial
-        for obs in t:
-            if obs not in self.alphabet:
-                self._table.require(obs)
-                raise InvalidArgumentError(f"event {obs} is not observable")
-            est = self.transitions.get((est, obs))
-            if est is None:
-                return None, obs
-        return est, None
-
     def walk(self, t: Sequence[str]) -> StateEstimate:
-        est, at = self._walk(t)
-        if est is None:
+        i, at = _walk(self.transitions._rows, self._table, t)
+        if i is None:
             raise InvalidArgumentError(f"observation infeasible: {' '.join(t)} (at {at})")
-        return est
+        return self.states[i]
 
 
 def estimate_graph(plant: LabeledPlant, max_states: Optional[int] = None) -> tuple:
-    """``(masks, edges, count)``: the masks reachable on ``index.after`` in
-    breadth-first order, each position's ``(obs, position)`` list and the
-    edge count.  Kept on ``plant.index`` once complete, so each mask is
+    """``(masks, rows, count)``: the masks reachable on ``index.after`` in
+    breadth-first order, each position's ``{obs: position}`` row in event order
+    and the edge count.  Kept on ``plant.index`` once complete, so each mask is
     stepped once per plant; a kept graph over ``max_states`` is walked again."""
     index, graph = plant.index, plant.index._graph
     if graph is not None and (max_states is None or len(graph[0]) <= max_states):
         return graph
     pos = {index.mask_of(plant.initial_estimate): 0}
-    masks, edges = list(pos), []
+    masks, rows, count = list(pos), [], 0
     for mask in masks:  # grows as masks are found
-        edges.append(out := [])
+        rows.append(row := {})
         for obs, nxt in index.after(mask):
             j = pos.get(nxt)
             if j is None:
                 if max_states is not None and len(masks) >= max_states:
                     raise ResourceLimitError(
                         f"diagnoser exceeded {max_states} states",
-                        stats={"states": len(masks), "transitions": sum(map(len, edges)) + 1})
+                        stats={"states": len(masks), "transitions": count + 1})
                 j = pos[nxt] = len(masks)
                 masks.append(nxt)
-            out.append((obs, j))
-    index._graph = graph = (masks, edges, sum(map(len, edges)))
+            row[obs] = j
+            count += 1
+    index._graph = graph = (masks, rows, count)
     return graph
 
 
 class _Transitions(Mapping):
-    """``(estimate, obs) -> estimate`` read from the estimate graph's edges,
+    """``(estimate, obs) -> estimate`` read from the estimate graph's rows,
     not a copy of them: by source in discovery order, then by observation."""
 
-    def __init__(self, states: tuple[StateEstimate, ...], edges: list, count: int):
-        self._states, self._edges, self._count = states, edges, count
+    def __init__(self, states: tuple[StateEstimate, ...], rows: list, count: int):
+        self._states, self._rows, self._count = states, rows, count
         self._pos = {est: i for i, est in enumerate(states)}
 
     def __getitem__(self, key):
-        i = self._pos.get(key[0])
-        for obs, j in () if i is None else self._edges[i]:
-            if obs == key[1]:
-                return self._states[j]
-        raise KeyError(key)
+        i = self._pos.get(key[0]) if isinstance(key, tuple) and len(key) == 2 else None
+        j = None if i is None else self._rows[i].get(key[1])
+        if j is None:
+            raise KeyError(key)
+        return self._states[j]
 
     def __iter__(self):
-        return ((est, obs) for est, out in zip(self._states, self._edges) for obs, _ in out)
+        return ((est, obs) for est, row in zip(self._states, self._rows) for obs in row)
 
     def __len__(self):
         return self._count
@@ -403,9 +401,9 @@ class _Transitions(Mapping):
 def build_diagnoser(plant: LabeledPlant, max_states: int = 1_000_000) -> Diagnoser:
     """The labelled plant determinised over observations: a view of
     ``estimate_graph``, its estimates interned on ``plant.index``."""
-    masks, edges, count = estimate_graph(plant, max_states)
+    masks, rows, count = estimate_graph(plant, max_states)
     states = tuple(map(plant.index.estimate, masks))
-    return Diagnoser(states, plant.table, _Transitions(states, edges, count))
+    return Diagnoser(states, plant.table, _Transitions(states, rows, count))
 
 
 # -- diagnosability (twin construction) ---------------------------------------
@@ -536,19 +534,19 @@ def check_isolatability(plant: LabeledPlant) -> IsolatabilityReport:
         raise NotDiagnosableError(
             "isolatability is only defined for diagnosable systems",
             witness=diag_report.witness)
-    index, (masks, edges, _) = plant.index, estimate_graph(plant)
+    index, (masks, rows, _) = plant.index, estimate_graph(plant)
     normal, class_of = index.normal, index.class_of
     # mixed: no normal bit, and a bit outside its lowest bit's class
     mixed = [not m & normal and m & ~class_of[(m & -m).bit_length() - 1] != 0 for m in masks]
     if not any(mixed):
         return IsolatabilityReport(True, None, 0)
     escapes, depth, on_cycle, trapped = [False] * len(masks), [0] * len(masks), [], []
-    for members in strongly_connected(len(masks), edges.__getitem__):  # sinks first
+    for members in strongly_connected(len(masks), lambda i: rows[i].items()):  # sinks first
         i = members[0]
         if masks[i] & normal:
             continue
         if mixed[i]:  # labels never grow: a component is all mixed or all pure
-            out = [j for k in members for _, j in edges[k]]
+            out = [j for k in members for j in rows[k].values()]
             escape = any(escapes[j] for j in out)  # a member's own mark is still False
             if len(members) > 1 or i in out:
                 on_cycle += members
@@ -563,7 +561,7 @@ def check_isolatability(plant: LabeledPlant) -> IsolatabilityReport:
         return IsolatabilityReport(True, None, max(depth))
     chosen = min(trapped or on_cycle, key=lambda i: (str(index.estimate(masks[i])), i))
     witness = [index.estimate(masks[chosen])]
-    for obs, j in shortest_path(chosen, edges.__getitem__, lambda j: j == chosen):
+    for obs, j in shortest_path(chosen, lambda i: rows[i].items(), lambda j: j == chosen):
         witness += [obs, index.estimate(masks[j])]
     return IsolatabilityReport(False, tuple(witness))
 

@@ -318,13 +318,38 @@ def test_walk_reports_unobservable_event(twin_diagnoser):
     assert_walk_fails(twin_diagnoser, ["o2", "a"], "event a is not observable")
 
 
+def assert_walks_match_referee(plant, diag, ref):
+    """``Diagnoser.walk`` and ``estimate_after`` agree with a walk of the
+    referee's dict on 200 random feasible runs of up to 50 observations
+    (fewer only at an estimate with no successor), and on the last run
+    extended by an infeasible and by an unobservable event."""
+    rng, adj = random.Random(2023), set_adjacency(ref)
+    for _ in range(200):
+        est, t = ref.initial, []
+        while len(t) < 50 and adj[est]:
+            t.append(rng.choice(adj[est])[0])
+            est = ref.transitions[est, t[-1]]
+        assert diag.walk(t) == est == fi.estimate_after(plant, t), t
+    infeasible = sorted(ref.alphabet - {obs for obs, _ in adj[est]})
+    if infeasible:
+        bad = t + infeasible[:1]
+        assert (est, bad[-1]) not in ref.transitions and fi.estimate_after(plant, bad).empty
+        with pytest.raises(fi.InvalidArgumentError, match="observation infeasible"):
+            diag.walk(bad)
+    unobservable = t + [min(plant.table.unobservable_events)]
+    for walk in (diag.walk, lambda u: fi.estimate_after(plant, u)):
+        with pytest.raises(fi.InvalidArgumentError, match="is not observable"):
+            walk(unobservable)
+
+
 def assert_matches_set_referee(plant):
-    """The mask-built diagnoser, fault frontier and isolatability test agree
-    with the set-based referees, including their state-cap errors."""
+    """The mask-built diagnoser, its walks, fault frontier and isolatability
+    test agree with the set-based referees, including their state-cap errors."""
     diag, ref = fi.build_diagnoser(plant), set_diagnoser(plant)
     assert diag.states == ref.states
     assert list(diag.transitions.items()) == list(ref.transitions.items())
     assert (diag.initial, diag.alphabet) == (ref.initial, ref.alphabet)
+    assert_walks_match_referee(plant, diag, ref)
     n = len(ref.states)
     for cap in sorted(c for c in {1, n // 2, n - 1} if 0 < c < n):
         with pytest.raises(fi.ResourceLimitError) as got:
@@ -358,9 +383,23 @@ def test_diagnoser_matches_set_referee_three_lamps():
 
 def test_diagnoser_matches_set_referee_six_lamps():
     plant = fi.build_labeled_plant(lamps(6))
-    diag = plant.diagnoser
+    diag = fi.build_diagnoser(plant)
     assert (len(diag.states), len(diag.transitions)) == (2723, 9155)
     assert not assert_matches_set_referee(plant).isolatable
+
+
+def test_estimate_after_interns_only_its_estimate():
+    # the walk runs on the estimate graph's positions: of the 2,723 six-lamp
+    # estimates, only the initial one and the answer are interned
+    aut = lamps(6)
+    diag, rng = fi.build_diagnoser(fi.build_labeled_plant(aut)), random.Random(2023)
+    est, t = diag.initial, []
+    for _ in range(50):
+        t.append(rng.choice([obs for src, obs in diag.transitions if src is est]))
+        est = diag.transitions[est, t[-1]]
+    plant = fi.build_labeled_plant(aut)
+    assert fi.estimate_after(plant, t) == est
+    assert len(plant.index._estimates) <= 2
 
 
 def witness_branch(plant, report):
@@ -539,7 +578,8 @@ def test_diagnoser_table_misses_return_none(twin_plant, twin_diagnoser):
     table = twin_diagnoser.transitions
     init, foreign = twin_diagnoser.initial, estimate(twin_plant, "0:N", "6:F2")
     assert foreign not in twin_diagnoser.states
-    for key in [(foreign, "o2"), (init, "zzz"), (init, "a"), (foreign, "zzz")]:
+    malformed = [(init, "o2", "z"), (init,), 5, "o2", None]
+    for key in [(foreign, "o2"), (init, "zzz"), (init, "a"), (foreign, "zzz"), *malformed]:
         assert table.get(key) is None and key not in table
         with pytest.raises(KeyError):
             table[key]

@@ -265,7 +265,7 @@ def test_loaded_supervisor_uses_the_plants_estimates():
     index = plant.index
     for est in (*policy.decisions, *policy.initial_frontier):
         assert est is index.estimate(index.mask_of(est)), est
-    assert plant.initial_estimate is plant.diagnoser.initial
+    assert plant.initial_estimate is fi.build_diagnoser(plant).initial
 
 
 def test_load_and_closed_loop_release_each_pair_once(monkeypatch):

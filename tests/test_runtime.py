@@ -482,7 +482,7 @@ def test_pickled_policy_hashes_where_it_is_loaded(seeds, tmp_path):
                                        "no_control": 1, "replay": True, "met": 6}
 
 def assert_uncontrolled_step_is_the_diagnosers(plant):
-    diag = plant.diagnoser
+    diag = fi.build_diagnoser(plant)
     for est in diag.states:
         for obs in sorted(plant.table.observable_events):
             assert fi.observable_reach(plant, est, fi.NO_CONTROL, obs) \

@@ -207,7 +207,7 @@ def test_build_bts_builds_one_estimate_per_y_state(monkeypatch, aut, fresh):
         raise AssertionError("build_bts builds no estimate from state ids")
 
     monkeypatch.setattr(fi.StateEstimate, "_of_sorted", classmethod(spy))
-    known = set(plant.diagnoser.states)
+    known = set(fi.build_diagnoser(plant).states)
     before = len(built)
     monkeypatch.setattr(fi.LabeledPlant, "estimate_of", forbidden)
     bts = fi.build_bts(plant)
@@ -242,8 +242,9 @@ def test_synthesised_plant_is_freed_without_the_cyclic_gc():
         fi.policy_graph(plant, policy)
         cl = fi.build_closed_loop(plant, policy)
         fi.replay(plant, policy, ["a_on", "e1", "a_off", "e0"])
-        refs = weakref.ref(plant), weakref.ref(plant.index), weakref.ref(plant.diagnoser)
-        del plant
+        diag = fi.build_diagnoser(plant)
+        refs = weakref.ref(plant), weakref.ref(plant.index), weakref.ref(diag)
+        del plant, diag
         assert [ref() for ref in refs] == [None, None, None]
         assert cl.policy is policy
     finally:
