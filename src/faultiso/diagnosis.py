@@ -65,7 +65,7 @@ class StateEstimate:
         return StateEstimate._of_sorted, (self.members,)
 
     def __str__(self):
-        return "{" + ",".join(str(m) for m in self.members) + "}"
+        return "{" + ",".join([f"{m.base}{m.label}" for m in self.members]) + "}"
 
     def __iter__(self):
         return iter(self.members)
@@ -242,6 +242,7 @@ class StateIndex:
         self._mask_of: dict[StateEstimate, int] = {}
         self._steps: dict[tuple, dict[str, StateEstimate]] = {}  # synthesis._admitted
         self._engine: dict[tuple, object] = {}  # runtime.engine_step: EngineState
+        self._forcible: Optional[tuple] = None  # synthesis._enforceable, on first use
         self._graph: Optional[tuple] = None  # estimate_graph, once complete
 
     def closure_under(self, disabled: frozenset[str]) -> tuple[int, ...]:

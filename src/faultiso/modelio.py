@@ -20,11 +20,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .automata import Automaton, Event, EventTable
 from .diagnosis import LabeledPlant, LabeledState, StateEstimate, fault_frontier
-from .errors import ModelError
+from .errors import InvalidArgumentError, ModelError
 from .synthesis import ControlDecision, SupervisorPolicy, canonical_decision, policy_graph
 
 
@@ -48,6 +49,12 @@ class ModelDocument:
             seen.setdefault(src)
             seen.setdefault(dst)
         return tuple(seen)
+
+    @cached_property
+    def digest(self) -> str:
+        """``model_digest``, computed once per document."""
+        text = serialize_model(canonical_document(self))
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 _EVENT_FLAGS = {"obs": "observable", "ctrl": "controllable", "forc": "forcible"}
@@ -178,21 +185,29 @@ def canonical_document(doc: ModelDocument) -> ModelDocument:
 
 
 def model_digest(doc: ModelDocument) -> str:
-    text = serialize_model(canonical_document(doc))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    """sha256 of the canonical model text, which a supervisor document names."""
+    return doc.digest
 
 
 # -- supervisor documents -------------------------------------------------------
+
+_SCHEMA = {"decisions", "format", "frontier", "isolation_bound", "model_hash", "tie_break"}
+_DECISION_KEYS = {"disable", "enforce", "estimate"}
+_ENCODE = json.encoder.encode_basestring_ascii  # how json.dumps writes a string
+
 
 def _estimate_to_json(est: StateEstimate) -> list[list[str]]:
     return [[m.base, m.label] for m in est]
 
 
-def _decision_from_json(data) -> ControlDecision:
+def _decision_from_json(data) -> tuple:
+    """A listed decision, raw: ``(disable as listed, enforce)``, hashable."""
     # a string is iterable too, and would silently disable its characters
     if not isinstance(data["disable"], list):
         raise ModelError(f"supervisor disable set is not a list: {data['disable']!r}")
-    return ControlDecision(data["enforce"], frozenset(data["disable"]))
+    raw = (tuple(data["disable"]), data["enforce"])
+    hash(raw)  # an unhashable value is malformed: disable's, in order, then enforce
+    return raw
 
 
 def _no_constant(name: str):
@@ -221,8 +236,54 @@ def supervisor_document(policy: SupervisorPolicy, model_doc: ModelDocument,
     }
 
 
+def _json_list(items, indent: str) -> str:
+    """Rendered ``items`` as ``json.dumps(indent=2)`` lays out a list that
+    closes at ``indent``."""
+    sep = "\n  " + indent
+    body = ("," + sep).join(items)
+    return f"[{sep}{body}\n{indent}]" if body else "[]"
+
+
+def _listed(value) -> list:
+    if type(value) is not list:
+        raise TypeError(f"not a list: {value!r}")
+    return value
+
+
+def _json_scalar(value) -> str:
+    if value is None:
+        return "null"
+    return str(value) if type(value) is int else _ENCODE(value)
+
+
+def _json_estimate(est, indent: str) -> str:
+    i = indent + "  "
+    return _json_list([f"[\n{i}  {_ENCODE(b)},\n{i}  {_ENCODE(l)}\n{i}]"
+                       for b, l in map(_listed, _listed(est))], indent)
+
+
 def serialize_supervisor(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """A ``supervisor_document`` payload as ``json.dumps(payload, indent=2,
+    sort_keys=True)`` writes it, plus a newline, laid out here for the fixed
+    schema, with strings through the C encoder's escaper.  Other keys, or
+    values of other types, raise InvalidArgumentError."""
+    try:
+        if payload.keys() != _SCHEMA or any(
+                d.keys() != _DECISION_KEYS for d in _listed(payload["decisions"])):
+            raise TypeError("its keys are not the schema's")
+        decisions = [f'{{\n      "disable": {_json_list(map(_ENCODE, _listed(d["disable"])), " " * 6)},'
+                     f'\n      "enforce": {_json_scalar(d["enforce"])},'
+                     f'\n      "estimate": {_json_estimate(d["estimate"], " " * 6)}\n    }}'
+                     for d in payload["decisions"]]
+        frontier = (_json_estimate(est, "    ") for est in _listed(payload["frontier"]))
+        return (f'{{\n  "decisions": {_json_list(decisions, "  ")},'
+                f'\n  "format": {_json_scalar(payload["format"])},'
+                f'\n  "frontier": {_json_list(frontier, "  ")},'
+                f'\n  "isolation_bound": {_json_scalar(payload["isolation_bound"])},'
+                f'\n  "model_hash": {_json_scalar(payload["model_hash"])},'
+                f'\n  "tie_break": {_json_scalar(payload["tie_break"])}\n}}\n')
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"not a faultiso-supervisor-v1 payload: {exc}") from None
 
 
 def load_supervisor(text: str, plant: LabeledPlant,
@@ -234,7 +295,8 @@ def load_supervisor(text: str, plant: LabeledPlant,
     frontier must be its ``fault_frontier`` (NotDiagnosableError if there is
     none), each estimate, in name order, must hold plant states only, be
     listed once and carry a feasible decision, and every estimate reachable
-    from the frontier under the policy must carry a decision.
+    from the frontier under the policy must carry a decision.  Each distinct
+    listed decision is checked once, and equal listings are one object.
     """
     try:
         payload = json.loads(text, parse_constant=_no_constant)
@@ -278,17 +340,24 @@ def load_supervisor(text: str, plant: LabeledPlant,
                 in (("missing", frontier - listed), ("extra", listed - frontier)) if ests]
         raise ModelError("supervisor frontier is not the model's fault frontier; "
                          + "; ".join(diff))
-    decisions = {}
-    for est, dec in table:
+    decisions: dict[StateEstimate, ControlDecision] = {}
+    # raw decision -> its canonical form.  Only a decision that passes is
+    # kept, and it lists strings and null only, which equal no other type:
+    # 1, 1.0 and true, equal in Python, are each checked and named as listed
+    checked: dict[tuple, ControlDecision] = {}
+    for est, raw in table:
         for m in est:
             if (m.base, m.label) not in bit_of:
                 raise ModelError(f"supervisor references unknown labelled state {m}")
         if est in decisions:
             raise ModelError(f"supervisor lists a decision for {est} twice")
-        try:
-            decisions[est] = canonical_decision(plant, dec.enforce, dec.disable)
-        except (TypeError, ValueError) as exc:
-            raise ModelError(f"supervisor decision at {est}: {exc}") from None
+        dec = checked.get(raw)
+        if dec is None:
+            try:
+                dec = checked[raw] = canonical_decision(plant, raw[1], raw[0])
+            except (TypeError, ValueError) as exc:
+                raise ModelError(f"supervisor decision at {est}: {exc}") from None
+        decisions[est] = dec
     policy = SupervisorPolicy(frontier, decisions)
     reachable = policy_graph(plant, policy)
     missing = sorted((str(e) for e in reachable if e not in decisions))

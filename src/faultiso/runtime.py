@@ -189,6 +189,11 @@ def build_closed_loop(plant: LabeledPlant, policy: SupervisorPolicy,
 
 @dataclass(frozen=True)
 class ClosedLoopReport:
+    """``bound`` counts mixed estimates: the longest run of consecutive
+    mixed estimates after certainty, in the observations between them, so
+    one less than the estimates on it.  Under a synthesised supervisor it is
+    ``max(isolation_bound - 1, 0)``, the solver's count of observations."""
+
     live: bool
     nonlive_states: tuple[str, ...]
     isolatable: bool

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence, Set
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import AbstractSet, Optional
+from weakref import WeakValueDictionary
 
 from .automata import EventTable
 from .diagnosis import LabeledPlant, StateEstimate, StateIndex, _bits, fault_frontier
@@ -102,6 +103,9 @@ def _unblocked(n: int, blockers: Sequence[int], must: int = 0) -> int:
     return sum(c << (n - m.bit_count()) for m, c in terms.items())
 
 
+_unblocked_of = lru_cache(maxsize=4096)(_unblocked)  # effects share a few blocker tuples
+
+
 class _Effect:
     """One closure effect of a Y-state: an enforced event plus the
     unobservable part of a disable set.  ``bits`` maps each relevant
@@ -128,7 +132,7 @@ class _Effect:
         """How many member decisions disable at least the events of ``must``
         (only those that do not deadlock, for ``live``)."""
         if live and self.blockers:
-            return _unblocked(len(self.bits), self.blockers, must) << len(self.free)
+            return _unblocked_of(len(self.bits), self.blockers, must) << len(self.free)
         return 1 << (len(self.bits) + len(self.free) - must.bit_count())
 
     def silent(self, mask: int) -> bool:
@@ -152,9 +156,10 @@ class _ZView(Set):
     ``take(e, mask)`` holds, and ``count(e)`` says in closed form how many
     members of ``e`` are.
 
-    Its length is the sum of those counts and membership is one effect
-    lookup; members are built only when a caller iterates, in ``z_states``
-    order.
+    Its length is the sum of those counts, with each single-member effect
+    among ``ids`` counted as one (every view takes that member), and
+    membership is one effect lookup; members are built only when a caller
+    iterates, in ``z_states`` order.
     """
 
     def __init__(self, graph: BTSGraph, take, count, ids: Optional[frozenset[int]] = None):
@@ -170,7 +175,8 @@ class _ZView(Set):
     @cached_property
     def _size(self) -> int:
         ids = range(len(self._graph._effects)) if self._ids is None else self._ids
-        return sum(map(self._count, ids))
+        single = self._graph._single[0]
+        return len(single.intersection(ids)) + sum(map(self._count, frozenset(ids) - single))
 
     def __len__(self):
         return self._size
@@ -207,10 +213,11 @@ class _ZYEdges(Mapping):
     @cached_property
     def _size(self) -> int:
         # every member admits all of its effect's edges but one per event it disables
-        live = self._graph._live
-        return sum(len(eff.edges) * eff.count(0, live)
-                   - sum(eff.count(b, live) for b in eff.bits.values())
-                   for eff in self._graph._effects)
+        g = self._graph
+        single, edges = g._single
+        return edges + sum(len(eff.edges) * eff.count(0, g._live)
+                           - sum(eff.count(b, g._live) for b in eff.bits.values())
+                           for e, eff in enumerate(g._effects) if e not in single)
 
     def __len__(self):
         return self._size
@@ -239,9 +246,25 @@ class BTSGraph:
                  effects: list[_Effect], live: bool = False):
         self.y_states, self.initial, self.marked = y_states, initial, marked
         self._y_effects, self._effects, self._live = y_effects, effects, live
-        self.z_states: AbstractSet[ZState] = _ZView(self, self._holds,
-                                                    lambda e: effects[e].count(0, live))
-        self.zy_edges: Mapping[tuple[ZState, str], StateEstimate] = _ZYEdges(self)
+        # name -> view.  A view holds the graph, but not back: the graph and
+        # its effects are freed by reference counting, not the cyclic GC
+        self._views: WeakValueDictionary = WeakValueDictionary()
+
+    def _view(self, name: str, make):
+        view = self._views.get(name)
+        if view is None:
+            view = self._views[name] = make()
+        return view
+
+    @property
+    def z_states(self) -> AbstractSet[ZState]:
+        effects, live = self._effects, self._live
+        return self._view("z", lambda: _ZView(self, self._holds,
+                                              lambda e: effects[e].count(0, live)))
+
+    @property
+    def zy_edges(self) -> Mapping[tuple[ZState, str], StateEstimate]:
+        return self._view("zy", lambda: _ZYEdges(self))
 
     @cached_property
     def _y_id(self) -> dict[StateEstimate, int]:
@@ -258,11 +281,23 @@ class BTSGraph:
         return not (self._live and self._effects[e].blocked(mask))
 
     @cached_property
+    def _single(self) -> tuple[frozenset[int], int]:
+        """The effects with one member, which admits some observation (no
+        relevant or free event, no blocker: an observable enforced event),
+        and the number of their edges, so that the views count them in bulk."""
+        ids = [e for e, eff in enumerate(self._effects)
+               if eff.edges and not (eff.bits or eff.free or eff.blockers)]
+        return frozenset(ids), sum(len(self._effects[e].edges) for e in ids)
+
+    @property
     def _deadlocks(self) -> _ZView:
-        """The deadlocked Z-states of the graph (none when ``live``)."""
-        effects = self._effects
-        return _ZView(self, lambda e, mask: effects[e].blocked(mask),
-                      lambda e: effects[e].count(0, self._live) - effects[e].count(0, True))
+        """The deadlocked Z-states of the graph (none when ``live``): members
+        of the effects with a blocker."""
+        effects, live = self._effects, self._live
+        return self._view("deadlocks", lambda: _ZView(
+            self, lambda e, mask: effects[e].blocked(mask),
+            lambda e: effects[e].count(0, live) - effects[e].count(0, True),
+            frozenset(e for e, eff in enumerate(effects) if eff.blockers)))
 
     def _locate(self, z) -> Optional[tuple[int, int]]:
         """``(effect id, mask)`` of ``z``, or ``None`` when ``z`` is not a
@@ -328,10 +363,19 @@ def feasible_decisions(plant: LabeledPlant, est: StateEstimate) -> tuple[Control
 
 def _enforceable(table: EventTable, index: StateIndex, mask: int) -> tuple[Optional[str], ...]:
     """``None`` (enforce nothing), then every forcible event defined at all
-    states of ``mask``, sorted."""
-    succ = [index.succ[b] for b in _bits(mask)]
-    return (None,) + tuple(ev for ev in sorted(table.enforceable_events)
-                           if all(ev in s for s in succ))
+    states of ``mask``, sorted: the AND of the states' defined forcible
+    events, as bits in sorted event order, kept on ``index`` once built."""
+    if index._forcible is None:
+        events = sorted(table.enforceable_events)
+        index._forcible = events, [sum(1 << k for k, ev in enumerate(events) if ev in s)
+                                   for s in index.succ]
+    events, defined = index._forcible
+    common = -1
+    for b in _bits(mask):
+        common &= defined[b]
+        if not common:
+            return (None,)
+    return (None,) + tuple(ev for k, ev in enumerate(events) if common >> k & 1)
 
 
 def _menu(table: EventTable, enforceable: Sequence[Optional[str]]) -> tuple[ControlDecision, ...]:
@@ -458,7 +502,9 @@ def build_bts(plant: LabeledPlant, max_states: int = 1_000_000) -> BTSGraph:
     index, table = plant.index, plant.table
     ctrl, observable = table.controllable_events, table.observable_events
     unobs_ctrl = table.unobservable_events & ctrl
-    unobs_parts = _all_subsets(sorted(unobs_ctrl))
+    # in ``sort_key`` order, as ``_enforceable`` lists the events: so is each Y's list of effects
+    unobs_parts = sorted(_all_subsets(sorted(unobs_ctrl)), key=lambda p: (len(p), sorted(p)))
+    forced = {ev: ControlDecision(ev) for ev in table.enforceable_events & observable}
     active_at = [frozenset(s) for s in index.succ]
     # per set of relevant events: the bits of its observable ones and the free events
     kinds: dict[frozenset[str], tuple[dict[str, int], frozenset[str]]] = {}
@@ -480,12 +526,12 @@ def build_bts(plant: LabeledPlant, max_states: int = 1_000_000) -> BTSGraph:
         return i
 
     for i, mask in enumerate(y_masks):  # grows as estimates are discovered: breadth-first
-        found = []  # per effect: its record (edges to come) and its observe() steps
+        found = []  # per effect: its record (edges to come) and its observe() steps, sorted
         direct = index.observe(mask)  # an observable enforced event fires from mask itself
         for ev in _enforceable(table, index, mask):
             if ev in observable:
-                found.append((_Effect(i, ControlDecision(ev), {}, frozenset(), (), ()),
-                              {ev: direct[ev]}))
+                found.append((_Effect(i, forced[ev], {}, frozenset(), (), ()),
+                              ((ev, direct[ev]),)))
                 continue
             for part in unobs_parts:
                 dec = ControlDecision(ev, part)
@@ -502,12 +548,12 @@ def build_bts(plant: LabeledPlant, max_states: int = 1_000_000) -> BTSGraph:
                 blockers = _antichain(sum(bits[e] for e in events - part)
                                       for events in states if events <= ctrl
                                       and events & unobs_ctrl <= part)
-                found.append((_Effect(i, dec, bits, free, (), blockers), index.observe(released)))
-        found.sort(key=lambda f: f[0].dec.sort_key())
+                found.append((_Effect(i, dec, bits, free, (), blockers),
+                              sorted(index.observe(released).items())))
         y_effects.append(range(len(effects), len(effects) + len(found)))
         for eff, steps in found:
             effects.append(eff)
-            eff.edges = tuple((obs, successor(steps[obs])) for obs in sorted(steps))
+            eff.edges = tuple((obs, successor(m)) for obs, m in steps)
     ys = tuple(map(index.estimate, y_masks))  # the frontier's are fault_frontier's
     marked = frozenset(y for y, m in zip(ys, y_masks) if not m & index.normal  # pure: one class
                        and not m & ~index.class_of[(m & -m).bit_length() - 1])
@@ -577,8 +623,11 @@ class SynthesisResult:
     """Outcome of the good-state computation.
 
     ``policy`` maps each good Y-state to the decision chosen for it;
-    ``isolation_bound`` is the fixpoint round in which the slowest initial
-    estimate turned good -- an upper bound on observations to isolation.
+    ``isolation_bound`` counts observations: the fixpoint round in which the
+    slowest initial estimate turned good, a bound on the observations after
+    certainty until the estimate is pure.  The closed loop's
+    ``ClosedLoopReport.bound`` counts the mixed estimates on the way, less
+    one, so it is ``max(isolation_bound - 1, 0)``.
     """
 
     good_y: frozenset[StateEstimate]

@@ -6,6 +6,7 @@ test, so a disagreement means a real bug on one side.
 """
 from __future__ import annotations
 
+import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -773,3 +774,17 @@ def set_isolatability(plant: LabeledPlant, diag: SetDiagnoser = None) -> Isolata
     for obs, j in shortest_path(chosen, edges.__getitem__, lambda i: i == chosen):
         witness += [obs, nodes[j]]
     return IsolatabilityReport(False, tuple(witness))
+
+
+def json_supervisor(payload: dict) -> str:
+    """A supervisor payload as the standard library writes it: the referee
+    for ``modelio.serialize_supervisor``."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def old_enforceable(plant: LabeledPlant, mask: int) -> tuple[Optional[str], ...]:
+    """``None``, then each forcible event defined at every state of
+    ``mask``, sorted: the per-event ``all(...)`` test over successor dicts."""
+    succ = [plant.index.succ[b] for b in range(len(plant.index.members)) if mask >> b & 1]
+    return (None,) + tuple(ev for ev in sorted(plant.table.enforceable_events)
+                           if all(ev in s for s in succ))

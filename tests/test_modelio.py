@@ -1,6 +1,7 @@
 """Model grammar, canonical serialisation, digests, supervisor documents."""
 from __future__ import annotations
 
+import copy
 import importlib.util
 import json
 from pathlib import Path
@@ -10,8 +11,11 @@ from hypothesis import given, strategies as st
 
 import faultiso as fi
 from faultiso import cli, modelio
-from faultiso.errors import ModelError
+from faultiso.errors import InvalidArgumentError, ModelError
 from faultiso.gallery import lamps, lamps_text, twin_branch_document, twin_branch_text
+from faultiso.synthesis import TIE_BREAK_MODES
+
+from oracles import json_supervisor
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -344,3 +348,136 @@ def test_supervisor_rejects_garbage(twin_plant):
                  '{"format": "faultiso-supervisor-v1"}'):
         with pytest.raises(ModelError):
             modelio.load_supervisor(text, twin_plant, twin_branch_document())
+
+
+def assert_written_as_referee(doc, plant, run):
+    """Under each tie-break, the writer's text is the referee's, and it loads
+    back to the policy written."""
+    for tie_break in TIE_BREAK_MODES:
+        result = fi.good_fixpoint(run.live, run.deadlocks, tie_break)
+        policy = fi.extract_supervisor(result, run.live)
+        payload = modelio.supervisor_document(policy, doc, tie_break, result.isolation_bound)
+        text = modelio.serialize_supervisor(payload)
+        assert text == json_supervisor(payload)
+        assert modelio.load_supervisor(text, plant, doc) == policy
+
+
+@pytest.mark.parametrize("n", [None, 3, 4, 5, 6], ids=["twin", "lamps3", "lamps4", "lamps5",
+                                                       "lamps6"])
+def test_writer_matches_referee_on_the_gallery(n):
+    text = twin_branch_text() if n is None else lamps_text(n, f"lamps{n}", f"{n} lamps")
+    doc = modelio.parse_model_document(text)
+    plant = fi.build_labeled_plant(modelio.to_system(doc)[0])
+    assert_written_as_referee(doc, plant, fi.synthesize(plant))
+
+
+def test_writer_matches_referee_on_the_pool(solvable_pool):
+    for doc, plant, run in solvable_pool:
+        assert_written_as_referee(doc, plant, run)
+
+
+def test_writer_escapes_state_names_as_the_referee():
+    # quotes, backslashes and non-ASCII state names, written by a real
+    # synthesis and read back
+    text = twin_branch_text()
+    for old, new in (("1", 'q"1'), ("2", "q\\2"), ("3", "é3"), ("8", "☃8"), ("9", "😀9")):
+        text = text.replace(f" {old}\n", f" {new}\n").replace(f" {old} ", f" {new} ")
+    doc = modelio.parse_model_document(text)
+    assert {'q"1', "q\\2", "é3", "☃8", "😀9"} <= set(doc.all_states())
+    plant = fi.build_labeled_plant(modelio.to_system(doc)[0])
+    assert_written_as_referee(doc, plant, fi.synthesize(plant))
+
+
+@pytest.mark.parametrize("change", [
+    lambda p: p.update(decisions=[]),
+    lambda p: p.update(decisions=[], frontier=[]),
+    lambda p: p.update(isolation_bound=None),
+    lambda p: [d.update(disable=[]) for d in p["decisions"]],
+    lambda p: p["decisions"][0].update(disable=["o3", "o1"], enforce=None),
+    lambda p: p["decisions"][0].update(estimate=[['q"1', "F\\1"], ["\u00fc", "\u2603"],
+                                                 ["\x00\n\t", "\U0001f600"]]),
+    lambda p: p["frontier"].append([]),
+], ids=["no-decisions", "nothing", "null-bound", "empty-disables", "disable-as-given",
+        "escaped-names", "empty-estimate"])
+def test_writer_matches_referee_on_edge_payloads(sup_doc, change):
+    payload = copy.deepcopy(sup_doc)
+    change(payload)
+    assert modelio.serialize_supervisor(payload) == json_supervisor(payload)
+
+
+@pytest.mark.parametrize("change", [
+    lambda p: p.update(note="x"),
+    lambda p: p.pop("tie_break"),
+    lambda p: p["decisions"][0].update(note="x"),
+    lambda p: p["decisions"][0].pop("disable"),
+    lambda p: p.update(decisions={}),
+    lambda p: p["decisions"][0].update(disable="o3"),
+    lambda p: p["decisions"][0].update(enforce=1.5),
+    lambda p: p["decisions"][0]["estimate"][0].__setitem__(0, 7),
+    lambda p: p["decisions"][0]["estimate"].append("1F1"),
+    lambda p: p["decisions"][0]["estimate"].append(["1", "F1", "x"]),
+    lambda p: p["frontier"].append({"1": "F1"}),
+    lambda p: p.update(isolation_bound=True),
+    lambda p: p.update(model_hash=None, tie_break=b"default"),
+], ids=["extra-key", "missing-key", "extra-decision-key", "missing-decision-key",
+        "decisions-not-a-list", "disable-a-string", "float-enforce", "number-member",
+        "string-member", "three-strings", "dict-estimate", "bool-bound", "bytes-tie-break"])
+def test_writer_rejects_payloads_off_the_schema(sup_doc, change):
+    payload = copy.deepcopy(sup_doc)
+    change(payload)
+    with pytest.raises(InvalidArgumentError, match="^not a faultiso-supervisor-v1 payload: "):
+        modelio.serialize_supervisor(payload)
+
+
+@pytest.mark.parametrize("first", [0, 1, 2])
+def test_equal_raw_decisions_of_other_types_are_named_as_listed(first):
+    # enforce 1, 1.0 and true are equal in Python; at the first three
+    # estimates in name order, listed last to first, the first by name is
+    # reported, with its value as listed
+    plant, text, doc = lamp_supervisor()
+    payload = json.loads(text)
+    values = [1, 1.0, True]
+    values = values[first:] + values[:first]
+    for entry, value in zip(payload["decisions"], values):
+        entry["enforce"] = value
+    est = min(modelio.load_supervisor(text, plant, doc).decisions, key=str)
+    payload["decisions"].reverse()
+    with pytest.raises(ModelError) as caught:
+        modelio.load_supervisor(json.dumps(payload), plant, doc)
+    assert str(caught.value) == f"supervisor decision at {est}: unknown event: {values[0]}"
+
+
+def test_each_distinct_decision_is_checked_once(monkeypatch):
+    # four lamps list 205 decisions, 12 distinct: each is checked once, and
+    # the estimates that list it share its one object
+    plant, text, doc = lamp_supervisor()
+    checked, real = [], modelio.canonical_decision
+
+    def spy(plant, enforce, disable):
+        checked.append((enforce, tuple(disable)))
+        return real(plant, enforce, disable)
+
+    monkeypatch.setattr(modelio, "canonical_decision", spy)
+    policy = modelio.load_supervisor(text, plant, doc)
+    assert len(checked) == len(set(checked)) == 12
+    decisions = list(policy.decisions.values())
+    assert len(decisions) == 205
+    assert len(set(decisions)) == len(set(map(id, decisions))) == 12
+
+
+def test_model_digest_is_computed_once_per_document(monkeypatch):
+    plant, text, _ = lamp_supervisor(3)
+    doc = modelio.parse_model_document(lamps_text(3, "lamps3", "3 lamps"))
+    hashed, real = [], modelio.canonical_document
+
+    def spy(d):
+        hashed.append(d)
+        return real(d)
+
+    monkeypatch.setattr(modelio, "canonical_document", spy)
+    policy = modelio.load_supervisor(text, plant, doc)
+    assert modelio.serialize_supervisor(modelio.supervisor_document(
+        policy, doc, "default", 1)) == text
+    assert modelio.model_digest(doc) == modelio.model_digest(
+        modelio.parse_model_document(lamps_text(3, "lamps3", "3 lamps")))
+    assert len(hashed) == 2  # this document once, the second parse once

@@ -16,7 +16,8 @@ import pytest
 import faultiso as fi
 from faultiso import diagnosis, modelio, runtime, synthesis
 from faultiso.errors import ProtocolError, SchedulerError, SupervisorIntegrityError
-from faultiso.gallery import lamps, lamps_text, twin_branch_text
+from faultiso.gallery import lamps, lamps_text, twin_branch, twin_branch_text
+from faultiso.synthesis import TIE_BREAK_MODES
 from faultiso.modelio import parse_model
 
 from oracles import closed_loop_estimates, closed_loop_language, enumerate_language
@@ -404,6 +405,24 @@ def test_equal_policies_share_engine_entries(monkeypatch):
     monkeypatch.setattr(runtime, "_next_estimate", spy)
     assert fi.replay(plant, second, observations) == want
     assert computed == [] and len(plant.index._engine) == size
+
+
+def test_closed_loop_bound_is_the_isolation_bound_less_one(solvable_pool):
+    # the solver counts observations to isolation, the closed loop the mixed
+    # estimates on the way in the observations between them: on the gallery,
+    # lamps 3-6 and the 603 solvable plants of the seed-2023 pool, under
+    # both tie-breaks
+    plants = [fi.build_labeled_plant(aut) for aut in (twin_branch()[0], *map(lamps, (3, 4, 5, 6)))]
+    runs = [(plant, fi.synthesize(plant)) for plant in plants]
+    pairs = set()
+    for plant, run in runs + [(plant, run) for _, plant, run in solvable_pool]:
+        for tie_break in TIE_BREAK_MODES:
+            result = fi.good_fixpoint(run.live, run.deadlocks, tie_break)
+            cl = fi.build_closed_loop(plant, fi.extract_supervisor(result, run.live))
+            report = fi.verify_closed_loop(cl)
+            assert report.bound == max(result.isolation_bound - 1, 0)
+            pairs.add((result.isolation_bound, report.bound))
+    assert pairs == {(0, 0), (1, 0), (2, 1), (3, 2), (4, 3), (5, 4), (6, 5)}
 
 
 def test_closed_loop_takes_each_engine_state_once(monkeypatch):

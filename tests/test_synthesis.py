@@ -22,6 +22,7 @@ from oracles import (
     brute_zstate_deadlock,
     enumerated_decisions,
     ids_of,
+    old_enforceable,
     oracle_good_states,
     oracle_solvable,
     per_decision_bad_initials,
@@ -247,6 +248,22 @@ def test_synthesised_plant_is_freed_without_the_cyclic_gc():
         del plant, diag
         assert [ref() for ref in refs] == [None, None, None]
         assert cl.policy is policy
+    finally:
+        gc.enable()
+
+
+def test_synthesis_graphs_are_freed_without_the_cyclic_gc():
+    # a view holds its graph and the graph holds its views weakly, so once
+    # the sizes are read and the run is dropped the graphs are freed at once
+    gc.disable()
+    try:
+        run = fi.synthesize(fi.build_labeled_plant(lamps(3)))
+        views = run.bts.z_states, run.bts.zy_edges, run.deadlocks, run.live.z_states
+        assert run.bts.z_states is views[0] and run.bts._deadlocks is views[2]
+        assert [len(v) for v in views] == [3397, 5829, 91, 3306]
+        refs = weakref.ref(run.bts), weakref.ref(run.live)
+        del run, views
+        assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
 
@@ -833,6 +850,21 @@ def test_marked_is_the_old_pure_test():
         pure = [y for y in bts.y_states if not index.mask_of(y) & index.normal
                 and sum(1 for f in index.faults if index.mask_of(y) & f) == 1]
         assert bts.marked == frozenset(pure)
+
+
+def test_enforceable_is_the_old_all_rule():
+    # the AND of per-state forcible-event bits gives the per-event all(...)
+    # test's events, at every Y-state and every single state, on lamps 3-6
+    # and the diagnosable pool plants; a plant that is only checked builds
+    # no bits
+    plants = [fi.build_labeled_plant(lamps(n)) for n in (3, 4, 5, 6)] + diagnosable_pool(200)
+    for plant in plants:
+        index = plant.index
+        fi.check_isolatability(plant)
+        assert index._forcible is None
+        masks = [index.mask_of(y) for y in fi.build_bts(plant).y_states]
+        for mask in masks + [1 << b for b in range(len(index.members))]:
+            assert synthesis._enforceable(plant.table, index, mask) == old_enforceable(plant, mask)
 
 
 # |Y|, |Z|, zy_edges, deadlocks, live Z and good Z on the lamp ladder, as
