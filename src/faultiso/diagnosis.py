@@ -161,11 +161,12 @@ class LabeledPlant:
     @cached_property
     def index(self) -> "StateIndex":
         """The labelled states as bits, built once per plant."""
-        aut = self.automaton
-        ids = sorted(aut.states, key=self.member_of)
+        aut, base_of, label_of = self.automaton, self.base_of, self.label_of
+        keys = sorted((base_of[q], label_of[q], q) for q in aut.states)  # LabeledState order
+        ids = [q for _, _, q in keys]
         bit = {q: i for i, q in enumerate(ids)}
         return StateIndex(
-            tuple(map(self.member_of, ids)),
+            tuple(LabeledState(base, label) for base, label, _ in keys),
             tuple(sum(1 << bit[r] for r in unobservable_reach(aut, [q])) for q in ids),
             tuple({ev: bit[d] for ev, d in aut.outgoing(q)} for q in ids),
             self.table.observable_events)
@@ -244,6 +245,7 @@ class StateIndex:
         self._engine: dict[tuple, object] = {}  # runtime.engine_step: EngineState
         self._forcible: Optional[tuple] = None  # synthesis._enforceable, on first use
         self._graph: Optional[tuple] = None  # estimate_graph, once complete
+        self._frontier: Optional[frozenset] = None  # fault_frontier, once found
 
     def closure_under(self, disabled: frozenset[str]) -> tuple[int, ...]:
         """Each state's closure under the unobservable events not in
@@ -306,7 +308,7 @@ class StateIndex:
         mask = self._mask_of.get(est)
         if mask is None:
             try:
-                mask = self._mask_of[est] = sum(1 << self._bit[m] for m in est)
+                mask = sum(1 << self._bit[m] for m in est)
             except KeyError as exc:
                 raise InvalidArgumentError(f"unknown labelled state: {exc.args[0]}") from None
         return mask
@@ -338,7 +340,7 @@ class Diagnoser:
     """Deterministic estimate automaton over the observable alphabet, built
     by ``build_diagnoser`` only.  ``states[0]`` is the initial estimate."""
 
-    def __init__(self, states: tuple[StateEstimate, ...], table: EventTable,
+    def __init__(self, states: Sequence[StateEstimate], table: EventTable,
                  transitions: Mapping[tuple[StateEstimate, str], StateEstimate]):
         self.states, self.alphabet, self.initial = states, table.observable_events, states[0]
         self.transitions, self._table = transitions, table
@@ -377,16 +379,56 @@ def estimate_graph(plant: LabeledPlant, max_states: Optional[int] = None) -> tup
     return graph
 
 
+class _Estimates(Sequence):
+    """The estimate graph's masks as a read-only tuple of estimates, each
+    interned on ``plant.index`` only when read; a slice is a tuple.  A lookup
+    by estimate goes through ``index.mask_of`` and a ``{mask: position}``
+    map built on the first lookup."""
+
+    def __init__(self, index: StateIndex, masks: list):
+        self._index, self._masks, self._pos = index, masks, None
+
+    def __len__(self):
+        return len(self._masks)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._index.estimate, self._masks[i]))
+        return self._index.estimate(self._masks[i])
+
+    def __iter__(self):
+        return map(self._index.estimate, self._masks)
+
+    def __contains__(self, est):
+        return self._position(est) is not None
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, _Estimates)):
+            return NotImplemented
+        return len(self) == len(other) and tuple(self) == tuple(other)
+
+    def _position(self, est) -> Optional[int]:
+        """The position of ``est``; None for anything else, an estimate over
+        unknown labelled states included."""
+        if not isinstance(est, StateEstimate):
+            return None
+        if self._pos is None:
+            self._pos = {mask: i for i, mask in enumerate(self._masks)}
+        try:
+            return self._pos.get(self._index.mask_of(est))
+        except InvalidArgumentError:
+            return None
+
+
 class _Transitions(Mapping):
     """``(estimate, obs) -> estimate`` read from the estimate graph's rows,
     not a copy of them: by source in discovery order, then by observation."""
 
-    def __init__(self, states: tuple[StateEstimate, ...], rows: list, count: int):
+    def __init__(self, states: _Estimates, rows: list, count: int):
         self._states, self._rows, self._count = states, rows, count
-        self._pos = {est: i for i, est in enumerate(states)}
 
     def __getitem__(self, key):
-        i = self._pos.get(key[0]) if isinstance(key, tuple) and len(key) == 2 else None
+        i = self._states._position(key[0]) if isinstance(key, tuple) and len(key) == 2 else None
         j = None if i is None else self._rows[i].get(key[1])
         if j is None:
             raise KeyError(key)
@@ -401,9 +443,9 @@ class _Transitions(Mapping):
 
 def build_diagnoser(plant: LabeledPlant, max_states: int = 1_000_000) -> Diagnoser:
     """The labelled plant determinised over observations: a view of
-    ``estimate_graph``, its estimates interned on ``plant.index``."""
+    ``estimate_graph`` whose estimates are interned on ``plant.index`` as read."""
     masks, rows, count = estimate_graph(plant, max_states)
-    states = tuple(map(plant.index.estimate, masks))
+    states = _Estimates(plant.index, masks)
     return Diagnoser(states, plant.table, _Transitions(states, rows, count))
 
 
@@ -497,15 +539,18 @@ class IsolatabilityReport:
 def fault_frontier(plant: LabeledPlant) -> frozenset[StateEstimate]:
     """Estimates first reached with fault certainty, where supervision starts:
     breadth-first search on ``index.after`` that stops at the first
-    fault-certain estimate on each path.  Requires a diagnosable plant."""
+    fault-certain estimate on each path, kept on ``plant.index``.  Requires
+    a diagnosable plant."""
     report = plant.diagnosability
     if not report.diagnosable:
         raise NotDiagnosableError("plant is not diagnosable; no isolation "
                                   "supervisor can exist", witness=report.witness)
     index = plant.index
-    nodes = reach([index.mask_of(plant.initial_estimate)],
-                  lambda mask: index.after(mask) if mask & index.normal else ())
-    return frozenset(index.estimate(m) for m in nodes if not m & index.normal)
+    if index._frontier is None:
+        nodes = reach([index.mask_of(plant.initial_estimate)],
+                      lambda mask: index.after(mask) if mask & index.normal else ())
+        index._frontier = frozenset(index.estimate(m) for m in nodes if not m & index.normal)
+    return index._frontier
 
 
 def check_isolatability(plant: LabeledPlant) -> IsolatabilityReport:
@@ -527,8 +572,10 @@ def check_isolatability(plant: LabeledPlant) -> IsolatabilityReport:
     components with a normal bit and gives each other one whether it
     reaches purity and whether it is a mixed cycle, and each acyclic mixed
     position its depth.  The witness starts at the least trapped cyclic
-    estimate, else the least cyclic one, by printed form; distinct estimates
-    that print alike (state names with commas) go by position in the graph.
+    estimate, else the least cyclic one, by printed form, which is joined
+    from the members' names on the masks; distinct estimates that print
+    alike (state names with commas) go by position in the graph.  Only the
+    witness cycle's estimates are interned.
     """
     diag_report = plant.diagnosability
     if not diag_report.diagnosable:
@@ -547,9 +594,10 @@ def check_isolatability(plant: LabeledPlant) -> IsolatabilityReport:
         if masks[i] & normal:
             continue
         if mixed[i]:  # labels never grow: a component is all mixed or all pure
-            out = [j for k in members for j in rows[k].values()]
-            escape = any(escapes[j] for j in out)  # a member's own mark is still False
-            if len(members) > 1 or i in out:
+            single = len(members) == 1
+            out = rows[i].values() if single else [j for k in members for j in rows[k].values()]
+            escape = any(map(escapes.__getitem__, out))  # a member's own mark is still False
+            if not single or i in out:
                 on_cycle += members
                 trapped += [] if escape else members
             else:
@@ -560,7 +608,9 @@ def check_isolatability(plant: LabeledPlant) -> IsolatabilityReport:
             escapes[k] = True
     if not on_cycle:
         return IsolatabilityReport(True, None, max(depth))
-    chosen = min(trapped or on_cycle, key=lambda i: (str(index.estimate(masks[i])), i))
+    names = [f"{m.base}{m.label}" for m in index.members]
+    chosen = min(trapped or on_cycle, key=lambda i: (
+        "{" + ",".join([names[b] for b in _bits(masks[i])]) + "}", i))
     witness = [index.estimate(masks[chosen])]
     for obs, j in shortest_path(chosen, lambda i: rows[i].items(), lambda j: j == chosen):
         witness += [obs, index.estimate(masks[j])]

@@ -1,5 +1,5 @@
-"""Shared fixtures: the twin-branch system, its synthesis pipeline and the
-solvable plants of the seed-2023 pool."""
+"""Shared fixtures: the twin-branch system, its synthesis pipeline, and the
+seed-2023 pool with its solvable plants."""
 from __future__ import annotations
 
 import random
@@ -63,6 +63,13 @@ def twin_bts(twin_plant):
 def twin_pipeline(twin_plant):
     run = fi.synthesize(twin_plant)
     return run.deadlocks, run.live, run.result, run.policy
+
+
+@pytest.fixture(scope="session")
+def pool():
+    """The seed-2023 pool of 2,000 random plants, as automata."""
+    rng = random.Random(2023)
+    return [random_plant(rng) for _ in range(2000)]
 
 
 @pytest.fixture(scope="session")

@@ -26,6 +26,7 @@ from faultiso.diagnosis import (
     LabeledPlant,
     StateEstimate,
     classify,
+    estimate_graph,
 )
 from faultiso.errors import (
     InvalidArgumentError,
@@ -774,6 +775,34 @@ def set_isolatability(plant: LabeledPlant, diag: SetDiagnoser = None) -> Isolata
     for obs, j in shortest_path(chosen, edges.__getitem__, lambda i: i == chosen):
         witness += [obs, nodes[j]]
     return IsolatabilityReport(False, tuple(witness))
+
+
+def printed_witness(plant: LabeledPlant) -> Optional[tuple]:
+    """The witness cycle of ``check_isolatability`` as chosen by printing
+    interned estimates: it starts at ``min(trapped or on_cycle, key=lambda i:
+    (str(index.estimate(masks[i])), i))`` over ``estimate_graph``'s
+    positions, then takes the shortest way back.  The cyclic mixed positions
+    come from ``cyclic_nodes``, and the trapped ones are those that no
+    backward search from a pure fault-certain position meets.  None when no
+    mixed estimate lies on a cycle."""
+    index, (masks, rows, _) = plant.index, estimate_graph(plant)
+    certain = [i for i, mask in enumerate(masks) if not mask & index.normal]
+    mixed = {i for i in certain if len(index.estimate(masks[i]).fault_labels()) >= 2}
+    on_cycle = sorted(cyclic_nodes(sorted(mixed), lambda i: [
+        (obs, j) for obs, j in rows[i].items() if j in mixed]))
+    if not on_cycle:
+        return None
+    preds: list[list] = [[] for _ in masks]
+    for i, row in enumerate(rows):
+        for obs, j in row.items():
+            preds[j].append((obs, i))
+    reach_pure = set(reach([i for i in certain if i not in mixed], preds.__getitem__))
+    trapped = [i for i in on_cycle if i not in reach_pure]
+    chosen = min(trapped or on_cycle, key=lambda i: (str(index.estimate(masks[i])), i))
+    witness = [index.estimate(masks[chosen])]
+    for obs, j in shortest_path(chosen, lambda i: rows[i].items(), lambda j: j == chosen):
+        witness += [obs, index.estimate(masks[j])]
+    return tuple(witness)
 
 
 def json_supervisor(payload: dict) -> str:

@@ -19,6 +19,7 @@ from oracles import (
     brute_estimates,
     composed_labeled_plant,
     enumerate_language,
+    printed_witness,
     set_adjacency,
     set_diagnoser,
     set_frontier,
@@ -449,6 +450,13 @@ def test_mixed_is_one_mask_test():
                 assert mixed == (sum(1 for f in index.faults if m & f) >= 2), m
 
 
+def test_index_orders_states_as_labeled_states(pool):
+    # the index sorts state ids by (base, label) keys, in LabeledState order
+    for aut in [lamps(n) for n in (3, 4, 5, 6)] + pool:
+        plant = fi.build_labeled_plant(aut)
+        assert plant.index.members == tuple(sorted(map(plant.member_of, plant.automaton.states)))
+
+
 def referee_after(index, mask):
     """The uncontrolled step as release, then observe."""
     return sorted(index.observe(index.release(mask)).items())
@@ -516,8 +524,8 @@ def test_check_flow_builds_each_row_once(monkeypatch):
 
 
 def test_synthesis_and_load_build_each_row_once(monkeypatch):
-    # build_bts and load_supervisor each find the frontier once, on rows
-    # built once per state
+    # build_bts finds the frontier once, on rows built once per state, and
+    # load_supervisor reads it from plant.index
     doc = modelio.parse_model_document(lamps_text(4, "lamps4", "4 lamps"))
     plant = fi.build_labeled_plant(modelio.to_system(doc)[0])
     steps, rows = spy_steps(monkeypatch, plant.index)
@@ -526,7 +534,7 @@ def test_synthesis_and_load_build_each_row_once(monkeypatch):
         run.policy, doc, "default", run.result.isolation_bound))
     assert set(steps.values()) == {1} and len(steps) == 32
     modelio.load_supervisor(text, plant, doc)
-    assert set(steps.values()) == {2} and len(steps) == 32
+    assert set(steps.values()) == {1} and len(steps) == 32
     assert len(rows) == sum(rows.values()) == 32
 
 
@@ -584,3 +592,99 @@ def test_diagnoser_table_misses_return_none(twin_plant, twin_diagnoser):
         with pytest.raises(KeyError):
             table[key]
     assert table.get((init, "o2")) == fi.estimate_after(twin_plant, ["o2"])
+
+
+def test_check_sequence_interns_only_the_witness_cycle():
+    # the benchmark's check reads the diagnoser's sizes and initial estimate,
+    # then runs the isolatability test: of the 2,723 six-lamp estimates only
+    # the initial one and the four on the witness cycle are interned, with or
+    # without the diagnoser
+    for build in (True, False):
+        plant = fi.build_labeled_plant(lamps(6))
+        if build:
+            diag = fi.build_diagnoser(plant)
+            assert (len(diag.states), len(diag.transitions)) == (2723, 9155)
+            assert diag.initial == plant.initial_estimate
+        report = fi.check_isolatability(plant)
+        interned = set(plant.index._estimates.values())
+        assert interned == {plant.initial_estimate, *report.witness_cycle[::2]}
+        assert len(interned) == 5
+
+
+def assert_states_view_is_the_tuple(aut):
+    """``Diagnoser.states`` equals the set referee's tuple, built on a fresh
+    plant, as a whole, by negative index and by slice, and holds exactly its
+    estimates; a lookup keeps no estimate on the index."""
+    plant = fi.build_labeled_plant(aut)
+    states, ref = fi.build_diagnoser(plant).states, set_diagnoser(fi.build_labeled_plant(aut)).states
+    n = len(ref)
+    assert states == ref and ref == states and not states != ref and len(states) == n
+    assert states != ref[:-1] and states != ref + ref[:1] and states != list(ref)
+    assert list(states) == list(ref) and states[0] == ref[0]
+    for i in range(-n, 0):
+        assert states[i] == ref[i]
+    for part in (slice(None), slice(1, None), slice(-2, None), slice(None, None, -1),
+                 slice(n // 2, n // 2), slice(-n, n // 2 - n, 2)):
+        got = states[part]
+        assert type(got) is tuple and got == ref[part]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            states[i]
+    assert all(est in states for est in ref)  # equal, from a fresh plant
+    foreign = [fi.StateEstimate(()), estimate(plant, "no such state:N"),
+               fi.StateEstimate(plant.index.members)]
+    for other in [est for est in foreign if est not in ref] + [
+            5, None, "x", ref[0].members, list(ref[0].members), [ref[0]], (ref[0],), ref]:
+        assert other not in states, other
+    assert plant.index._mask_of.keys() == set(plant.index._estimates.values())  # lookups keep nothing
+
+
+@pytest.mark.parametrize("aut", [twin_branch()[0], lamps(3), lamps(4), lamps(5)],
+                         ids=["twin", "lamps3", "lamps4", "lamps5"])
+def test_diagnoser_states_view_is_the_tuple(aut):
+    assert_states_view_is_the_tuple(aut)
+
+
+def test_diagnoser_states_view_is_the_tuple_on_the_pool(pool):
+    checked = 0
+    for aut in pool:
+        if fi.build_labeled_plant(aut).diagnosability.diagnosable:
+            assert_states_view_is_the_tuple(aut)
+            checked += 1
+    assert checked == 1511
+
+
+def comma_witness_text(first, second):
+    """A non-isolatable model whose two mixed cycles print alike: after
+    ``first`` the estimate is {aF1, bF2, cF2}, after ``second`` it is {aF1,
+    bF2,cF2} with the member ``bF2,c`` labelled F2, and each loops on o3."""
+    return ("event f1 fault=1\nevent f2 fault=2\nevent u\n"
+            "event o1 obs\nevent o2 obs\nevent o3 obs\ninit s\n"
+            "trans s f1 a1\ntrans s f2 t\ntrans s u w\ntrans w f2 t2\n"
+            f"trans a1 o1 a\ntrans a1 o2 a\ntrans t {first} b\ntrans t {second} bF2,c\n"
+            f"trans t2 {first} c\ntrans a o3 a\ntrans b o3 b\ntrans c o3 c\n"
+            "trans bF2,c o3 bF2,c\n")
+
+
+@pytest.mark.parametrize("first,second", [("o1", "o2"), ("o2", "o1")])
+def test_witness_of_estimates_that_print_alike_goes_by_position(first, second):
+    doc = modelio.parse_model_document(comma_witness_text(first, second))
+    plant = fi.build_labeled_plant(modelio.to_system(doc)[0])
+    states = fi.build_diagnoser(plant).states
+    assert len(states) == 3 and str(states[1]) == str(states[2]) and states[1] != states[2]
+    report = fi.check_isolatability(plant)
+    assert report.witness_cycle == (states[1], "o3", states[1]) == printed_witness(plant)
+
+
+def test_witness_is_the_printed_rule(pool):
+    # the witness picked on masks is the one picked by printing interned
+    # estimates, on lamps 3-7 and on every diagnosable plant of the pool
+    auts = [lamps(n) for n in (3, 4, 5, 6, 7)]
+    auts += [aut for aut in pool if fi.build_labeled_plant(aut).diagnosability.diagnosable]
+    cyclic = 0
+    for aut in auts:
+        plant = fi.build_labeled_plant(aut)
+        report = fi.check_isolatability(plant)
+        assert report.witness_cycle == printed_witness(plant)
+        cyclic += not report.isolatable
+    assert cyclic == 5 + 955  # the 1,511 diagnosable pool plants, 556 passively isolatable
