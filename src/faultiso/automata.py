@@ -119,13 +119,16 @@ class Automaton:
     def __post_init__(self):
         if self.initial not in self.states:
             raise ModelError(f"initial state {self.initial!r} not in state set")
-        ordered = {}
-        for (src, ev), dst in sorted(self.transitions.items()):
-            if src not in self.states or dst not in self.states:
-                raise ModelError(f"transition {src} -{ev}-> {dst} uses unknown state")
-            if ev not in self.table:
-                raise ModelError(f"transition {src} -{ev}-> {dst} uses unknown event")
-            ordered[(src, ev)] = dst
+        ordered = dict(sorted(self.transitions.items()))
+        states = self.states
+        # checked in bulk; only a failed check scans, to name the first bad transition
+        if not (states.issuperset(src for src, _ in ordered) and states.issuperset(ordered.values())
+                and not {ev for _, ev in ordered}.difference(self.table._by_name)):
+            for (src, ev), dst in ordered.items():
+                if src not in states or dst not in states:
+                    raise ModelError(f"transition {src} -{ev}-> {dst} uses unknown state")
+                if ev not in self.table:
+                    raise ModelError(f"transition {src} -{ev}-> {dst} uses unknown event")
         object.__setattr__(self, "transitions", ordered)
         outgoing: dict[str, list[tuple[str, str]]] = {q: [] for q in self.states}
         for (src, ev), dst in ordered.items():

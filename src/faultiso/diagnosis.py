@@ -296,6 +296,12 @@ class StateIndex:
                 step[obs] = step.get(obs, 0) | 1 << d
         return step
 
+    def printed(self, masks: Iterable[int]) -> list[str]:
+        """``str`` of each mask's estimate, joined from the members' names:
+        none is interned."""
+        names = [f"{m.base}{m.label}" for m in self.members]
+        return ["{" + ",".join([names[b] for b in _bits(m)]) + "}" for m in masks]
+
     def estimate(self, mask: int) -> StateEstimate:
         est = self._estimates.get(mask)
         if est is None:
@@ -608,9 +614,8 @@ def check_isolatability(plant: LabeledPlant) -> IsolatabilityReport:
             escapes[k] = True
     if not on_cycle:
         return IsolatabilityReport(True, None, max(depth))
-    names = [f"{m.base}{m.label}" for m in index.members]
-    chosen = min(trapped or on_cycle, key=lambda i: (
-        "{" + ",".join([names[b] for b in _bits(masks[i])]) + "}", i))
+    starts = trapped or on_cycle
+    chosen = min(zip(index.printed(masks[i] for i in starts), starts))[1]
     witness = [index.estimate(masks[chosen])]
     for obs, j in shortest_path(chosen, lambda i: rows[i].items(), lambda j: j == chosen):
         witness += [obs, index.estimate(masks[j])]

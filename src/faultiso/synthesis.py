@@ -314,20 +314,20 @@ class BTSGraph:
                 return (e, mask) if self._holds(e, mask) else None
         return None
 
-    def _members_of(self, i: int) -> list[tuple[ControlDecision, int, int]]:
-        """``(decision, effect id, mask)`` for every Z-state of Y id ``i``,
-        in decision ``sort_key`` order."""
+    def _members_of(self, i: int) -> list[tuple[Optional[str], tuple[str, ...], int, int]]:
+        """``(enforced event, sorted disable names, effect id, mask)`` for
+        every Z-state of Y id ``i``, in decision ``sort_key`` order; the
+        callers that need a ``ControlDecision`` build it from the first two."""
         out = []
         for e in self._y_effects[i]:
             eff = self._effects[e]
+            ev, part = eff.dec.enforce, eff.dec.disable
             extras = _all_subsets(sorted(eff.free))
             for mask in range(1 << len(eff.bits)):
                 if self._holds(e, mask):
-                    dec = eff.decision(mask)
-                    out.append((dec, e, mask))
-                    out += [(ControlDecision(dec.enforce, dec.disable | extra), e, mask)
-                            for extra in extras[1:]]
-        out.sort(key=lambda m: m[0].sort_key())
+                    names = part.union(name for name, bit in eff.bits.items() if bit & mask)
+                    out += [(ev, tuple(sorted(names.union(extra))), e, mask) for extra in extras]
+        out.sort(key=lambda m: (m[0] is not None, m[0] or "", len(m[1]), m[1]))
         return out
 
     def _expand(self, ids: Optional[frozenset[int]] = None, take=None):
@@ -338,12 +338,13 @@ class BTSGraph:
             self._effects[e].owner for e in sorted(ids))
         for i in dict.fromkeys(owners):
             y = self.y_states[i]
-            for dec, e, mask in self._members_of(i):
+            for ev, names, e, mask in self._members_of(i):
                 if (ids is None or e in ids) and (take is None or take(e, mask)):
-                    yield ZState(y, dec), e, mask
+                    yield ZState(y, ControlDecision(ev, frozenset(names))), e, mask
 
     def decisions_of(self, y: StateEstimate) -> tuple[ControlDecision, ...]:
-        return tuple(dec for dec, _, _ in self._members_of(self._require_y(y)))
+        return tuple(ControlDecision(ev, frozenset(names))
+                     for ev, names, _, _ in self._members_of(self._require_y(y)))
 
     def observations_of(self, z: ZState) -> tuple[tuple[str, StateEstimate], ...]:
         at = self._locate(z)
@@ -767,9 +768,9 @@ def extract_supervisor(result: SynthesisResult, bts_liv: BTSGraph) -> Supervisor
         ys = bts_liv.y_states
         bad = {}
         for y in sorted(bts_liv.initial - result.good_y, key=str):
-            bad[y] = {dec: tuple(ys[i] for _, i in bts_liv._effects[e].edges_under(mask)
-                                 if ys[i] not in result.good_y)
-                      for dec, e, mask in bts_liv._members_of(bts_liv._y_id[y])}
+            bad[y] = {ControlDecision(ev, frozenset(disable)): tuple(
+                ys[i] for _, i in bts_liv._effects[e].edges_under(mask) if ys[i] not in result.good_y)
+                for ev, disable, e, mask in bts_liv._members_of(bts_liv._y_id[y])}
         names = ", ".join(str(y) for y in sorted(bad, key=str))
         raise SynthesisError(
             f"no valid isolation supervisor: initial estimates not good: {names}",

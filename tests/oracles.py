@@ -10,7 +10,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import combinations, product
 from typing import Hashable, Iterable, Optional, Sequence, Union
 
 from faultiso.automata import (
@@ -22,6 +22,7 @@ from faultiso.automata import (
 )
 from faultiso.diagnosis import (
     NORMAL,
+    Diagnoser,
     IsolatabilityReport,
     LabeledPlant,
     StateEstimate,
@@ -817,3 +818,92 @@ def old_enforceable(plant: LabeledPlant, mask: int) -> tuple[Optional[str], ...]
     succ = [plant.index.succ[b] for b in range(len(plant.index.members)) if mask >> b & 1]
     return (None,) + tuple(ev for ev in sorted(plant.table.enforceable_events)
                            if all(ev in s for s in succ))
+
+
+def _dot_quote(s: str) -> str:
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def decision_members(bts: BTSGraph, i: int) -> list[tuple[ControlDecision, int, int]]:
+    """``(decision, effect id, mask)`` for every Z-state of Y id ``i``, each
+    built as a ``ControlDecision`` and sorted by ``sort_key``: the member
+    expansion that ``BTSGraph._members_of`` did before it listed names."""
+    out = []
+    for e in bts._y_effects[i]:
+        eff = bts._effects[e]
+        free = sorted(eff.free)
+        extras = [frozenset(c) for r in range(len(free) + 1) for c in combinations(free, r)]
+        for mask in range(1 << len(eff.bits)):
+            if bts._holds(e, mask):
+                dec = eff.decision(mask)
+                out += [(ControlDecision(dec.enforce, dec.disable | extra), e, mask)
+                        for extra in extras]
+    out.sort(key=lambda m: m[0].sort_key())
+    return out
+
+
+def printed_diagnoser_dot(diag: Diagnoser) -> str:
+    """The diagnoser's DOT text from its interned estimates, sorted by
+    ``str`` and then by position, and its transitions sorted by source rank
+    and observation: the referee for ``dotexport.export_diagnoser_dot``."""
+    order = sorted(diag.states, key=str)
+    name = {est: _dot_quote(str(est)) for est in order}
+    rank = {est: i for i, est in enumerate(order)}
+    lines = ["digraph diagnoser {", "  rankdir=LR;"]
+    for est in order:
+        attrs = ["shape=ellipse"]
+        if est == diag.initial:
+            attrs.append("color=blue")
+        lines.append(f"  {name[est]} [{', '.join(attrs)}];")
+    for (src, obs), dst in sorted(diag.transitions.items(),
+                                  key=lambda kv: (rank[kv[0][0]], kv[0][1])):
+        lines.append(f"  {name[src]} -> {name[dst]} [label={_dot_quote(obs)}];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def decision_bts_dot(bts: BTSGraph, result: Optional[SynthesisResult] = None) -> str:
+    """The bipartite system's DOT text with one ``ControlDecision`` per
+    member, from ``decision_members``, each line formatted and quoted on its
+    own: the referee for ``dotexport.export_bts_dot``."""
+    good_y = result.good_y if result else frozenset()
+    policy = dict(result.policy) if result else {}
+    is_good = result.good_z._holds if result else lambda e, mask: False
+    texts = [str(y) for y in bts.y_states]
+    name_of = [_dot_quote(text) for text in texts]
+    ys = sorted(range(len(texts)), key=texts.__getitem__)
+    rows = [(i, [(dec, e, mask, _dot_quote(dec_text), _dot_quote(f"({texts[i]},{dec_text})"))
+                 for dec, e, mask in decision_members(bts, i) for dec_text in (str(dec),)])
+            for i in ys]
+    lines = ["digraph bts {", "  rankdir=LR;"]
+    for i in ys:
+        y = bts.y_states[i]
+        attrs = ["shape=ellipse"]
+        if y in bts.initial:
+            attrs.append("color=blue")
+        if y in bts.marked:
+            attrs.append("color=green")
+        if y in good_y:
+            attrs.append('style=filled, fillcolor=lightblue')
+        lines.append(f"  {name_of[i]} [{', '.join(attrs)}];")
+    for _, row in rows:
+        for _, e, mask, _, z_name in row:
+            attrs = ["shape=box"]
+            if bts._effects[e].blocked(mask):
+                attrs.append("color=red")
+            if is_good(e, mask):
+                attrs.append('style=filled, fillcolor=lightblue')
+            lines.append(f"  {z_name} [{', '.join(attrs)}];")
+    for i, row in rows:
+        chosen = policy.get(bts.y_states[i])
+        for dec, _, _, label, z_name in row:
+            attrs = [f"label={label}"]
+            if chosen == dec:
+                attrs.append("color=red, penwidth=2")
+            lines.append(f"  {name_of[i]} -> {z_name} [{', '.join(attrs)}];")
+    for _, row in rows:
+        for _, e, mask, _, z_name in row:
+            for obs, j in bts._effects[e].edges_under(mask):
+                lines.append(f"  {z_name} -> {name_of[j]} [label={_dot_quote(obs)}];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"

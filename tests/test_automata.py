@@ -217,3 +217,23 @@ def test_automaton_validation():
 
 def test_transitions_stored_sorted(twin):
     assert list(twin.transitions) == sorted(twin.transitions)
+
+
+@pytest.mark.parametrize("trans,message", [
+    # an unknown event sorts first; a later unknown target is not the one named
+    ({("t", "o"): "x", ("s", "bad"): "s", ("s", "o"): "t"},
+     "transition s -bad-> s uses unknown event"),
+    # unknown event and unknown target on one transition: the state is named
+    ({("t", "zz"): "s", ("s", "p"): "s", ("s", "bad"): "x"},
+     "transition s -bad-> x uses unknown state"),
+    # an unknown source sorts before an unknown event
+    ({("u", "o"): "s", ("t", "bad"): "t", ("a", "p"): "s"},
+     "transition a -p-> s uses unknown state"),
+    ({("t", "q"): "s", ("s", "o"): "t", ("s", "r"): "t"},
+     "transition s -r-> t uses unknown event"),
+])
+def test_automaton_names_the_first_bad_transition_in_sorted_order(trans, message):
+    table = fi.EventTable((fi.Event("o", observable=True), fi.Event("p")))
+    with pytest.raises(ModelError) as caught:
+        fi.Automaton(table, frozenset({"s", "t"}), "s", trans)
+    assert str(caught.value) == message
