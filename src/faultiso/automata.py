@@ -209,11 +209,11 @@ def reachable_automaton(table: EventTable, init: Hashable, moves: Succ,
     name, in breadth-first discovery order."""
     names = {init: name(init)}
     taken = {names[init]}
-    trans: dict[tuple[str, str], str] = {}
+    rows: dict[str, dict[str, str]] = {}  # each node's moves, by name
 
     def succ(node):
         out = moves(node)
-        src = names[node]
+        rows[names[node]] = row = {}
         for ev, dst in out:
             if dst not in names:
                 if max_states is not None and len(names) >= max_states:
@@ -223,10 +223,12 @@ def reachable_automaton(table: EventTable, init: Hashable, moves: Succ,
                 if dst_name in taken:
                     raise ModelError(f"state name {dst_name} stands for two states")
                 taken.add(dst_name)
-            trans[(src, ev)] = names[dst]
+            row[ev] = names[dst]
         return out
 
     reach([init], succ)
+    # built in (source, event) order, so Automaton's own sort finds it sorted
+    trans = {(src, ev): dst for src in sorted(rows) for ev, dst in sorted(rows[src].items())}
     return Automaton(table, frozenset(taken), names[init], trans), names
 
 

@@ -459,8 +459,10 @@ def build_diagnoser(plant: LabeledPlant, max_states: int = 1_000_000) -> Diagnos
 
 @dataclass(frozen=True)
 class DiagnosabilityReport:
+    """``witness``: a faulty run and an observation-equivalent normal run,
+    present exactly when the plant is not ``diagnosable``."""
+
     diagnosable: bool
-    # (faulty run, observation-equivalent normal run), present when not diagnosable
     witness: Optional[tuple[tuple[str, ...], tuple[str, ...]]]
 
 
@@ -528,11 +530,13 @@ def _twin_construction(plant: LabeledPlant) -> DiagnosabilityReport:
 
 @dataclass(frozen=True)
 class IsolatabilityReport:
+    """``witness_cycle``: an alternating ``(estimate, event, ..., estimate)``
+    cycle through a mixed estimate.  ``bound``: the longest run of
+    consecutive mixed estimates after certainty, in edges; ``None`` exactly
+    when a mixed cycle exists."""
+
     isolatable: bool
-    # alternating [estimate, event, ..., estimate] cycle through a mixed estimate
     witness_cycle: Optional[tuple] = None
-    # longest run of consecutive mixed estimates after certainty, in edges;
-    # None exactly when a mixed cycle exists
     bound: Optional[int] = None
 
     def witness_text(self) -> str:

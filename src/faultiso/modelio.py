@@ -60,10 +60,10 @@ class ModelDocument:
 _EVENT_FLAGS = {"obs": "observable", "ctrl": "controllable", "forc": "forcible"}
 
 
-def _state_name(where: str, name: str) -> str:
+def _state_name(lineno: int, name: str) -> str:
     if "@" in name or "{" in name or "}" in name:  # the scan is for the message
         ch = next(ch for ch in name if ch in "@{}")
-        raise ModelError(f"{where}: state {name} contains reserved character {ch!r}")
+        raise ModelError(f"line {lineno}: state {name} contains reserved character {ch!r}")
     return name
 
 
@@ -76,23 +76,37 @@ def parse_model_document(text: str) -> ModelDocument:
     declared_events: set[str] = set()
     seen_pairs: dict[tuple[str, str], int] = {}
 
+    # trans lines are most of a model, so they are tested first; the
+    # "line N" prefix of a message is built only when a check fails
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not parts:
             continue
-        parts = line.split()
-        kind, args = parts[0], parts[1:]
-        where = f"line {lineno}"
+        kind = parts[0]
+        if kind == "trans":
+            if len(parts) != 4:
+                raise ModelError(f"line {lineno}: trans takes source, event, target")
+            _, src, ev, dst = parts
+            if ev not in declared_events:
+                raise ModelError(f"line {lineno}: undeclared event {ev}")
+            if (pair := (src, ev)) in seen_pairs:
+                raise ModelError(
+                    f"line {lineno}: duplicate transition from {src} on {ev} "
+                    f"(first at line {seen_pairs[pair]}); automata are deterministic")
+            seen_pairs[pair] = lineno
+            transitions.append((_state_name(lineno, src), ev, _state_name(lineno, dst)))
+            continue
+        args = parts[1:]
         if kind in ("name", "desc"):
             if not args:
-                raise ModelError(f"{where}: {kind} needs a value")
+                raise ModelError(f"line {lineno}: {kind} needs a value")
             meta[kind] = " ".join(args)
         elif kind == "event":
             if not args:
-                raise ModelError(f"{where}: event needs a name")
+                raise ModelError(f"line {lineno}: event needs a name")
             ev_name, flags = args[0], args[1:]
             if ev_name in declared_events:
-                raise ModelError(f"{where}: event {ev_name} declared twice")
+                raise ModelError(f"line {lineno}: event {ev_name} declared twice")
             attrs = {}
             fault_type = None
             for flag in flags:
@@ -101,40 +115,29 @@ def parse_model_document(text: str) -> ModelDocument:
                 elif flag.startswith("fault="):
                     digits = flag[len("fault="):]
                     if fault_type is not None:
-                        raise ModelError(f"{where}: event {ev_name} gives its fault index twice")
+                        raise ModelError(
+                            f"line {lineno}: event {ev_name} gives its fault index twice")
                     if not (digits.isascii() and digits.isdigit()):
-                        raise ModelError(f"{where}: bad fault index in {flag!r}")
+                        raise ModelError(f"line {lineno}: bad fault index in {flag!r}")
                     fault_type = int(digits)
                 else:
-                    raise ModelError(f"{where}: unknown event flag {flag!r}")
+                    raise ModelError(f"line {lineno}: unknown event flag {flag!r}")
             if fault_type is not None and attrs.get("observable"):
-                raise ModelError(f"{where}: fault event {ev_name} cannot be observable")
+                raise ModelError(f"line {lineno}: fault event {ev_name} cannot be observable")
             declared_events.add(ev_name)
             events.append(Event(ev_name, fault_type=fault_type, **attrs))
         elif kind == "state":
             if len(args) != 1:
-                raise ModelError(f"{where}: state takes exactly one name")
-            states.append(_state_name(where, args[0]))
+                raise ModelError(f"line {lineno}: state takes exactly one name")
+            states.append(_state_name(lineno, args[0]))
         elif kind == "init":
             if len(args) != 1:
-                raise ModelError(f"{where}: init takes exactly one name")
+                raise ModelError(f"line {lineno}: init takes exactly one name")
             if initial is not None:
-                raise ModelError(f"{where}: init declared twice")
-            initial = _state_name(where, args[0])
-        elif kind == "trans":
-            if len(args) != 3:
-                raise ModelError(f"{where}: trans takes source, event, target")
-            src, ev, dst = args
-            if ev not in declared_events:
-                raise ModelError(f"{where}: undeclared event {ev}")
-            if (src, ev) in seen_pairs:
-                raise ModelError(
-                    f"{where}: duplicate transition from {src} on {ev} "
-                    f"(first at line {seen_pairs[(src, ev)]}); automata are deterministic")
-            seen_pairs[(src, ev)] = lineno
-            transitions.append((_state_name(where, src), ev, _state_name(where, dst)))
+                raise ModelError(f"line {lineno}: init declared twice")
+            initial = _state_name(lineno, args[0])
         else:
-            raise ModelError(f"{where}: unknown directive {kind!r}")
+            raise ModelError(f"line {lineno}: unknown directive {kind!r}")
     if initial is None:
         raise ModelError("model has no init line")
     return ModelDocument(meta.get("name"), meta.get("desc"), tuple(events), tuple(states),

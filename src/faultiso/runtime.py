@@ -12,6 +12,7 @@ take the switch from ``_engine_state`` and the step from ``_next_estimate``.
 from __future__ import annotations
 
 import random
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -49,6 +50,10 @@ class EngineState:
     observation: Optional[str]
     active_decision: Optional[ControlDecision]
 
+    def __reduce__(self):  # by its fields: engine_step's row of successors stays behind
+        return EngineState, (self.phase, self.estimate, self.verdict, self.observation,
+                             self.active_decision)
+
 
 def initial_engine_state(plant: LabeledPlant) -> EngineState:
     est = plant.initial_estimate
@@ -77,24 +82,36 @@ def engine_step(plant: LabeledPlant, policy: SupervisorPolicy,
     """Consume one observation: a ``_next_estimate`` step, then the engine state
     there, kept on ``plant.index`` per (policy, estimate, decision in force,
     observation) unless it raises.  A decision in force admits only its
-    observable enforced event, if any, and no disabled one."""
+    observable enforced event, if any, and no disabled one.
+
+    ``state`` also keeps a row ``(index, policy, {observation: successor})``
+    for the last plant and policy it was stepped under, so a repeated step
+    hashes no policy, estimate or decision.  The row holds the index and the
+    successors weakly: no state holds a state or an index, so a plant is
+    freed without the cyclic GC; a live index keeps each successor in its memo."""
+    row = state.__dict__.get("_row")
+    if row is not None and row[1] is policy and row[0]() is plant.index:
+        if (ref := row[2].get(obs)) is not None:
+            return ref()
+    else:
+        row = state.__dict__["_row"] = (weakref.ref(plant.index), policy, {})
     memo, key = plant.index._engine, (policy, state.estimate, state.active_decision, obs)
-    if (hit := memo.get(key)) is not None:
-        return hit
-    if obs not in plant.table.observable_events:
-        raise ProtocolError(f"event {obs} is not observable" if obs in plant.table
-                            else f"unknown event: {obs}")
-    dec = state.active_decision or NO_CONTROL
-    if dec.enforce in plant.table.observable_events and obs != dec.enforce:
-        raise ProtocolError(f"decision {dec} enforces {dec.enforce} "
-                            f"but {obs} was observed")
-    if obs in dec.disable:
-        raise ProtocolError(f"disabled event {obs} was observed under {dec}")
-    est = _next_estimate(plant, state, obs)
-    if est is None:
-        raise ProtocolError(f"observation {obs} is infeasible at {state.estimate}"
-                            + ("" if state.active_decision is None else f" under {dec}"))
-    memo[key] = hit = _engine_state(policy, est, obs)
+    if (hit := memo.get(key)) is None:
+        if obs not in plant.table.observable_events:
+            raise ProtocolError(f"event {obs} is not observable" if obs in plant.table
+                                else f"unknown event: {obs}")
+        dec = state.active_decision or NO_CONTROL
+        if dec.enforce in plant.table.observable_events and obs != dec.enforce:
+            raise ProtocolError(f"decision {dec} enforces {dec.enforce} "
+                                f"but {obs} was observed")
+        if obs in dec.disable:
+            raise ProtocolError(f"disabled event {obs} was observed under {dec}")
+        est = _next_estimate(plant, state, obs)
+        if est is None:
+            raise ProtocolError(f"observation {obs} is infeasible at {state.estimate}"
+                                + ("" if state.active_decision is None else f" under {dec}"))
+        memo[key] = hit = _engine_state(policy, est, obs)
+    row[2][obs] = weakref.ref(hit)
     return hit
 
 

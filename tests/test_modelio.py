@@ -100,6 +100,19 @@ def test_first_reserved_character_is_named(state, char):
     assert str(info.value) == f"line 2: state {state} contains reserved character {char!r}"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("event e obs\ninit a\ntrans a@ ghost b\n", "line 3: undeclared event ghost"),
+    ("event e obs\ninit a\ntrans a e b\n# a comment\ntrans a e {b\n",
+     "line 5: duplicate transition from a on e (first at line 3); "
+     "automata are deterministic"),
+], ids=["undeclared-before-reserved", "duplicate-before-reserved"])
+def test_trans_line_checks_come_in_order(text, message):
+    # a trans line that breaks two rules reports the one checked first
+    with pytest.raises(ModelError) as info:
+        modelio.parse_model_document(text)
+    assert str(info.value) == message
+
+
 def test_undeclared_event_rejected():
     with pytest.raises(ModelError, match="line 2"):
         modelio.parse_model("init a\ntrans a ghost b\n")

@@ -1,14 +1,18 @@
 """Runtime engine, closed-loop construction, verification, simulation."""
 from __future__ import annotations
 
+import copy
 import dataclasses
+import gc
 import json
 import os
+import pickle
 import random
 import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -355,6 +359,97 @@ def test_engine_computes_each_distinct_step_once(monkeypatch):
     assert fi.replay(plant, policy, observations) == first
     assert len(computed) == 26
 
+
+# -- the engine rows: each stepped state keeps its successors, weakly
+
+class CountingDict(dict):
+    """A memo that counts its lookups."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def test_repeated_replay_reads_the_engine_memo_once():
+    # a second 10,000-observation three-lamp replay under the same plant and
+    # policy finds every step in its states' rows; only the fresh initial
+    # state, which has no row yet, reads the memo
+    plant = fi.build_labeled_plant(lamps(3))
+    policy = fi.synthesize(plant).policy
+    observations = lamp_observations(plant, policy, 10_000, seed=23)
+    memo = plant.index._engine = CountingDict()
+    first = fi.replay(plant, policy, observations)
+    memo.reads = 0
+    second = fi.replay(plant, policy, observations)
+    assert memo.reads == 1
+    assert all(a is b for a, b in zip(first[1:], second[1:])) and first == second
+
+
+def test_engine_rows_follow_the_plant_and_the_policy(twin):
+    # a state stepped on another plant, or under another policy (equal but
+    # distinct, or unequal), gets the referee's successor there, and stepped
+    # back it gets the engine's own successor again
+    variant, fresh_variant = twin_variant_plant(), twin_variant_plant()
+    plant = fi.build_labeled_plant(twin)
+    shared = fi.SupervisorPolicy(fi.synthesize(plant).bts.initial, {})
+    cases = [(plant, shared, ["o2", "o4", "o3", "o3"], [(variant, shared, fresh_variant)])]
+    lamp_plant = fi.build_labeled_plant(lamps(3))
+    default, paper = (fi.synthesize(lamp_plant, tb).policy for tb in TIE_BREAK_MODES)
+    copy = fi.SupervisorPolicy(default.initial_frontier, dict(default.decisions))
+    assert copy == default and copy is not default and paper != default
+    fresh = fi.build_labeled_plant(lamps(3))
+    cases.append((lamp_plant, default, lamp_observations(lamp_plant, default, 300, seed=2),
+                   [(lamp_plant, copy, fresh), (lamp_plant, paper, fresh)]))
+    for home, policy, run, others in cases:
+        states = fi.replay(home, policy, run)
+        for other, other_policy, referee in others:
+            for state, obs, after in zip(states, run, states[1:]):
+                got = fi.engine_step(other, other_policy, state, obs)
+                assert got == referee_step(referee, other_policy, state, obs), (state, obs)
+                assert fi.engine_step(other, other_policy, state, obs) is got
+                assert fi.engine_step(home, policy, state, obs) is after
+    assert fi.engine_step(lamp_plant, copy, states[5], run[5]) is states[6]  # equal: one entry
+
+
+def test_engine_row_keeps_no_error(twin_plant, twin_pipeline):
+    # a step that raises leaves nothing in the stepped state's row
+    policy, start = twin_pipeline[3], fi.initial_engine_state(twin_plant)
+    fi.engine_step(twin_plant, policy, start, "o2")
+    for obs in ("zz", "a", "o3"):
+        with pytest.raises(ProtocolError):
+            fi.engine_step(twin_plant, policy, start, obs)
+    assert list(start.__dict__["_row"][2]) == ["o2"]
+
+
+def test_stepped_engine_state_pickles_by_its_fields(twin_plant, twin_pipeline):
+    states = fi.replay(twin_plant, twin_pipeline[3], ["o2", "o3", "o1"])
+    assert all("_row" in state.__dict__ for state in states[:-1])
+    for state in states:
+        loaded = pickle.loads(pickle.dumps(state))
+        assert loaded == state and hash(loaded) == hash(state)
+        assert "_row" not in loaded.__dict__
+        assert copy.copy(state) == state and "_row" not in copy.copy(state).__dict__
+
+
+def test_stepped_engine_states_are_freed_with_their_plant():
+    # the rows hold the index and the successors weakly: dropping the plant
+    # frees it, its index and every state at once
+    gc.disable()
+    try:
+        plant = fi.build_labeled_plant(lamps(3))
+        policy = fi.synthesize(plant).policy
+        states = fi.replay(plant, policy, lamp_observations(plant, policy, 500, seed=4))
+        refs = [weakref.ref(x) for x in (plant, plant.index, states[0], states[1], states[-1])]
+        del plant, states
+        assert [ref() for ref in refs] == [None] * 5
+    finally:
+        gc.enable()
 
 
 # -- the policy is a value: read-only, hashed by its decisions, pickled by value
