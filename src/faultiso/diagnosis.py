@@ -107,18 +107,14 @@ class DiagnosisVerdict:
 
 
 def classify(est: StateEstimate) -> DiagnosisVerdict:
-    """Classify an estimate: N/F/U detection and FU/F_i isolation.  The
-    verdict is kept on the estimate, so it is computed once per estimate."""
-    verdict = est.__dict__.get("_verdict")
-    if verdict is None:
-        if est.empty:
-            raise InvalidArgumentError("cannot classify an empty estimate")
-        fault = est.fault_labels()
-        detection = "N" if not fault else "U" if NORMAL in est.labels() else "F"
-        verdict = DiagnosisVerdict(detection, next(iter(fault))
-                                   if detection == "F" and len(fault) == 1 else "FU")
-        object.__setattr__(est, "_verdict", verdict)
-    return verdict
+    """Classify an estimate: N/F/U detection and FU/F_i isolation.  Nothing
+    is kept on the estimate: the engine keeps each state's verdict."""
+    if est.empty:
+        raise InvalidArgumentError("cannot classify an empty estimate")
+    fault = est.fault_labels()
+    detection = "N" if not fault else "U" if NORMAL in est.labels() else "F"
+    return DiagnosisVerdict(detection, next(iter(fault))
+                            if detection == "F" and len(fault) == 1 else "FU")
 
 
 @dataclass(frozen=True)

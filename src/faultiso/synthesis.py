@@ -156,30 +156,19 @@ class _ZView(Set):
     ``take(e, mask)`` holds, and ``count(e)`` says in closed form how many
     members of ``e`` are.
 
-    Its length is the sum of those counts, with each single-member effect
-    among ``ids`` counted as one (every view takes that member), and
-    membership is one effect lookup; members are built only when a caller
-    iterates, in ``z_states`` order.
+    Its length is the sum of those counts, membership is one effect lookup,
+    and members are built only when a caller iterates, in ``z_states`` order.
     """
 
     def __init__(self, graph: BTSGraph, take, count, ids: Optional[frozenset[int]] = None):
         self._graph, self._take, self._count, self._ids = graph, take, count, ids
 
-    @classmethod
-    def _from_iterable(cls, items):
-        return frozenset(items)
-
     def _holds(self, e: int, mask: int) -> bool:
         return (self._ids is None or e in self._ids) and self._take(e, mask)
 
-    @cached_property
-    def _size(self) -> int:
-        ids = range(len(self._graph._effects)) if self._ids is None else self._ids
-        single = self._graph._single[0]
-        return len(single.intersection(ids)) + sum(map(self._count, frozenset(ids) - single))
-
     def __len__(self):
-        return self._size
+        ids = range(len(self._graph._effects)) if self._ids is None else self._ids
+        return sum(map(self._count, ids))
 
     def __contains__(self, z):
         at = self._graph._locate(z)
@@ -187,8 +176,6 @@ class _ZView(Set):
 
     def __iter__(self):
         return (z for z, _, _ in self._graph._expand(self._ids, self._take))
-
-    __hash__ = Set._hash
 
 
 class _ZYEdges(Mapping):
@@ -210,17 +197,12 @@ class _ZYEdges(Mapping):
         return ((z, obs) for z, e, mask in self._graph._expand()
                 for obs, _ in effects[e].edges_under(mask))
 
-    @cached_property
-    def _size(self) -> int:
-        # every member admits all of its effect's edges but one per event it disables
-        g = self._graph
-        single, edges = g._single
-        return edges + sum(len(eff.edges) * eff.count(0, g._live)
-                           - sum(eff.count(b, g._live) for b in eff.bits.values())
-                           for e, eff in enumerate(g._effects) if e not in single)
-
     def __len__(self):
-        return self._size
+        # every member admits all of its effect's edges but one per event it disables
+        live = self._graph._live
+        return sum(len(eff.edges) * eff.count(0, live)
+                   - sum(eff.count(b, live) for b in eff.bits.values())
+                   for eff in self._graph._effects)
 
 
 class BTSGraph:
@@ -237,8 +219,8 @@ class BTSGraph:
     deadlock view, holds only the members that do not deadlock.  Y-states
     and effects are numbered by position, and the synthesis stages work on
     those ids.  ``z_states`` and ``zy_edges`` are read-only views: lengths
-    are closed-form counts over the effects, membership is an effect
-    lookup, and members are expanded only when iterated.
+    are closed-form counts over the effects, summed per call, membership is
+    an effect lookup, and members are expanded only when iterated.
     """
 
     def __init__(self, y_states: tuple[StateEstimate, ...], initial: frozenset[StateEstimate],
@@ -279,15 +261,6 @@ class BTSGraph:
     def _holds(self, e: int, mask: int) -> bool:
         """Whether member ``mask`` of effect ``e`` is in the graph."""
         return not (self._live and self._effects[e].blocked(mask))
-
-    @cached_property
-    def _single(self) -> tuple[frozenset[int], int]:
-        """The effects with one member, which admits some observation (no
-        relevant or free event, no blocker: an observable enforced event),
-        and the number of their edges, so that the views count them in bulk."""
-        ids = [e for e, eff in enumerate(self._effects)
-               if eff.edges and not (eff.bits or eff.free or eff.blockers)]
-        return frozenset(ids), sum(len(self._effects[e].edges) for e in ids)
 
     @property
     def _deadlocks(self) -> _ZView:

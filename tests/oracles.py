@@ -35,7 +35,7 @@ from faultiso.errors import (
     NotDiagnosableError,
     ResourceLimitError,
 )
-from faultiso.graph import Succ, reach, shortest_path
+from faultiso.graph import Succ, reach, shortest_path, strongly_connected
 from faultiso.synthesis import (
     BTSGraph,
     ControlDecision,
@@ -776,6 +776,41 @@ def set_isolatability(plant: LabeledPlant, diag: SetDiagnoser = None) -> Isolata
     for obs, j in shortest_path(chosen, edges.__getitem__, lambda i: i == chosen):
         witness += [obs, nodes[j]]
     return IsolatabilityReport(False, tuple(witness))
+
+
+def pair_isolatable(plant: LabeledPlant) -> bool:
+    """Isolatability from pairs of runs, with no estimate: the labelled plant
+    paired with itself, both copies moving together on an observable event
+    and one copy alone on an unobservable one, so a path of pairs is two
+    runs with one observation.  Labels never revert, so every pair of a
+    strongly connected component carries the same two labels, and the plant
+    is not isolatable exactly when a cycle of reachable pairs carries two
+    distinct fault labels.  The twin-plant test of Jiang, Huang, Chandra and
+    Kumar (IEEE TAC 46(8), 2001), run on pairs of fault classes."""
+    aut, label = plant.automaton, plant.label_of
+    observable = plant.table.observable_events
+
+    edges: list[list] = []  # reach calls moves once per pair, in discovery order
+
+    def moves(pair):
+        x, y = pair
+        out = [(ev, (dx, dy)) for ev, dx in aut.outgoing(x) if ev in observable
+               and (dy := aut.transitions.get((y, ev))) is not None]
+        out += [(ev, (dx, y)) for ev, dx in aut.outgoing(x) if ev not in observable]
+        out += [(ev, (x, dy)) for ev, dy in aut.outgoing(y) if ev not in observable]
+        edges.append(out)
+        return out
+
+    pairs = reach([(aut.initial, aut.initial)], moves)
+    pos = {p: i for i, p in enumerate(pairs)}
+    succ = [[(ev, pos[q]) for ev, q in out] for out in edges]
+    for component in strongly_connected(len(pairs), succ.__getitem__):
+        first = component[0]
+        labels = {label[x] for x in pairs[first]}
+        if (len(labels) == 2 and NORMAL not in labels
+                and (len(component) > 1 or any(j == first for _, j in succ[first]))):
+            return False
+    return True
 
 
 def printed_witness(plant: LabeledPlant) -> Optional[tuple]:

@@ -99,3 +99,27 @@ def test_runtime_keys_nothing_by_identity():
     calls = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "id"]
     assert calls == [], f"runtime.py calls id() at lines {calls}"
+
+
+def test_only_three_index_caches_are_kept_from_above():
+    # StateIndex's private slots are per-plant caches.  Two modules above
+    # diagnosis keep one there: synthesis its steps and forcible bits, the
+    # runtime its engine memo; no other module reaches a private slot of an
+    # index, and none assigns any slot of one
+    index_class = next(node for node in ast.parse((SRC / "diagnosis.py").read_text(
+        encoding="utf-8")).body if getattr(node, "name", None) == "StateIndex")
+    slots = {node.attr for node in ast.walk(index_class) if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Store) and getattr(node.value, "id", None) == "self"}
+    assert {"_steps", "_forcible", "_engine", "_frontier"} <= slots
+    kept, assigned = set(), []
+    for module in set(LAYERS) - {"diagnosis"}:
+        tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in slots and "index" in (
+                    getattr(node.value, "id", None), getattr(node.value, "attr", None)):
+                if node.attr.startswith("_"):
+                    kept.add((module, node.attr))
+                elif not isinstance(node.ctx, ast.Load):
+                    assigned.append(f"{module}:{node.lineno}")
+    assert kept == {("synthesis", "_steps"), ("synthesis", "_forcible"), ("runtime", "_engine")}
+    assert assigned == [], f"index slots assigned at {assigned}"

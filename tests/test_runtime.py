@@ -452,6 +452,25 @@ def test_stepped_engine_states_are_freed_with_their_plant():
         gc.enable()
 
 
+@pytest.mark.parametrize("text", [lamps_text(3, "lamps3", "3 lamps"), twin_branch_text()],
+                         ids=["lamps3", "twin"])
+def test_estimates_stay_plain_values(text):
+    # the whole pipeline runs on one plant, and no stage keeps anything on
+    # the estimates it interns: each holds its members and its hash
+    doc = modelio.parse_model_document(text)
+    plant = fi.build_labeled_plant(modelio.to_system(doc)[0])
+    run = fi.synthesize(plant)
+    payload = modelio.supervisor_document(run.policy, doc, "default", run.result.isolation_bound)
+    policy = modelio.load_supervisor(modelio.serialize_supervisor(payload), plant, doc)
+    cl = fi.build_closed_loop(plant, policy)
+    assert fi.verify_closed_loop(cl).isolatable
+    fi.replay(plant, policy, lamp_observations(plant, policy, 2000, seed=6))
+    estimates = list(plant.index._estimates.values())
+    assert len(estimates) >= 7
+    for est in estimates:
+        assert sorted(est.__dict__) == ["_hash", "members"], est
+
+
 # -- the policy is a value: read-only, hashed by its decisions, pickled by value
 
 def test_policy_cannot_change_after_it_is_stepped(twin):
